@@ -230,6 +230,13 @@ def sigmoid(a) -> Tensor:
     return _unary(a, out, lambda: out * (1.0 - out))
 
 
+def softplus(a) -> Tensor:
+    """log(1 + exp(a)) as logaddexp(0, a): finite for any finite input."""
+    a = constant(a)
+    out = np.logaddexp(0.0, a.data)
+    return _unary(a, out, lambda: np.exp(a.data - out))  # sigmoid(a)
+
+
 def tanh(a) -> Tensor:
     a = constant(a)
     out = np.tanh(a.data)

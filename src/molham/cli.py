@@ -20,7 +20,7 @@ from . import __version__
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
 from .dataset import SplitConfig, gen_dataset, load_split
-from .errors import EmptyThresholds, MolhamError
+from .errors import AuditFailed, EmptyThresholds, MolhamError
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
 from .oracle import embed_3d, huckel_labels
@@ -258,13 +258,13 @@ def _train_common(args: argparse.Namespace, stage: str) -> int:
 
     run = pretrain if stage == "pretrain" else finetune
     rows, rng_state = run(model, train_set, train_cfg)
+    if stage == "finetune" and not train_cfg.fusion and train_set.coords_reads:
+        raise AuditFailed(f"string-only fine-tuning read coordinates "
+                          f"{train_set.coords_reads} times")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.mh", model, train_cfg, rng_state)
     write_trace(out / "trace.csv", rows)
     _write_manifest(out, stage, resolved, inputs)
-    if stage == "finetune":
-        assert train_cfg.fusion or train_set.coords_reads == 0, \
-            "string-only fine-tuning read coordinates"
     print(json.dumps({"steps": len(rows),
                       "final_loss": rows[-1].parts["loss_total"] if rows else None}))
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .errors import ShapeMismatch
-from .nn import SOFTPLUS_INV_ONE, Mlp, pairwise_cosine, softplus
+from .nn import SOFTPLUS_INV_ONE, Mlp, pairwise_cosine
 
 
 @dataclass
@@ -166,7 +166,7 @@ class ParamGenerator:
 
         return CompensationParams(
             angles=head("angles"),
-            scales=softplus(head("scales") + SOFTPLUS_INV_ONE),
+            scales=ad.softplus(head("scales") + SOFTPLUS_INV_ONE),
             shear_p=ad.reshape(head("shear_p"), (self.n_shear, d)),
             shear_w=ad.reshape(head("shear_w"), (self.n_shear, d)),
             shift=head("shift"),

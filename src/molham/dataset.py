@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import DEFAULT_BASIS, OrbitalBasisSpec, electron_count
 from .corpus import corpus_sha256
-from .errors import EmptySplit, MolhamError
+from .errors import CorruptFile, EmptySplit, MolhamError
 from .hamhead import from_upper_triangle, upper_triangle
 from .oracle import embed_3d, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
@@ -66,17 +66,20 @@ class DatasetRecord:
     @classmethod
     def from_json(cls, line: str) -> "DatasetRecord":
         raw = json.loads(line)
-        n_orb = _dim_from_upper(len(raw["h_upper"]))
-        return cls(
-            smiles=raw["smiles"],
-            elements=list(raw["elements"]),
-            coords=np.asarray(raw["coords"], dtype=np.float64),
-            h=from_upper_triangle(np.asarray(raw["h_upper"]), n_orb),
-            s=from_upper_triangle(np.asarray(raw["s_upper"]), n_orb),
-            n_electrons=int(raw["n_electrons"]),
-            gap_ev=float(raw["gap_ev"]),
-            split=raw["split"],
-        )
+        try:
+            n_orb = _dim_from_upper(len(raw["h_upper"]))
+            return cls(
+                smiles=raw["smiles"],
+                elements=list(raw["elements"]),
+                coords=np.asarray(raw["coords"], dtype=np.float64),
+                h=from_upper_triangle(np.asarray(raw["h_upper"]), n_orb),
+                s=from_upper_triangle(np.asarray(raw["s_upper"]), n_orb),
+                n_electrons=int(raw["n_electrons"]),
+                gap_ev=float(raw["gap_ev"]),
+                split=raw["split"],
+            )
+        except KeyError as err:
+            raise CorruptFile(f"dataset record lacks field {err}") from None
 
 
 def _dim_from_upper(n_vals: int) -> int:
@@ -99,9 +102,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def record(self, idx: int) -> DatasetRecord:
-        return self.records[idx]
 
     def get_coords(self, idx: int) -> np.ndarray:
         self.coords_reads += 1

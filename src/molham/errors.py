@@ -123,6 +123,10 @@ class CorruptFile(MolhamError):
     pass
 
 
+class AuditFailed(MolhamError):
+    """A run broke one of its own invariants, e.g. string-only training read coordinates."""
+
+
 class TrainingAborted(MolhamError):
     """Non-finite loss or gradient; carries the offending record index."""
 

@@ -24,11 +24,6 @@ class Mlp:
         return ad.tanh(x @ self.w1 + self.b1) @ self.w2 + self.b2
 
 
-def mlp_shapes(d_in: int, d_hidden: int, d_out: int) -> list[tuple[str, tuple[int, ...]]]:
-    return [("w1", (d_in, d_hidden)), ("b1", (1, d_hidden)),
-            ("w2", (d_hidden, d_out)), ("b2", (1, d_out))]
-
-
 def normalize_rows(x: Tensor, what: str = "embedding") -> Tensor:
     """Scale each row to unit L2 norm; zero rows are rejected, not clamped."""
     sq = ad.sum_(ad.square(x), axis=1, keepdims=True)
@@ -40,10 +35,6 @@ def normalize_rows(x: Tensor, what: str = "embedding") -> Tensor:
 def pairwise_cosine(a: Tensor, b: Tensor, what: str = "embedding") -> Tensor:
     """Matrix of cosines between every row of `a` and every row of `b`."""
     return normalize_rows(a, what) @ ad.transpose(normalize_rows(b, what))
-
-
-def softplus(x: Tensor) -> Tensor:
-    return ad.log(1.0 + ad.exp(x))
 
 
 SOFTPLUS_INV_ONE = float(np.log(np.expm1(1.0)))  # softplus(x + this) == 1 at x == 0

@@ -83,6 +83,10 @@ def run_selftest() -> bool:
     h, s = huckel_labels(xmol, coords)
     res = solve_gev(h, s, 4)
     _check("water labels give a positive gap", res.gap_ev > 0.0, results)
+    c = res.coefficients
+    _check("water orbitals: C^T S C = I and H C = S C eps",
+           bool(np.max(np.abs(c.T @ s @ c - np.eye(len(c)))) < 1e-10
+                and np.max(np.abs(h @ c - s @ c * res.eigenvalues)) < 1e-10), results)
 
     lay = layout(xmol.elements)
     _check("water layout has 4 orbitals", lay.n_orb == 4, results)

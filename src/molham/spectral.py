@@ -1,12 +1,14 @@
 """Spectral post-processing: overlap model, eigensolvers, and metrics.
 
-The generalized problem H C = S C diag(eps) is reduced with the symmetric
-inverse square root X = S^(-1/2) and solved with an in-house Jacobi
-eigensolver. Jacobi sweeps follow a round-robin schedule: each round rotates
-a set of disjoint planes, applied jointly as one orthogonal congruence, and a
-sweep visits every index pair exactly once. Rotations in disjoint planes do
-not interact, so each round zeroes its pivots exactly, and the batched form
-keeps large sweeps inside BLAS.
+The generalized problem H C = S C diag(eps) is reduced to a standard one
+with the Cholesky factor S = L L^T: the in-house Jacobi eigensolver
+diagonalizes L^-1 H L^-T, and C = L^-T V. The symmetric inverse square root
+S^(-1/2) stays available, but no generalized solve uses it, since it costs
+an eigendecomposition of its own. Jacobi sweeps follow a round-robin
+schedule: each round rotates a set of disjoint planes, applied jointly as
+one orthogonal congruence, and a sweep visits every index pair exactly once.
+Rotations in disjoint planes do not interact, so each round zeroes its
+pivots exactly, and the batched form keeps large sweeps inside BLAS.
 """
 
 from __future__ import annotations
@@ -135,8 +137,26 @@ def lowdin_inv_sqrt(s: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
+def _cholesky_inverse(s: np.ndarray) -> np.ndarray:
+    """Inverse of the lower Cholesky factor L of a positive-definite S = L L^T.
+
+    Rejects S when factorization fails or the smallest squared pivot is at or
+    below the ridge. A squared pivot is a Schur-complement diagonal, which
+    bounds the smallest eigenvalue of S from above, so every S rejected here
+    also fails the eigenvalue test of `lowdin_inv_sqrt`.
+    """
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("overlap has no Cholesky factor") from None
+    pivot = float(np.min(chol.diagonal())) ** 2
+    if not pivot > _RIDGE:  # also rejects NaN
+        raise NotPositiveDefinite(f"overlap pivot {pivot:.3e} at or below ridge {_RIDGE:.0e}")
+    return np.linalg.inv(chol)
+
+
 def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
-    """Solve H C = S C diag(eps) by symmetric orthogonalization.
+    """Solve H C = S C diag(eps) by Cholesky reduction and one Jacobi solve.
 
     Requires an even electron count (closed shell); occupation is
     n_electrons / 2 lowest orbitals.
@@ -148,11 +168,11 @@ def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
     if n_electrons <= 0 or n_electrons % 2 != 0:
         raise OddElectronCount(f"need a positive even electron count, got {n_electrons}")
     n_occ = n_electrons // 2
-    x = lowdin_inv_sqrt(s)
-    h_ortho = x @ h @ x
+    l_inv = _cholesky_inverse(s)
+    h_ortho = l_inv @ h @ l_inv.T
     h_ortho = 0.5 * (h_ortho + h_ortho.T)
     eigenvalues, v = jacobi_eigh(h_ortho)
-    coeff = x @ v
+    coeff = l_inv.T @ v
     if n_occ >= h.shape[0]:
         raise NoVirtualOrbital(
             f"{n_occ} occupied orbitals fill all {h.shape[0]} basis functions; no gap exists")

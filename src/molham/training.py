@@ -277,6 +277,9 @@ def load_checkpoint(path: str | Path,
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {manifest.get('format_version')} != {CHECKPOINT_VERSION}")
+    missing = sorted({"blob_sha256", "model_config", "params"} - manifest.keys())
+    if missing:
+        raise CorruptFile(f"{path} manifest lacks {', '.join(missing)}")
     blob = raw[head_end:]
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise CorruptFile(f"{path} failed its content checksum")

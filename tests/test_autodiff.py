@@ -128,6 +128,7 @@ PRIMITIVES = {
     "row_softmax": lambda x: ad.sum_(ad.row_softmax(x) * constant(_C34)),
     "sigmoid": lambda x: ad.sum_(ad.sigmoid(x) * constant(_C34)),
     "tanh": lambda x: ad.sum_(ad.tanh(x) * constant(_C34)),
+    "softplus": lambda x: ad.sum_(ad.softplus(x) * constant(_C34)),
     "sin": lambda x: ad.sum_(ad.sin(x) * constant(_C34)),
     "cos": lambda x: ad.sum_(ad.cos(x) * constant(_C34)),
     "exp": lambda x: ad.sum_(ad.exp(x) * constant(_C34)),
@@ -150,6 +151,16 @@ _C44 = RNG.standard_normal((4, 4))
 def test_primitive_gradients(name):
     x = RNG.standard_normal((3, 4)) + 0.31
     assert grad_check(PRIMITIVES[name], x, eps=1e-5) < 1e-6
+
+
+def test_softplus_is_finite_far_from_zero():
+    tape = Tape()
+    x = tape.leaf(np.array([-800.0, 0.0, 800.0]))
+    out = ad.softplus(x)
+    tape.backward(ad.sum_(out))
+    assert np.array_equal(out.data, [0.0, np.log(2.0), 800.0])
+    assert np.array_equal(x.grad, [0.0, 0.5, 1.0])
+    assert grad_check(lambda t: ad.sum_(ad.softplus(t)), np.array([-40.0, 3.0, 800.0])) < 1e-6
 
 
 def test_scatter_matrix_gradient():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
+from molham import cli
 from molham.cli import main
 from molham.corpus import build_corpus
 from molham.smiles import parse_smiles
@@ -151,6 +154,52 @@ class TestTrainEvalScreenBench:
                      "--data", str(data), "--out", str(out), "--fusion", "true"]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert np.isfinite(metrics["mae_all"])
+
+
+class TestCorruptInputs:
+    def test_checkpoint_without_checksum_exits_two(self, tmp_path, pipeline, capsys):
+        _, ckpt = pipeline
+        raw = ckpt.read_bytes()
+        size = struct.unpack("<Q", raw[8:16])[0]
+        manifest = json.loads(raw[16:16 + size])
+        del manifest["blob_sha256"]
+        payload = json.dumps(manifest).encode()
+        bad = tmp_path / "bad.mh"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + size:])
+        assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "blob_sha256" in capsys.readouterr().err
+
+    def test_record_without_hamiltonian_exits_two(self, tmp_path, pipeline, capsys):
+        data, _ = pipeline
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        lines = (bad / "train.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        del first["h_upper"]
+        (bad / "train.jsonl").write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        assert main(["finetune", "--data", str(bad), "--out", str(tmp_path / "ft"),
+                     "--epochs", "1", "--seed", "1"] + MODEL_FLAGS) == 2
+        assert "h_upper" in capsys.readouterr().err
+
+
+class TestCoordinateAudit:
+    def test_string_finetune_that_reads_coordinates_exits_two(self, tmp_path, pipeline,
+                                                              monkeypatch, capsys):
+        data, _ = pipeline
+        real_finetune = cli.finetune
+
+        def leaky_finetune(model, dataset, config):
+            out = real_finetune(model, dataset, config)
+            dataset.coords_reads = 1
+            return out
+
+        monkeypatch.setattr(cli, "finetune", leaky_finetune)
+        run = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(run),
+                     "--epochs", "1", "--seed", "1"] + MODEL_FLAGS) == 2
+        assert "read coordinates" in capsys.readouterr().err
+        assert not (run / "checkpoint.mh").exists()
 
 
 class TestSizeOodEndToEnd:

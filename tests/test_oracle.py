@@ -18,7 +18,7 @@ from molham.dataset import (
     generate_records,
     load_split,
 )
-from molham.errors import EmptySplit, UnsupportedElement
+from molham.errors import CorruptFile, EmptySplit, UnsupportedElement
 from molham.oracle import MIN_DISTANCE, embed_3d, huckel_labels
 from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import solve_gev, toy_overlap
@@ -188,6 +188,13 @@ class TestGenDataset:
         assert np.array_equal(again.coords, rec.coords)
         assert np.array_equal(again.h, rec.h)
         assert np.array_equal(again.s, rec.s)
+
+    def test_record_without_hamiltonian_rejected(self):
+        rec = generate_records(build_corpus()[:1], seed=1).records[0]
+        raw = json.loads(rec.to_json())
+        del raw["h_upper"]
+        with pytest.raises(CorruptFile, match="h_upper"):
+            DatasetRecord.from_json(json.dumps(raw))
 
     def test_coords_reads_counter(self):
         recs = generate_records(build_corpus()[:3], seed=1).records

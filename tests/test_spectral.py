@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import molham.spectral as spectral
 from _oracles import qr_eigvalsh, random_spd, random_symmetric
-from molham.basis import HARTREE_TO_EV
+from molham.basis import HARTREE_TO_EV, electron_count
 from molham.errors import (
     DimensionMismatch,
     NonFiniteCoordinate,
@@ -16,6 +17,8 @@ from molham.errors import (
     OddElectronCount,
 )
 from molham.hamhead import layout
+from molham.oracle import embed_3d, huckel_labels
+from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import (
     jacobi_eigh,
     lowdin_inv_sqrt,
@@ -142,6 +145,70 @@ class TestSolveGev:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_gev(np.eye(3), np.eye(4), 2)
+
+
+def _lowdin_reference(h, s):
+    """Eigenpairs of H C = S C eps through the symmetric S^(-1/2) reduction."""
+    x = lowdin_inv_sqrt(s)
+    h_ortho = x @ h @ x
+    w, v = jacobi_eigh(0.5 * (h_ortho + h_ortho.T))
+    return w, x @ v
+
+
+def _oracle_pairs():
+    for smiles in ("O", "CCO", "c1ccccc1O", "CC(=O)NCCS", "CCCCCCCCP"):
+        xmol = expand_hydrogens(parse_smiles(smiles))
+        h, s = huckel_labels(xmol, embed_3d(xmol, 7))
+        yield h, s, electron_count(xmol.elements)
+
+
+class TestCholeskyReduction:
+    def _assert_matches_lowdin(self, h, s, n_electrons):
+        res = solve_gev(h, s, n_electrons)
+        w, c = _lowdin_reference(h, s)
+        assert np.max(np.abs(res.eigenvalues - w)) < 1e-10 * max(1.0, np.abs(w).max())
+        gaps = np.diff(w)
+        simple = np.ones(len(w), dtype=bool)
+        simple[:-1] &= gaps > 1e-6
+        simple[1:] &= gaps > 1e-6
+        # S-inner product of S-normalized columns is +-1 for a simple eigenvalue
+        cos = np.abs(np.sum(c * (s @ res.coefficients), axis=0))
+        assert np.max(np.abs(cos[simple] - 1.0)) < 1e-8
+
+    def test_matches_lowdin_on_random_spd_pairs(self):
+        for _ in range(30):
+            n = int(RNG.integers(2, 30))
+            self._assert_matches_lowdin(random_symmetric(RNG, n), random_spd(RNG, n), 2)
+
+    def test_matches_lowdin_on_oracle_labels(self):
+        for h, s, n_electrons in _oracle_pairs():
+            self._assert_matches_lowdin(h, s, n_electrons)
+
+    def test_non_spd_overlap_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            solve_gev(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+
+    def test_pivot_at_ridge_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            solve_gev(np.eye(2), np.diag([1.0, 1e-12]), 2)
+
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        calls = {"jacobi": 0, "lowdin": 0}
+        real_jacobi = spectral.jacobi_eigh
+
+        def counting_jacobi(a, *args, **kwargs):
+            calls["jacobi"] += 1
+            return real_jacobi(a, *args, **kwargs)
+
+        def forbidden_lowdin(s):
+            calls["lowdin"] += 1
+            return lowdin_inv_sqrt(s)
+
+        monkeypatch.setattr(spectral, "jacobi_eigh", counting_jacobi)
+        monkeypatch.setattr(spectral, "lowdin_inv_sqrt", forbidden_lowdin)
+        h, s, n_electrons = next(_oracle_pairs())
+        solve_gev(h, s, n_electrons)
+        assert calls == {"jacobi": 1, "lowdin": 0}
 
 
 class TestToyOverlap:

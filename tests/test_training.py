@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,16 @@ TRAIN, TEST = _tiny_sets()
 
 def _fresh_train() -> Dataset:
     return Dataset(TRAIN.records)
+
+
+def _drop_manifest_field(path, field):
+    """Rewrite a checkpoint with one key removed from its JSON manifest."""
+    raw = path.read_bytes()
+    magic, size = raw[:8], struct.unpack("<Q", raw[8:16])[0]
+    manifest = json.loads(raw[16:16 + size])
+    del manifest[field]
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(magic + struct.pack("<Q", len(payload)) + payload + raw[16 + size:])
 
 
 class TestPretrain:
@@ -211,6 +224,13 @@ class TestCheckpoints:
         raw[-5] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+
+    def test_manifest_without_checksum_rejected(self, tmp_path):
+        path = tmp_path / "m.mh"
+        save_checkpoint(path, Model.init(SMALL_CFG, seed=2), None, None)
+        _drop_manifest_field(path, "blob_sha256")
+        with pytest.raises(CorruptFile, match="blob_sha256"):
             load_checkpoint(path)
 
     def test_cross_config_load_reports_shapes(self, tmp_path):
