@@ -141,7 +141,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
     p.add_argument("--limit", type=int, help="use only the first N corpus entries")
     p.add_argument("--max-heavy-atoms", type=int, dest="max_heavy_atoms")
-    p.add_argument("--jobs", type=int, default=1, help="parallel generation workers")
 
     p = sub.add_parser("pretrain", help="both-modality pre-training")
     p.add_argument("--data", required=True, help="dataset directory from gen-data")
@@ -200,10 +199,10 @@ def build_parser() -> _Parser:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg_file = _load_config_file(args.config)
     resolved = _merge({"split": "random-id", "seed": 0, "train_fraction": 0.8,
-                       "limit": None, "max_heavy_atoms": None, "corpus": None, "jobs": 1},
+                       "limit": None, "max_heavy_atoms": None, "corpus": None},
                       cfg_file, args,
                       ["split", "seed", "train_fraction", "limit", "max_heavy_atoms",
-                       "corpus", "jobs"])
+                       "corpus"])
     inputs = {}
     if resolved["corpus"]:
         corpus = [line.strip() for line in Path(resolved["corpus"]).read_text().splitlines()
@@ -220,7 +219,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     split = SplitConfig(mode=resolved["split"], seed=resolved["seed"],
                         train_fraction=resolved["train_fraction"])
     out = Path(args.out)
-    manifest = gen_dataset(corpus, split, out, jobs=resolved["jobs"])
+    manifest = gen_dataset(corpus, split, out)
     _write_manifest(out, "gen-data", resolved, inputs)
     print(json.dumps({k: manifest[k] for k in
                       ("n_generated", "n_train", "n_test", "n_skipped")}))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .basis import DEFAULT_BASIS, OrbitalBasisSpec, electron_count
 from .corpus import corpus_sha256
 from .errors import CorruptFile, EmptySplit, MolhamError
@@ -118,8 +119,8 @@ def _record_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _generate_one(task: tuple[int, str, int, OrbitalBasisSpec]) -> DatasetRecord | dict:
-    idx, smiles, seed, basis = task
+def _generate_one(idx: int, smiles: str, seed: int,
+                  basis: OrbitalBasisSpec) -> DatasetRecord | dict:
     try:
         mol = parse_smiles(smiles)
         xmol = expand_hydrogens(mol)
@@ -143,23 +144,14 @@ def _generate_one(task: tuple[int, str, int, OrbitalBasisSpec]) -> DatasetRecord
 
 
 def generate_records(corpus: list[str], seed: int,
-                     basis: OrbitalBasisSpec = DEFAULT_BASIS,
-                     jobs: int = 1) -> GenReport:
-    """Embed, label, and solve every corpus entry; failures are recorded.
+                     basis: OrbitalBasisSpec = DEFAULT_BASIS) -> GenReport:
+    """Embed, label, and solve every corpus entry in order; failures are recorded.
 
-    Per-record work is deterministic given (corpus index, seed), so worker
-    parallelism cannot change the output; results are collected in corpus
-    order either way.
+    Per-record work is deterministic given (corpus index, seed).
     """
-    tasks = [(idx, smiles, seed, basis) for idx, smiles in enumerate(corpus)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_generate_one, tasks))
-    else:
-        results = [_generate_one(t) for t in tasks]
     report = GenReport()
-    for res in results:
+    for idx, smiles in enumerate(corpus):
+        res = _generate_one(idx, smiles, seed, basis)
         if isinstance(res, DatasetRecord):
             report.records.append(res)
         else:
@@ -189,15 +181,15 @@ def assign_split(records: list[DatasetRecord], config: SplitConfig) -> tuple[lis
 
 
 def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path,
-                basis: OrbitalBasisSpec = DEFAULT_BASIS, jobs: int = 1) -> dict:
-    """Write train.jsonl, test.jsonl, and manifest.json; returns the manifest."""
+                basis: OrbitalBasisSpec = DEFAULT_BASIS) -> dict:
+    """Write train.jsonl, test.jsonl, and manifest.json atomically; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = generate_records(corpus, config.seed, basis, jobs=jobs)
+    report = generate_records(corpus, config.seed, basis)
     train_idx, test_idx = assign_split(report.records, config)
 
     for name, idxs in (("train", train_idx), ("test", test_idx)):
-        with open(out / f"{name}.jsonl", "w") as fh:
+        with atomic_open(out / f"{name}.jsonl") as fh:
             for i in idxs:
                 report.records[i].split = name
                 fh.write(report.records[i].to_json() + "\n")
@@ -215,7 +207,8 @@ def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path,
         "n_skipped": len(report.skipped),
         "skipped": report.skipped,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    with atomic_open(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=1) + "\n")
     return manifest
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_open
 from .autodiff import Tensor
 from .basis import DEFAULT_BASIS, OrbitalBasisSpec
 from .errors import CorruptFile, DimensionMismatch, ShapeMismatch
@@ -226,13 +227,18 @@ def save_hamiltonian(path: str | Path, h: np.ndarray, lay: BlockLayout) -> None:
     n = h.shape[0]
     if h.shape != (n, n) or n != lay.n_orb:
         raise DimensionMismatch(f"matrix {h.shape} does not match layout of {lay.n_orb} orbitals")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", n))
         fh.write(upper_triangle(h).astype("<f8").tobytes())
     sidecar = {"dimension": n, "elements": list(lay.elements),
                "offsets": list(lay.offsets), "counts": list(lay.counts)}
-    Path(str(path) + ".layout.json").write_text(json.dumps(sidecar, indent=1) + "\n")
+    with atomic_open(_sidecar_path(path)) as fh:
+        fh.write(json.dumps(sidecar, indent=1) + "\n")
+
+
+def _sidecar_path(path: Path) -> Path:
+    return Path(str(path) + ".layout.json")
 
 
 def load_hamiltonian(path: str | Path) -> tuple[np.ndarray, BlockLayout]:
@@ -246,6 +252,23 @@ def load_hamiltonian(path: str | Path) -> tuple[np.ndarray, BlockLayout]:
     if len(body) != expect * 8:
         raise CorruptFile(f"{path}: expected {expect} values, found {len(body) // 8}")
     vals = np.frombuffer(body, dtype="<f8")
-    side = json.loads(Path(str(path) + ".layout.json").read_text())
-    lay = BlockLayout(tuple(side["elements"]), tuple(side["offsets"]), tuple(side["counts"]))
-    return from_upper_triangle(vals, n), lay
+    return from_upper_triangle(vals, n), _load_sidecar(_sidecar_path(path), n)
+
+
+def _load_sidecar(side_path: Path, n: int) -> BlockLayout:
+    """The layout sidecar, checked against the stored dimension n."""
+    try:
+        side = json.loads(side_path.read_text())
+        lay = BlockLayout(tuple(side["elements"]), tuple(side["offsets"]), tuple(side["counts"]))
+        dimension = side["dimension"]
+    except FileNotFoundError:
+        raise CorruptFile(f"{side_path} is missing") from None
+    except json.JSONDecodeError as err:
+        raise CorruptFile(f"{side_path} is not JSON: {err}") from None
+    except (KeyError, TypeError) as err:
+        raise CorruptFile(f"{side_path} has a missing or malformed field: {err}") from None
+    starts = [sum(lay.counts[:k]) for k in range(len(lay.counts))]
+    if (dimension != n or len(lay.elements) != len(lay.counts)
+            or list(lay.offsets) != starts or sum(lay.counts) != n):
+        raise CorruptFile(f"{side_path} does not describe a {n}-orbital matrix")
+    return lay

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import Tape, constant
 from .dataset import Dataset, DatasetRecord
 from .errors import CorruptFile, TrainingAborted, VersionMismatch
@@ -247,7 +248,7 @@ def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | 
         "rng_state": _jsonable_rng(rng_state),
     }
     payload = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)

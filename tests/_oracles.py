@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms and data
 paths than the code under test: a regex token splitter, count arithmetic from
-graph theory, and a shifted QR iteration for spectra.
+graph theory, a shifted QR iteration for spectra, and a spring descent that
+sums explicit difference vectors pair by pair.
 """
 
 from __future__ import annotations
@@ -90,3 +91,50 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.standard_normal((n, n))
     return m @ m.T / n + 0.5 * np.eye(n)
+
+
+def spring_gradient_pairwise(coords: np.ndarray, bonded: np.ndarray) -> np.ndarray:
+    """Spring gradient from explicit n x n x 3 difference vectors.
+
+    `bonded` is a boolean n x n bond mask whose diagonal is True, which keeps
+    self-pairs out of the repulsion term.
+    """
+    from molham.oracle import BOND_TARGET, REPULSION_FLOOR
+
+    n = coords.shape[0]
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(dist, 1.0)
+    unit = diff / dist[:, :, None]
+
+    coeff = np.zeros((n, n))
+    bonds = bonded.copy()
+    np.fill_diagonal(bonds, False)
+    coeff[bonds] = 2.0 * (dist[bonds] - BOND_TARGET)
+    close = (~bonded) & (dist < REPULSION_FLOOR)
+    coeff[close] = -2.0 * (REPULSION_FLOOR - dist[close])
+    return (coeff[:, :, None] * unit).sum(axis=1)
+
+
+def embed_3d_pairwise(xmol, seed: int) -> np.ndarray:
+    """The oracle's spring descent with `spring_gradient_pairwise` for each step."""
+    from molham import oracle
+
+    n = xmol.n_atoms
+    bonded = np.zeros((n, n), dtype=bool)
+    for i, j in xmol.bonds:
+        bonded[i, j] = bonded[j, i] = True
+    np.fill_diagonal(bonded, True)
+    for attempt in range(oracle._RESEEDS):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, attempt])))
+        coords = oracle._initial_sphere(rng, n)
+        if n == 1:
+            return coords
+        for _ in range(oracle._DESCENT_STEPS):
+            coords -= oracle._DESCENT_RATE * spring_gradient_pairwise(coords, bonded)
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        if float(dist.min()) >= oracle.MIN_DISTANCE:
+            return coords
+    raise RuntimeError("reference descent found no embedding")

@@ -234,6 +234,30 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_hamiltonian(path)
 
+    @pytest.mark.parametrize("case", ["missing", "no_counts", "dimension", "offsets", "counts"])
+    def test_bad_sidecar_rejected(self, tmp_path, case):
+        import json
+
+        lay = layout(("O", "H", "H"))
+        path = tmp_path / "h.bin"
+        save_hamiltonian(path, np.eye(lay.n_orb), lay)
+        side_path = tmp_path / "h.bin.layout.json"
+        side = json.loads(side_path.read_text())
+        if case == "missing":
+            side_path.unlink()
+        else:
+            if case == "no_counts":
+                del side["counts"]
+            elif case == "dimension":
+                side["dimension"] += 1
+            elif case == "offsets":
+                side["offsets"][1] += 1
+            else:
+                side["counts"][-1] += 1
+            side_path.write_text(json.dumps(side))
+        with pytest.raises(CorruptFile):
+            load_hamiltonian(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "h.bin"
         path.write_bytes(b"garbage file content")

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import embed_3d_pairwise, spring_gradient_pairwise
 from molham.basis import DEFAULT_BASIS, electron_count
 from molham.corpus import build_corpus, corpus_sha256
 from molham.dataset import (
@@ -19,7 +20,8 @@ from molham.dataset import (
     load_split,
 )
 from molham.errors import CorruptFile, EmptySplit, UnsupportedElement
-from molham.oracle import MIN_DISTANCE, embed_3d, huckel_labels
+from molham.oracle import (BOND_TARGET, MIN_DISTANCE, REPULSION_FLOOR, _spring_gradient,
+                           _spring_masks, embed_3d, huckel_labels)
 from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import solve_gev, toy_overlap
 
@@ -53,6 +55,71 @@ class TestEmbed:
     def test_methane_shape(self):
         coords = embed_3d(_xmol("C"), 5)
         assert coords.shape == (5, 3)
+
+    def test_matches_pairwise_descent_across_sizes(self):
+        corpus = build_corpus()
+        by_size = {}
+        for smiles in corpus:
+            by_size.setdefault(_xmol(smiles).n_atoms, smiles)
+        sizes = [n for n in sorted(by_size) if n <= 66]
+        picks = ["[H]", "[H][H]"] + [by_size[sizes[round(q * (len(sizes) - 1))]]
+                                     for q in np.linspace(0.0, 1.0, 10)]
+        assert _xmol(picks[0]).n_atoms == 1 and _xmol(picks[-1]).n_atoms == 66
+        for k, smiles in enumerate(picks):
+            xm = _xmol(smiles)
+            got = embed_3d(xm, 700 + k)
+            assert np.max(np.abs(got - embed_3d_pairwise(xm, 700 + k))) < 1e-9, smiles
+
+
+def _spring_case(rng, n=14):
+    """Jittered chain: bonded neighbours, close i/i+2 pairs, and far pairs."""
+    coords = np.cumsum(rng.normal(0.0, 0.45, (n, 3)) + [1.0, 0.0, 0.0], axis=0)
+    bonds = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    bonded = np.zeros((n, n), dtype=bool)
+    for i, j in bonds:
+        bonded[i, j] = bonded[j, i] = True
+    np.fill_diagonal(bonded, True)
+    dist = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
+    close = ~bonded & (dist < REPULSION_FLOOR)
+    assert close.any() and (~bonded & (dist > REPULSION_FLOOR)).any()
+    return coords, bonds, bonded
+
+
+def _spring_energy(coords, bonded):
+    n = len(coords)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = np.linalg.norm(coords[i] - coords[j])
+            if bonded[i, j]:
+                total += (d - BOND_TARGET) ** 2
+            elif d < REPULSION_FLOOR:
+                total += (REPULSION_FLOOR - d) ** 2
+    return total
+
+
+class TestSpringGradient:
+    def test_matches_pairwise_formula(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            coords, bonds, bonded = _spring_case(rng)
+            coords += rng.normal(0.0, 5.0, 3)  # off-origin, so the Gram form must cancel
+            ref = spring_gradient_pairwise(coords, bonded)
+            got = _spring_gradient(coords, *_spring_masks(len(coords), bonds))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(42)
+        coords, bonds, bonded = _spring_case(rng)
+        got = _spring_gradient(coords, *_spring_masks(len(coords), bonds))
+        eps = 1e-6
+        fd = np.zeros_like(coords)
+        for idx in np.ndindex(*coords.shape):
+            step = np.zeros_like(coords)
+            step[idx] = eps
+            fd[idx] = (_spring_energy(coords + step, bonded)
+                       - _spring_energy(coords - step, bonded)) / (2 * eps)
+        assert np.max(np.abs(got - fd)) < 1e-6
 
 
 class TestHuckelLabels:
@@ -154,13 +221,23 @@ class TestGenDataset:
         for name in ("train.jsonl", "test.jsonl", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        corpus = build_corpus()[:8]
-        cfg = SplitConfig("random-id", seed=2)
-        gen_dataset(corpus, cfg, tmp_path / "one", jobs=1)
-        gen_dataset(corpus, cfg, tmp_path / "two", jobs=3)
-        for name in ("train.jsonl", "test.jsonl"):
-            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    def test_failed_rewrite_keeps_previous_files(self, tmp_path, monkeypatch):
+        corpus = build_corpus()[:6]
+        gen_dataset(corpus, SplitConfig("random-id", seed=2), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = DatasetRecord.to_json
+        calls = []
+
+        def fail_on_second(self):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("serialization failed")
+            return real(self)
+
+        monkeypatch.setattr(DatasetRecord, "to_json", fail_on_second)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            gen_dataset(corpus, SplitConfig("random-id", seed=3), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_manifest_contents(self, tmp_path):
         corpus = build_corpus()[:10]

@@ -98,6 +98,24 @@ class TestTokenize:
         assert detokenize(toks) == text
 
 
+_SMILES_PIECES = ["C", "N", "O", "S", "P", "F", "Cl", "Br", "I", "B", "c", "n", "o", "s", "p",
+                  "b", "[", "]", "H", "+", "-", "@", "(", ")", "=", "#", ":", "/", "\\", ".",
+                  "%", "1", "2", "3", "9", "0", "*", "l", "r", "[NH4+]", "[O-]", "[C@@H]",
+                  "c1ccccc1", "%12", " "]
+
+
+class TestFrontEndFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(st.sampled_from(_SMILES_PIECES), max_size=16).map("".join),
+                     st.text(alphabet="".join(_SMILES_PIECES) + "XZaz$&~{}<>?!'", max_size=20)))
+    def test_only_smiles_errors_escape(self, text):
+        for call in (tokenize, parse_smiles):
+            try:
+                call(text)
+            except SmilesError:
+                pass
+
+
 class TestParse:
     def test_ethanol(self):
         mol = parse_smiles("CCO")
