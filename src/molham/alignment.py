@@ -84,7 +84,7 @@ def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor,
     labels = constant(2.0 * np.eye(n) - 1.0)
     z = labels * cosines / tau
     if form == "log_sigmoid":
-        return ad.mean(ad.log(1.0 + ad.exp(-z)))
+        return ad.mean(ad.softplus(-z))  # -log sigmoid(z), finite for any z
     return ad.mean(-ad.sigmoid(-z))  # the printed sigmoid form, kept verbatim
 
 

@@ -27,3 +27,8 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
 from .dataset import SplitConfig, gen_dataset, load_split
@@ -56,7 +57,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, inputs: dict[st
         "config": resolved,
         "inputs": inputs,
     }
-    (out_dir / "run-manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / "run-manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -288,7 +289,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     summary = {"smiles": args.smiles, "n_orbitals": lay.n_orb,
                "homo_hartree": result.homo, "lumo_hartree": result.lumo,
                "gap_ev": result.gap_ev}
-    (out / "prediction.json").write_text(json.dumps(summary, indent=1) + "\n")
+    atomic_write_text(out / "prediction.json", json.dumps(summary, indent=1) + "\n")
     _write_manifest(out, "predict",
                     {"smiles": args.smiles, "fusion": args.fusion, "seed": args.seed},
                     {args.checkpoint: _sha256(Path(args.checkpoint))})
@@ -302,7 +303,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     metrics = evaluate(model, test_set, fusion=args.fusion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     _write_manifest(out, "eval", {"fusion": args.fusion},
                     {args.checkpoint: _sha256(Path(args.checkpoint)),
                      str(Path(args.data) / "test.jsonl"): _sha256(Path(args.data) / "test.jsonl")})
@@ -323,8 +324,8 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     rows = classify_by_gap(pred, true, thresholds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "screen.csv").write_text(report_to_csv(rows))
-    (out / "screen.json").write_text(report_to_json(rows, {"thresholds": thresholds}))
+    atomic_write_text(out / "screen.csv", report_to_csv(rows))
+    atomic_write_text(out / "screen.json", report_to_json(rows, {"thresholds": thresholds}))
     _write_manifest(out, "screen", {"thresholds": thresholds, "fusion": args.fusion},
                     {args.checkpoint: _sha256(Path(args.checkpoint))})
     print(report_to_csv(rows).strip())
@@ -337,7 +338,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench_pipelines(model, test_set, repeat=args.repeat, limit=args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.json").write_text(report.to_json())
+    atomic_write_text(out / "bench.json", report.to_json())
     _write_manifest(out, "bench", {"repeat": args.repeat, "limit": args.limit},
                     {args.checkpoint: _sha256(Path(args.checkpoint))})
     print(report.to_json().strip())

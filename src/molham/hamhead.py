@@ -11,6 +11,7 @@ bit-exactly, and atom relabeling permutes it block-wise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -227,12 +228,12 @@ def save_hamiltonian(path: str | Path, h: np.ndarray, lay: BlockLayout) -> None:
     n = h.shape[0]
     if h.shape != (n, n) or n != lay.n_orb:
         raise DimensionMismatch(f"matrix {h.shape} does not match layout of {lay.n_orb} orbitals")
+    raw = _MAGIC + struct.pack("<Q", n) + upper_triangle(h).astype("<f8").tobytes()
     with atomic_open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", n))
-        fh.write(upper_triangle(h).astype("<f8").tobytes())
+        fh.write(raw)
     sidecar = {"dimension": n, "elements": list(lay.elements),
-               "offsets": list(lay.offsets), "counts": list(lay.counts)}
+               "offsets": list(lay.offsets), "counts": list(lay.counts),
+               "matrix_sha256": hashlib.sha256(raw).hexdigest()}
     with atomic_open(_sidecar_path(path)) as fh:
         fh.write(json.dumps(sidecar, indent=1) + "\n")
 
@@ -252,15 +253,19 @@ def load_hamiltonian(path: str | Path) -> tuple[np.ndarray, BlockLayout]:
     if len(body) != expect * 8:
         raise CorruptFile(f"{path}: expected {expect} values, found {len(body) // 8}")
     vals = np.frombuffer(body, dtype="<f8")
-    return from_upper_triangle(vals, n), _load_sidecar(_sidecar_path(path), n)
+    lay = _load_sidecar(_sidecar_path(path), n, hashlib.sha256(raw).hexdigest())
+    return from_upper_triangle(vals, n), lay
 
 
-def _load_sidecar(side_path: Path, n: int) -> BlockLayout:
-    """The layout sidecar, checked against the stored dimension n."""
+def _load_sidecar(side_path: Path, n: int, matrix_sha256: str) -> BlockLayout:
+    """The layout sidecar, checked against the stored dimension n and the
+    matrix file's digest, so a matrix beside another matrix's sidecar is
+    rejected even when the sizes agree."""
     try:
         side = json.loads(side_path.read_text())
         lay = BlockLayout(tuple(side["elements"]), tuple(side["offsets"]), tuple(side["counts"]))
         dimension = side["dimension"]
+        digest = side["matrix_sha256"]
     except FileNotFoundError:
         raise CorruptFile(f"{side_path} is missing") from None
     except json.JSONDecodeError as err:
@@ -271,4 +276,6 @@ def _load_sidecar(side_path: Path, n: int) -> BlockLayout:
     if (dimension != n or len(lay.elements) != len(lay.counts)
             or list(lay.offsets) != starts or sum(lay.counts) != n):
         raise CorruptFile(f"{side_path} does not describe a {n}-orbital matrix")
+    if digest != matrix_sha256:
+        raise CorruptFile(f"{side_path} belongs to another matrix (SHA-256 differs)")
     return lay

@@ -4,11 +4,18 @@ The generalized problem H C = S C diag(eps) is reduced to a standard one
 with the Cholesky factor S = L L^T: the in-house Jacobi eigensolver
 diagonalizes L^-1 H L^-T, and C = L^-T V. The symmetric inverse square root
 S^(-1/2) stays available, but no generalized solve uses it, since it costs
-an eigendecomposition of its own. Jacobi sweeps follow a round-robin
-schedule: each round rotates a set of disjoint planes, applied jointly as
-one orthogonal congruence, and a sweep visits every index pair exactly once.
-Rotations in disjoint planes do not interact, so each round zeroes its
-pivots exactly, and the batched form keeps large sweeps inside BLAS.
+an eigendecomposition of its own.
+
+Jacobi sweeps follow the round-robin ordering of Brent and Luk (Golub & Van
+Loan, section 8.5): each round rotates m/2 disjoint planes and a sweep of m-1
+rounds visits every index pair exactly once (m is n, padded to even with one
+decoupled zero index). Rotations in disjoint planes do not interact, so each
+round zeroes its pivots exactly. The working matrix is kept in pair-adjacent
+order: every round pairs positions (2k, 2k+1), so a round is one batched 2x2
+rotation of row pairs and one of column pairs on strided views, with no
+element gathers. One fixed tournament permutation, applied as whole-row
+takes, then brings the next round's pairs together. Each round is O(n^2)
+work.
 """
 
 from __future__ import annotations
@@ -55,20 +62,21 @@ def _check_square_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint index pairs covering every (i, j) once per sweep."""
-    m = n + (n % 2)
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        left = players[:m // 2]
-        right = players[m // 2:][::-1]
-        pairs = [(p, q) for p, q in zip(left, right) if p < n and q < n]
-        pairs = [(min(p, q), max(p, q)) for p, q in pairs]
-        rounds.append((np.asarray([p for p, _ in pairs], dtype=np.intp),
-                       np.asarray([q for _, q in pairs], dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
+def _tournament(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-adjacent layout of the round-robin tournament of an even m, and its step.
+
+    Position 2k holds player k and position 2k+1 holds player m-1-k, so the
+    first round pairs positions (2k, 2k+1). Between rounds player 0 stays and
+    the others rotate by one; in this layout that move is the same position
+    permutation every round (`next = current.take(step)`), and m-1 steps
+    return every player to its starting position.
+    """
+    k = np.arange(m // 2)
+    layout = np.empty(m, dtype=np.intp)
+    layout[0::2] = k
+    layout[1::2] = m - 1 - k
+    moved = np.concatenate(([0, m - 1], np.arange(1, m - 1)))
+    return layout, np.argsort(layout)[moved[layout]]
 
 
 def _offdiag_max(a: np.ndarray) -> float:
@@ -88,43 +96,51 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
 
-    work = 0.5 * (a + a.T)
-    vecs = np.eye(n)
+    # an odd n gets one zero row and column; that index is exactly decoupled,
+    # so each of its rotations is the identity
+    m = n + n % 2
+    half = m // 2
+    layout, step = _tournament(m)
+    padded = np.zeros((m, m))
+    padded[:n, :n] = 0.5 * (a + a.T)
+    work = padded[np.ix_(layout, layout)]
+    u = np.eye(m)[layout]  # rows: eigenvector estimates, in the order of `work`
+    rt = np.empty((half, 2, 2))  # G^T blocks [[c, -s], [s, c]], one per pair
+    rt_cos = rt.reshape(half, 4)[:, ::3]  # the two c entries of each block
     stop = 1e-13 * scale
-    skip = 0.01 * stop
-    schedule = _round_robin_schedule(n)
+    tiny = np.finfo(np.float64).tiny
 
     for _ in range(max_sweeps):
+        work = 0.5 * (work + work.T)
         if _offdiag_max(work) <= stop:
             break
-        for p_arr, q_arr in schedule:
-            apq = work[p_arr, q_arr]
-            mask = np.abs(apq) > skip
-            if not mask.any():
-                continue
-            app = work[p_arr, p_arr]
-            aqq = work[q_arr, q_arr]
-            theta = np.where(mask, (aqq - app) / np.where(mask, 2.0 * apq, 1.0), 0.0)
-            t = np.where(mask,
-                         np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
-                         0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
+        for _ in range(m - 1):
+            d = work.diagonal()
+            diff = d[1::2] - d[0::2]
+            two = 2.0 * work.diagonal(1)[0::2]
+            # the smaller root of t^2 + 2 t diff/two - 1 = 0; the floor sends
+            # two = diff = 0 to t = 0
+            t = two / np.copysign(np.maximum(np.abs(diff) + np.hypot(diff, two), tiny), diff)
+            c = 1.0 / np.hypot(1.0, t)
             s = t * c
-            g = np.eye(n)
-            g[p_arr, p_arr] = c
-            g[q_arr, q_arr] = c
-            g[p_arr, q_arr] = s
-            g[q_arr, p_arr] = -s
-            work = g.T @ work @ g
-            work = 0.5 * (work + work.T)
-            vecs = vecs @ g
+            rt_cos[...] = c[:, None]
+            rt[:, 1, 0] = s
+            np.negative(s, out=rt[:, 0, 1])
+            # rows, then columns by symmetry: P G^T (P G^T A)^T = P G^T A G P^T;
+            # permuting whole rows twice is cheaper than one gather of entries
+            x = (rt @ work.reshape(half, 2, m)).reshape(m, m).take(step, axis=0)
+            x = np.ascontiguousarray(x.T).reshape(half, 2, m)
+            work = (rt @ x).reshape(m, m).take(step, axis=0)
+            u = (rt @ u.reshape(half, 2, m)).reshape(m, m).take(step, axis=0)
     else:
         raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps "
                             f"(off-diagonal max {_offdiag_max(work):.3e})")
 
-    eigenvalues = work.diagonal().copy()
+    # whole sweeps end in the starting layout; back to original index order
+    back = np.argsort(layout)[:n]
+    eigenvalues = work.diagonal()[back]
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], np.ascontiguousarray(vecs[:, order])
+    return eigenvalues[order], np.ascontiguousarray(u[back[order], :n].T)
 
 
 def lowdin_inv_sqrt(s: np.ndarray) -> np.ndarray:

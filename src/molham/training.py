@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, atomic_write_text
 from .autodiff import Tape, constant
 from .dataset import Dataset, DatasetRecord
 from .errors import CorruptFile, TrainingAborted, VersionMismatch
@@ -130,10 +130,10 @@ class TraceRow:
 
 def write_trace(path: str | Path, rows: list[TraceRow]) -> None:
     if not rows:
-        Path(path).write_text("step,epoch\n")
+        atomic_write_text(path, "step,epoch\n")
         return
     cols = sorted(rows[0].parts)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("step,epoch," + ",".join(cols) + "\n")
         for r in rows:
             fh.write(f"{r.step},{r.epoch}," + ",".join(repr(r.parts[c]) for c in cols) + "\n")

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with different algorithms and data
 paths than the code under test: a regex token splitter, count arithmetic from
-graph theory, a shifted QR iteration for spectra, and a spring descent that
-sums explicit difference vectors pair by pair.
+graph theory, a shifted QR iteration for spectra, a Jacobi solver that applies
+each round as one dense n x n congruence, and a spring descent that sums
+explicit difference vectors pair by pair.
 """
 
 from __future__ import annotations
@@ -81,6 +82,77 @@ def qr_eigvalsh(a: np.ndarray, tol: float = 1e-13, max_iter: int = 10000) -> np.
         n -= 1
     eigs.append(a[0, 0])
     return np.sort(np.asarray(eigs))
+
+
+def round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rounds of disjoint index pairs covering every (i, j) once per sweep."""
+    m = n + (n % 2)
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        left = players[:m // 2]
+        right = players[m // 2:][::-1]
+        pairs = [(p, q) for p, q in zip(left, right) if p < n and q < n]
+        pairs = [(min(p, q), max(p, q)) for p, q in pairs]
+        rounds.append((np.asarray([p for p, _ in pairs], dtype=np.intp),
+                       np.asarray([q for _, q in pairs], dtype=np.intp)))
+        players = [players[0]] + [players[-1]] + players[1:-1]
+    return rounds
+
+
+def _offdiag_max(a: np.ndarray) -> float:
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.max(np.abs(off)))
+
+
+def dense_jacobi_eigh(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin Jacobi that builds each round's dense Givens matrix G and
+    applies it as the congruence G^T A G."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy(), np.ones((1, 1))
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return np.zeros(n), np.eye(n)
+
+    work = 0.5 * (a + a.T)
+    vecs = np.eye(n)
+    stop = 1e-13 * scale
+    skip = 0.01 * stop
+    schedule = round_robin_schedule(n)
+
+    for _ in range(max_sweeps):
+        if _offdiag_max(work) <= stop:
+            break
+        for p_arr, q_arr in schedule:
+            apq = work[p_arr, q_arr]
+            mask = np.abs(apq) > skip
+            if not mask.any():
+                continue
+            app = work[p_arr, p_arr]
+            aqq = work[q_arr, q_arr]
+            theta = np.where(mask, (aqq - app) / np.where(mask, 2.0 * apq, 1.0), 0.0)
+            t = np.where(mask,
+                         np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
+                         0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            g = np.eye(n)
+            g[p_arr, p_arr] = c
+            g[q_arr, q_arr] = c
+            g[p_arr, q_arr] = s
+            g[q_arr, p_arr] = -s
+            work = g.T @ work @ g
+            work = 0.5 * (work + work.T)
+            vecs = vecs @ g
+    else:
+        raise RuntimeError("reference Jacobi did not converge")
+
+    eigenvalues = work.diagonal().copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], np.ascontiguousarray(vecs[:, order])
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:

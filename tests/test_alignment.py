@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,18 @@ class TestContrastive:
         v = constant(np.array([[1.0, 0.0]]))
         loss = contrastive_loss(v, v, constant(np.array([[1e-3]])), "log_sigmoid")
         assert loss.item() < 1e-12
+
+    def test_log_sigmoid_finite_at_small_tau_with_anti_aligned_pairs(self):
+        tape = ad.Tape()
+        log_tau = tape.leaf(np.full((1, 1), np.log(1e-3)))
+        v = constant(np.eye(2))
+        t = constant(-np.eye(2))  # positives at cosine -1, negatives at 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = contrastive_loss(v, t, ad.exp(log_tau), "log_sigmoid")
+            tape.backward(loss)
+        assert loss.item() == pytest.approx((2000.0 + 2.0 * np.log(2.0)) / 4.0, rel=1e-12)
+        assert np.all(np.isfinite(log_tau.grad))
 
     def test_literal_form_printed_value(self):
         v = constant(np.array([[2.0, 0.0]]))

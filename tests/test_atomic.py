@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from molham.atomic import atomic_open
+from molham.atomic import atomic_open, atomic_write_text
 
 
 def test_replaces_whole_file(tmp_path):
@@ -33,3 +33,12 @@ def test_failed_first_write_leaves_nothing(tmp_path):
             fh.write("partial")
             raise ValueError("writer failed")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_text_that_fails_to_encode_keeps_previous_bytes(tmp_path):
+    path = tmp_path / "metrics.json"
+    atomic_write_text(path, "{}\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "{\"k\": \"\ud800\"}\n")  # a lone surrogate
+    assert path.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]

@@ -234,7 +234,8 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_hamiltonian(path)
 
-    @pytest.mark.parametrize("case", ["missing", "no_counts", "dimension", "offsets", "counts"])
+    @pytest.mark.parametrize("case", ["missing", "no_counts", "dimension", "offsets", "counts",
+                                      "no_digest"])
     def test_bad_sidecar_rejected(self, tmp_path, case):
         import json
 
@@ -252,9 +253,21 @@ class TestSerialization:
                 side["dimension"] += 1
             elif case == "offsets":
                 side["offsets"][1] += 1
+            elif case == "no_digest":
+                del side["matrix_sha256"]
             else:
                 side["counts"][-1] += 1
             side_path.write_text(json.dumps(side))
+        with pytest.raises(CorruptFile):
+            load_hamiltonian(path)
+
+    def test_matrix_beside_a_stale_same_size_sidecar_rejected(self, tmp_path):
+        methane, ammonium = layout(("C", "H", "H", "H", "H")), layout(("N", "H", "H", "H", "H"))
+        assert methane.counts == ammonium.counts and methane.elements != ammonium.elements
+        path = tmp_path / "h.bin"
+        save_hamiltonian(path, np.eye(methane.n_orb), methane)
+        save_hamiltonian(tmp_path / "other.bin", 2.0 * np.eye(ammonium.n_orb), ammonium)
+        (tmp_path / "other.bin").replace(path)  # new matrix, old sidecar
         with pytest.raises(CorruptFile):
             load_hamiltonian(path)
 

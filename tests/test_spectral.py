@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 import molham.spectral as spectral
-from _oracles import qr_eigvalsh, random_spd, random_symmetric
+from _oracles import dense_jacobi_eigh, qr_eigvalsh, random_spd, random_symmetric, round_robin_schedule
 from molham.basis import HARTREE_TO_EV, electron_count
+from molham.corpus import build_corpus
 from molham.errors import (
     DimensionMismatch,
+    NoConvergence,
     NonFiniteCoordinate,
     NotPositiveDefinite,
     NotSymmetric,
@@ -75,6 +79,78 @@ class TestJacobi:
     def test_single_element(self):
         w, v = jacobi_eigh(np.array([[5.0]]))
         assert w[0] == 5.0 and v[0, 0] == 1.0
+
+
+def _oracle_reduced(smiles):
+    """L^-1 H L^-T of the oracle labels, the matrix each `solve_gev` diagonalizes."""
+    xmol = expand_hydrogens(parse_smiles(smiles))
+    h, s = huckel_labels(xmol, embed_3d(xmol, 7))
+    l_inv = np.linalg.inv(np.linalg.cholesky(s))
+    a = l_inv @ h @ l_inv.T
+    return 0.5 * (a + a.T)
+
+
+class TestPairAdjacentJacobi:
+    """The pair-adjacent kernel against the dense-congruence reference."""
+
+    rng = np.random.default_rng(4242)  # own stream: the shared RNG feeds the other classes
+
+    def _assert_matches_dense(self, a):
+        w, v = jacobi_eigh(a)
+        ref, _ = dense_jacobi_eigh(a)
+        scale = np.abs(a).max()
+        assert np.max(np.abs(w - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(a.shape[0]))) <= 1e-12
+        assert v.flags.c_contiguous
+
+    def test_random_symmetric_odd_and_even(self):
+        for n in range(2, 61):
+            self._assert_matches_dense(random_symmetric(self.rng, n))
+
+    def test_oracle_matrices_up_to_the_largest_molecule(self):
+        sizes = sorted((layout(expand_hydrogens(parse_smiles(smi)).elements).n_orb, smi)
+                       for smi in build_corpus())
+        picks = [sizes[int(q * (len(sizes) - 1))] for q in (0.0, 0.25, 0.5, 0.75, 0.97, 1.0)]
+        assert picks[-1][0] == 118
+        for _, smiles in picks:
+            self._assert_matches_dense(_oracle_reduced(smiles))
+
+    def test_tournament_pairs_every_index_pair_once_per_sweep(self):
+        for m in range(2, 41, 2):
+            layout_, step = spectral._tournament(m)
+            reference = round_robin_schedule(m)
+            players = layout_.copy()
+            seen = set()
+            for p_arr, q_arr in reference:
+                pairs = {frozenset(pq) for pq in players.reshape(-1, 2).tolist()}
+                assert pairs == {frozenset(pq) for pq in zip(p_arr.tolist(), q_arr.tolist())}
+                seen |= pairs
+                players = players.take(step)
+            assert len(seen) == m * (m - 1) // 2
+            assert np.array_equal(players, layout_)
+
+    def test_zero_coupling_pairs_stay_finite(self):
+        a = np.eye(6)
+        a[0, 5] = a[5, 0] = 0.5  # every other pair has a_pq = 0 and a_pp = a_qq
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = jacobi_eigh(a)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+        assert np.allclose(w, [0.5, 1.0, 1.0, 1.0, 1.0, 1.5], atol=1e-15)
+
+    def test_padding_of_odd_n_never_leaks(self):
+        for n in (3, 7, 15, 29):
+            for shift in (5.0, -5.0):  # spectrum bounded away from the pad's 0
+                a = random_symmetric(self.rng, n) * 0.5 + shift * np.eye(n)
+                w, v = jacobi_eigh(a)
+                assert w.shape == (n,) and v.shape == (n, n)
+                assert np.min(np.abs(w)) > 1.0
+                assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * np.abs(a).max()
+
+    def test_one_sweep_is_not_enough(self):
+        with pytest.raises(NoConvergence):
+            jacobi_eigh(random_symmetric(self.rng, 30), max_sweeps=1)
 
 
 class TestLowdin:

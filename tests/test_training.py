@@ -14,6 +14,7 @@ from molham.errors import CorruptFile, VersionMismatch
 from molham.model import Model, ModelConfig
 from molham.smiles import parse_smiles
 from molham.training import (
+    TraceRow,
     TrainConfig,
     evaluate,
     finetune,
@@ -253,6 +254,16 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,epoch,loss_contrastive,loss_discrepancy,loss_total"
         assert len(lines) == len(rows) + 1
+
+    def test_failed_rewrite_keeps_previous_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [TraceRow(0, 0, {"loss_total": 1.0})])
+        before = path.read_bytes()
+        rows = [TraceRow(1, 0, {"loss_total": 2.0}), TraceRow(2, 0, {})]
+        with pytest.raises(KeyError):
+            write_trace(path, rows)  # the second row lacks a column
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 class TestConfigValidation:
