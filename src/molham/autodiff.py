@@ -401,6 +401,41 @@ def scatter_matrix(values, value_idx: Array, rows: Array, cols: Array, shape: tu
     return _make(out, [(values, pull)])
 
 
+def plane_rotation_chain(angles) -> Tensor:
+    """R = P_1 @ P_2 @ ... @ P_{d-1} for d-1 angles, P_k rotating plane (k, k+1).
+
+    Right-multiplying by P_k mixes columns k and k+1 only, so the forward pass
+    applies each plane to two columns of the identity and saves them; the
+    backward pass walks the planes in reverse, reading each angle's gradient
+    from the saved columns and undoing the column update on the gradient.
+    """
+    angles = constant(angles)
+    theta = angles.data.reshape(-1)
+    d = theta.size + 1
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.eye(d)
+    saved = np.empty((d - 1, 2, d))
+    for k in range(d - 1):
+        a, b = rot[:, k].copy(), rot[:, k + 1].copy()
+        saved[k, 0], saved[k, 1] = a, b
+        rot[:, k] = c[k] * a + s[k] * b
+        rot[:, k + 1] = c[k] * b - s[k] * a
+
+    def pull(g: Array) -> Array:
+        g = g.copy()
+        g_theta = np.empty(d - 1)
+        for k in range(d - 2, -1, -1):
+            a, b = saved[k]
+            ga, gb = g[:, k].copy(), g[:, k + 1]
+            # d(col k)/dtheta = -s a + c b, d(col k+1)/dtheta = -c a - s b
+            g_theta[k] = ga @ (c[k] * b - s[k] * a) - gb @ (c[k] * a + s[k] * b)
+            g[:, k] = c[k] * ga - s[k] * gb
+            g[:, k + 1] = s[k] * ga + c[k] * gb
+        return g_theta.reshape(angles.data.shape)
+
+    return _make(rot, [(angles, pull)])
+
+
 # --- verification ---
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Array, eps: float = 1e-5) -> float:

@@ -80,46 +80,15 @@ def neutral_params(d: int, n_shear: int) -> CompensationParams:
     )
 
 
-_ROTATION_CACHE: dict[int, list[tuple[Tensor, Tensor, Tensor, Tensor]]] = {}
-
-
-def _rotation_structure(d: int) -> list[tuple[Tensor, Tensor, Tensor, Tensor]]:
-    """Per-plane constants (angle selector, rest-of-identity, diag mask, skew mask)."""
-    cached = _ROTATION_CACHE.get(d)
-    if cached is not None:
-        return cached
-    planes = []
-    for i in range(d - 1):
-        sel = np.zeros((d - 1, 1))
-        sel[i, 0] = 1.0
-        diag_mask = np.zeros((d, d))
-        diag_mask[i, i] = diag_mask[i + 1, i + 1] = 1.0
-        skew_mask = np.zeros((d, d))
-        skew_mask[i + 1, i] = 1.0
-        skew_mask[i, i + 1] = -1.0
-        planes.append((constant(sel), constant(np.eye(d) - diag_mask),
-                       constant(diag_mask), constant(skew_mask)))
-    _ROTATION_CACHE[d] = planes
-    return planes
-
-
 def build_rotation(angles: Tensor, d: int) -> Tensor:
     """Chain of plane rotations over adjacent planes (1,2)(2,3)...(d-1,d).
 
-    Composed left to right; the result is orthogonal for any angles and the
-    zero vector yields the identity exactly.
+    Composed left to right as one tape node; the result is orthogonal for any
+    angles and the zero vector yields the identity exactly.
     """
     if angles.data.size != d - 1:
         raise ShapeMismatch(f"need {d - 1} angles for width {d}, got {angles.data.size}")
-    if d == 1:
-        return constant(np.eye(1))
-    flat = ad.reshape(angles, (1, d - 1))
-    rot = None
-    for sel, rest, diag_mask, skew_mask in _rotation_structure(d):
-        theta = flat @ sel  # 1 x 1 scalar
-        plane = rest + ad.cos(theta) * diag_mask + ad.sin(theta) * skew_mask
-        rot = plane if rot is None else rot @ plane
-    return rot
+    return ad.plane_rotation_chain(angles)
 
 
 def build_affine(params: CompensationParams) -> Tensor:

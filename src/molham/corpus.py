@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import SmilesError
 from .smiles import parse_smiles
 
 _CHAINS = ["C" * k for k in range(2, 13)]
@@ -83,7 +84,7 @@ def build_corpus() -> list[str]:
         for smiles in _candidates():
             try:
                 mol = parse_smiles(smiles)
-            except Exception:
+            except SmilesError:
                 continue
             if MIN_HEAVY <= mol.n_atoms <= MAX_HEAVY:
                 kept.append(smiles)

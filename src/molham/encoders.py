@@ -63,21 +63,14 @@ def element_id(element: str) -> int:
         raise UnknownTokenKind(f"element {element!r} has no embedding row") from None
 
 
-_POSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     """Standard fixed sin/cos positional table, shape (n, d)."""
-    cached = _POSITION_CACHE.get((n, d))
-    if cached is not None:
-        return cached
     pos = np.arange(n, dtype=np.float64)[:, None]
     half = np.arange(d // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * half / d)
     table = np.zeros((n, d), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
-    _POSITION_CACHE[(n, d)] = table
     return table
 
 
@@ -94,21 +87,13 @@ class TokenEncoderParams:
         return self.embed.data.shape[1]
 
 
-_POOL_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _pool_matrix(atom_token_sets: tuple[tuple[int, ...], ...], n_tokens: int) -> np.ndarray:
-    key = (atom_token_sets, n_tokens)
-    cached = _POOL_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _pool_matrix(atom_token_sets: list[tuple[int, ...]], n_tokens: int) -> np.ndarray:
     pool = np.zeros((len(atom_token_sets), n_tokens))
     for row, members in enumerate(atom_token_sets):
         for t in members:
             if not 0 <= t < n_tokens:
                 raise UnknownTokenKind(f"token index {t} outside sequence of {n_tokens}")
             pool[row, t] = 1.0 / len(members)
-    _POOL_CACHE[key] = pool
     return pool
 
 
@@ -136,7 +121,7 @@ def encode_tokens(tokens: list[Token],
         x = x + attn @ v
         x = x + ad.tanh(x @ block["wf"]) @ block["wg"]
 
-    pooled = constant(_pool_matrix(tuple(atom_token_sets), len(tokens))) @ x
+    pooled = constant(_pool_matrix(atom_token_sets, len(tokens))) @ x
     elem_ids = np.asarray([element_id(e) for e in atom_elements], dtype=np.intp)
     return pooled + ad.gather_rows(params.atom_refine, elem_ids)
 
@@ -168,43 +153,15 @@ def cutoff_envelope(dist: np.ndarray, cutoff: float) -> np.ndarray:
     return np.where(inside, 0.5 * (np.cos(np.pi * dist / cutoff) + 1.0), 0.0)
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def pair_structure(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constant tile/pool matrices mapping atoms <-> ordered pairs (i, j)."""
-    cached = _PAIR_CACHE.get(n)
-    if cached is not None:
-        return cached
-    tile = np.zeros((n * n, n))
-    pool = np.zeros((n, n * n))
-    for i in range(n):
-        for j in range(n):
-            tile[i * n + j, j] = 1.0
-            pool[i, i * n + j] = 1.0
-    _PAIR_CACHE[n] = (tile, pool)
-    return tile, pool
-
-
-_GEOM_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _distance_features(coords: np.ndarray, cutoff: float,
                        n_rbf: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rbf matrix, gate column) over ordered pairs, cached per geometry."""
-    key = (coords.tobytes(), cutoff, n_rbf)
-    cached = _GEOM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """(rbf rows over ordered pairs (i, j), row i * n + j; (n, n, 1) gate)."""
     n = coords.shape[0]
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1)).reshape(-1)
     gate = cutoff_envelope(dist, cutoff).reshape(n, n)
     np.fill_diagonal(gate, 0.0)
-    out = (radial_basis(dist, cutoff, n_rbf), gate.reshape(n * n, 1))
-    if len(_GEOM_CACHE) < 8192:
-        _GEOM_CACHE[key] = out
-    return out
+    return radial_basis(dist, cutoff, n_rbf), gate[:, :, None]
 
 
 def encode_geometry(elements: list[str], coords: np.ndarray,
@@ -223,8 +180,6 @@ def encode_geometry(elements: list[str], coords: np.ndarray,
     n = len(elements)
     rbf_arr, gate_arr = _distance_features(coords, params.cutoff, params.n_rbf)
     rbf, gate = constant(rbf_arr), constant(gate_arr)
-    tile, pool = pair_structure(n)
-    tile_c, pool_c = constant(tile), constant(pool)
 
     elem_ids = np.asarray([element_id(e) for e in elements], dtype=np.intp)
     h = ad.gather_rows(params.elem_embed, elem_ids)
@@ -232,6 +187,7 @@ def encode_geometry(elements: list[str], coords: np.ndarray,
     for rnd in params.rounds:
         filt = ad.tanh(rbf @ rnd["wf1"] + rnd["bf1"]) @ rnd["wf2"] + rnd["bf2"]
         g = h @ rnd["wmsg"] + rnd["bmsg"]
-        msg = pool_c @ (filt * (tile_c @ g) * gate)
+        # message i = sum_j filt[i, j] * g[j] * gate[i, j]; g broadcasts as (1, n, d)
+        msg = ad.sum_(ad.reshape(filt, (n, n, -1)) * g * gate, axis=1)
         h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
     return h

@@ -26,10 +26,9 @@ from .basis import DEFAULT_BASIS, OrbitalBasisSpec
 from .errors import CorruptFile, DimensionMismatch, ShapeMismatch
 from .nn import Mlp
 
-# value-column layout of the 3-wide head outputs for a 2-orbital block:
-# column 0 -> (s, s), column 1 -> (s, p) and (p, s), column 2 -> (p, p)
-_DIAG_COLS = {(0, 0): 0, (1, 1): 2}
-_PAIR_COLS = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+# value-column layout of the 3-wide head outputs for a 2-orbital block: the
+# column of entry (u, v) is kind(u) + kind(v), with kind 0 for s and 1 for p,
+# so column 0 -> (s, s), column 1 -> (s, p) and (p, s), column 2 -> (p, p)
 HEAD_VALUES = 3
 
 
@@ -50,10 +49,7 @@ class BlockLayout:
         return len(self.elements)
 
     def atom_of_orbital(self) -> np.ndarray:
-        out = np.empty(self.n_orb, dtype=np.intp)
-        for a, (off, cnt) in enumerate(zip(self.offsets, self.counts)):
-            out[off:off + cnt] = a
-        return out
+        return np.repeat(np.arange(self.n_atoms), self.counts)
 
 
 def layout(elements: list[str] | tuple[str, ...],
@@ -113,49 +109,26 @@ class _ScatterPlan:
     cross_cols: np.ndarray
 
 
-_PLAN_CACHE: dict[tuple[str, ...], _ScatterPlan] = {}
-
-
 def _scatter_plan(lay: BlockLayout) -> _ScatterPlan:
-    cached = _PLAN_CACHE.get(lay.elements)
-    if cached is not None:
-        return cached
-
+    if max(lay.counts, default=0) > 2:
+        raise DimensionMismatch(f"the head emits s and p blocks only; layout counts {lay.counts} "
+                                "put more than 2 orbitals on an atom")
     n = lay.n_atoms
-    d_idx, d_rows, d_cols = [], [], []
-    s_idx, s_rows, s_cols = [], [], []
-    for a, (off, cnt) in enumerate(zip(lay.offsets, lay.counts)):
-        for oi in range(cnt):
-            for oj in range(oi, cnt):
-                if oi == oj:
-                    d_idx.append(a * HEAD_VALUES + _DIAG_COLS[(oi, oj)])
-                    d_rows.append(off + oi)
-                    d_cols.append(off + oj)
-                else:
-                    s_idx.append(a * HEAD_VALUES + 1)  # same-atom s-p entry
-                    s_rows.append(off + oi)
-                    s_cols.append(off + oj)
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    c_idx, c_rows, c_cols = [], [], []
-    for p, (i, j) in enumerate(pairs):
-        for oi in range(lay.counts[i]):
-            for oj in range(lay.counts[j]):
-                c_idx.append(p * HEAD_VALUES + _PAIR_COLS[(oi, oj)])
-                c_rows.append(lay.offsets[i] + oi)
-                c_cols.append(lay.offsets[j] + oj)
-
-    def arr(x):
-        return np.asarray(x, dtype=np.intp)
-
-    plan = _ScatterPlan(
-        pairs_i=arr([i for i, _ in pairs]), pairs_j=arr([j for _, j in pairs]),
-        diag_idx=arr(d_idx), diag_rows=arr(d_rows), diag_cols=arr(d_cols),
-        same_idx=arr(s_idx), same_rows=arr(s_rows), same_cols=arr(s_cols),
-        cross_idx=arr(c_idx), cross_rows=arr(c_rows), cross_cols=arr(c_cols),
+    atom = lay.atom_of_orbital()
+    orb = np.arange(lay.n_orb)
+    kind = orb - np.asarray(lay.offsets, dtype=np.intp)[atom]
+    p_orb = np.flatnonzero(kind == 1)  # each p orbital sits right after its atom's s
+    rows, cols = np.nonzero(atom[:, None] < atom[None, :])  # cross-atom, row-major
+    ai, aj = atom[rows], atom[cols]
+    pair = ai * n - ai * (ai + 1) // 2 + aj - ai - 1  # row-major index of pair (ai < aj)
+    atoms = np.arange(n)
+    pairs_i, pairs_j = np.nonzero(atoms[:, None] < atoms[None, :])
+    return _ScatterPlan(
+        pairs_i=pairs_i, pairs_j=pairs_j,
+        diag_idx=atom * HEAD_VALUES + 2 * kind, diag_rows=orb, diag_cols=orb,
+        same_idx=atom[p_orb] * HEAD_VALUES + 1, same_rows=p_orb - 1, same_cols=p_orb,
+        cross_idx=pair * HEAD_VALUES + kind[rows] + kind[cols], cross_rows=rows, cross_cols=cols,
     )
-    _PLAN_CACHE[lay.elements] = plan
-    return plan
 
 
 def predict_hamiltonian(emb: Tensor, lay: BlockLayout, params: HeadParams) -> Tensor:

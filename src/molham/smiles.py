@@ -8,7 +8,6 @@ Isotopes, wildcards, and multi-component strings are out of scope.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -77,15 +76,6 @@ class MolGraph:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def neighbors(self, idx: int) -> list[int]:
-        out = []
-        for b in self.bonds:
-            if b.i == idx:
-                out.append(b.j)
-            elif b.j == idx:
-                out.append(b.i)
-        return out
 
 
 @dataclass(frozen=True)
@@ -461,10 +451,6 @@ def fragment(mol: MolGraph) -> list[Fragment]:
         token_indices = sorted(t for a in members for t in mol.atom_token_sets[a])
         fragments.append(Fragment(fid, tuple(members), tuple(token_indices)))
     return fragments
-
-
-def fragments_to_json(fragments: list[Fragment]) -> str:
-    return json.dumps({str(f.fragment_id): list(f.atoms) for f in fragments})
 
 
 def mask_tokens(tokens: list[Token], fragments: list[Fragment], keep: list[int]) -> list[Token]:

@@ -3,8 +3,11 @@
 Everything here is deliberately written with different algorithms and data
 paths than the code under test: a regex token splitter, count arithmetic from
 graph theory, a shifted QR iteration for spectra, a Jacobi solver that applies
-each round as one dense n x n congruence, and a spring descent that sums
-explicit difference vectors pair by pair.
+each round as one dense n x n congruence, a spring descent that sums
+explicit difference vectors pair by pair, a rotation chain recorded as one
+dense plane matrix per angle, a geometry encoder that tiles and pools pair
+messages with dense n^2 x n matrices, and a Hamiltonian scatter plan built
+entry by entry.
 """
 
 from __future__ import annotations
@@ -210,3 +213,98 @@ def embed_3d_pairwise(xmol, seed: int) -> np.ndarray:
         if float(dist.min()) >= oracle.MIN_DISTANCE:
             return coords
     raise RuntimeError("reference descent found no embedding")
+
+
+def rotation_chain_recorded(angles, d: int):
+    """`build_rotation` as a chain of recorded ops: one dense plane per angle,
+    cos/sin selected through a one-hot column and composed by matmul."""
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+
+    flat = ad.reshape(angles, (1, d - 1))
+    rot = None
+    for i in range(d - 1):
+        sel = np.zeros((d - 1, 1))
+        sel[i, 0] = 1.0
+        diag_mask = np.zeros((d, d))
+        diag_mask[i, i] = diag_mask[i + 1, i + 1] = 1.0
+        skew_mask = np.zeros((d, d))
+        skew_mask[i + 1, i] = 1.0
+        skew_mask[i, i + 1] = -1.0
+        theta = flat @ constant(sel)
+        plane = (constant(np.eye(d) - diag_mask) + ad.cos(theta) * constant(diag_mask)
+                 + ad.sin(theta) * constant(skew_mask))
+        rot = plane if rot is None else rot @ plane
+    return rot
+
+
+def encode_geometry_dense(elements, coords: np.ndarray, params):
+    """`encode_geometry` with pair messages as pool @ (filt * (tile @ g) * gate),
+    where tile (n^2 x n) copies atom j to pair row i * n + j and pool (n x n^2)
+    sums pair rows back onto atom i."""
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+    from molham.encoders import cutoff_envelope, element_id, radial_basis
+
+    n = len(elements)
+    tile = np.zeros((n * n, n))
+    pool = np.zeros((n, n * n))
+    for i in range(n):
+        for j in range(n):
+            tile[i * n + j, j] = 1.0
+            pool[i, i * n + j] = 1.0
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1)).reshape(-1)
+    gate = cutoff_envelope(dist, params.cutoff).reshape(n, n)
+    np.fill_diagonal(gate, 0.0)
+    rbf = constant(radial_basis(dist, params.cutoff, params.n_rbf))
+    gate_c, tile_c, pool_c = constant(gate.reshape(n * n, 1)), constant(tile), constant(pool)
+
+    h = ad.gather_rows(params.elem_embed, np.asarray([element_id(e) for e in elements]))
+    for rnd in params.rounds:
+        filt = ad.tanh(rbf @ rnd["wf1"] + rnd["bf1"]) @ rnd["wf2"] + rnd["bf2"]
+        g = h @ rnd["wmsg"] + rnd["bmsg"]
+        msg = pool_c @ (filt * (tile_c @ g) * gate_c)
+        h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
+    return h
+
+
+def scatter_plan_loops(lay):
+    """`hamhead._scatter_plan` built entry by entry from per-block column tables."""
+    from molham.hamhead import HEAD_VALUES, _ScatterPlan
+
+    diag_cols = {(0, 0): 0, (1, 1): 2}
+    pair_cols = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    n = lay.n_atoms
+    d_idx, d_rows, d_cols = [], [], []
+    s_idx, s_rows, s_cols = [], [], []
+    for a, (off, cnt) in enumerate(zip(lay.offsets, lay.counts)):
+        for oi in range(cnt):
+            for oj in range(oi, cnt):
+                if oi == oj:
+                    d_idx.append(a * HEAD_VALUES + diag_cols[(oi, oj)])
+                    d_rows.append(off + oi)
+                    d_cols.append(off + oj)
+                else:
+                    s_idx.append(a * HEAD_VALUES + 1)
+                    s_rows.append(off + oi)
+                    s_cols.append(off + oj)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    c_idx, c_rows, c_cols = [], [], []
+    for p, (i, j) in enumerate(pairs):
+        for oi in range(lay.counts[i]):
+            for oj in range(lay.counts[j]):
+                c_idx.append(p * HEAD_VALUES + pair_cols[(oi, oj)])
+                c_rows.append(lay.offsets[i] + oi)
+                c_cols.append(lay.offsets[j] + oj)
+
+    def arr(x):
+        return np.asarray(x, dtype=np.intp)
+
+    return _ScatterPlan(
+        pairs_i=arr([i for i, _ in pairs]), pairs_j=arr([j for _, j in pairs]),
+        diag_idx=arr(d_idx), diag_rows=arr(d_rows), diag_cols=arr(d_cols),
+        same_idx=arr(s_idx), same_rows=arr(s_rows), same_cols=arr(s_cols),
+        cross_idx=arr(c_idx), cross_rows=arr(c_rows), cross_cols=arr(c_cols),
+    )

@@ -114,6 +114,7 @@ _C31 = RNG.standard_normal((3, 1))
 _C32 = RNG.standard_normal((3, 2))
 _C43 = RNG.standard_normal((4, 3))
 _IDX = np.array([2, 0, 1, 2], dtype=np.intp)
+_W13 = np.cos(np.arange(169.0)).reshape(13, 13)  # fixed weights for the 13 x 13 rotation
 
 PRIMITIVES = {
     "add": lambda x: ad.sum_(x + constant(_C34)),
@@ -143,6 +144,7 @@ PRIMITIVES = {
     "cosine_rows": lambda x: ad.sum_(ad.cosine_rows(x, constant(_C34))),
     "smooth_l1": lambda x: ad.sum_(ad.smooth_l1(x, constant(_C34))),
     "gather_rows": lambda x: ad.sum_(ad.gather_rows(x, _IDX) * constant(_C44[_IDX])),
+    "plane_rotation_chain": lambda x: ad.sum_(ad.plane_rotation_chain(x) * constant(_W13)),
 }
 _C44 = RNG.standard_normal((4, 4))
 

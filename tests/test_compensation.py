@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import molham.autodiff as ad
-from molham.autodiff import constant, grad_check
+from _oracles import rotation_chain_recorded
+from molham.autodiff import Tape, constant, grad_check
 from molham.compensation import (
     apply_compensation,
     attention_matrix,
@@ -142,6 +143,30 @@ class TestRotation:
             plane[i + 1, i] = np.sin(th)
             expect = expect @ plane
         assert np.allclose(r, expect, atol=1e-12)
+
+    def test_matches_recorded_chain_value_and_gradient(self):
+        rng = np.random.default_rng(17)  # own stream: the shared RNG feeds the other tests
+        for d in (2, 3, 8, 32, 33):
+            angles = rng.uniform(-np.pi, np.pi, (1, d - 1))
+            weights = constant(rng.standard_normal((d, d)))
+            values, grads = [], []
+            for rotation in (lambda a: build_rotation(a, d),
+                             lambda a: rotation_chain_recorded(a, d)):
+                tape = Tape()
+                leaf = tape.leaf(angles)
+                r = rotation(leaf)
+                tape.backward(ad.sum_(r * weights))
+                values.append(r.data)
+                grads.append(leaf.grad)
+            assert np.max(np.abs(values[0] - values[1])) < 1e-12, d
+            assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, d
+
+    def test_records_one_tape_node(self):
+        tape = Tape()
+        angles = tape.leaf(np.full((1, D - 1), 0.3))
+        before = len(tape)
+        build_rotation(angles, D)
+        assert len(tape) == before + 1
 
 
 class TestAffine:

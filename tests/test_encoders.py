@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _oracles import encode_geometry_dense
+from molham import autodiff as ad
+from molham.autodiff import Tape
 from molham.encoders import (
     VOCAB,
     cutoff_envelope,
@@ -172,6 +175,26 @@ class TestGeometryEncoder:
                     msg[i] += gate[i, j] * filt[i, j] * g[j]
             h = np.tanh(h @ rnd["wupd"].data + rnd["bupd"].data + msg)
         assert np.max(np.abs(got - h)) < 1e-12
+
+    def test_matches_dense_pair_reference(self, model):
+        rng = np.random.default_rng(8)  # own stream: the shared RNG feeds the other tests
+        for k, smiles in enumerate(["O", "CCO", "c1ccccc1CCN", "CCCCCCCCCCCC(C)C"]):
+            xmol = expand_hydrogens(parse_smiles(smiles))
+            coords = embed_3d(xmol, 20 + k)
+            elements = list(xmol.elements)
+            weights = ad.constant(rng.standard_normal((xmol.n_atoms, CFG.width)))
+            values, grads = [], []
+            for encode in (encode_geometry, encode_geometry_dense):
+                tape = Tape()
+                lv = model.leaves(tape)
+                h = encode(elements, coords, model.geom_encoder(lv))
+                tape.backward(ad.sum_(h * weights))
+                values.append(h.data)
+                grads.append({k: leaf.grad for k, leaf in lv.items() if leaf.grad is not None})
+            assert np.max(np.abs(values[0] - values[1])) < 1e-12, smiles
+            assert grads[0].keys() == grads[1].keys() and grads[0]
+            for name in grads[0]:
+                assert np.max(np.abs(grads[0][name] - grads[1][name])) < 1e-12, (smiles, name)
 
     def test_nonfinite_rejected(self, model):
         with pytest.raises(NonFiniteCoordinate):

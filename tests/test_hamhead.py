@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from molham.autodiff import constant, grad_check
-from molham.errors import CorruptFile, ShapeMismatch, UnsupportedElement
+from _oracles import scatter_plan_loops
+from molham import autodiff as ad
+from molham import hamhead
+from molham.autodiff import Tape, constant, grad_check
+from molham.basis import DEFAULT_BASIS, Orbital, OrbitalBasisSpec
+from molham.errors import (CorruptFile, DimensionMismatch, MolhamError, ShapeMismatch,
+                           UnsupportedElement)
 from molham.hamhead import (
     finetune_loss,
     fuse_modalities,
@@ -122,6 +127,39 @@ class TestPredict:
             orb_perm = np.concatenate(
                 [np.arange(lay.offsets[a], lay.offsets[a] + lay.counts[a]) for a in perm])
             assert np.max(np.abs(h2.data - h.data[np.ix_(orb_perm, orb_perm)])) < 1e-12
+
+    def test_matches_entry_by_entry_plan(self, head, monkeypatch):
+        rng = np.random.default_rng(14)  # own stream: the shared RNG feeds the other tests
+        plans = (hamhead._scatter_plan, scatter_plan_loops)
+        for smiles in ("[H]", "C", "[H][H]", "CO", "OCC(=O)N", "c1ccccc1CCS", "CCCCCCCCCC(C)P"):
+            elements = expand_hydrogens(parse_smiles(smiles)).elements
+            lay = layout(elements)
+            emb = rng.standard_normal((len(elements), CFG.width))
+            weights = constant(rng.standard_normal((lay.n_orb, lay.n_orb)))
+            results = []
+            for plan in plans:
+                monkeypatch.setattr(hamhead, "_scatter_plan", plan)
+                tape = Tape()
+                lv = head.leaves(tape)
+                x = tape.leaf(emb)
+                h = predict_hamiltonian(x, lay, head.head(lv))
+                tape.backward(ad.sum_(h * weights))
+                head_grads = [lv[k].grad for k in sorted(lv) if k.startswith("head.")]
+                results.append((h.data, x.grad, head_grads))
+            (h_new, gx_new, gp_new), (h_ref, gx_ref, gp_ref) = results
+            assert np.array_equal(h_new, h_ref), smiles
+            assert np.array_equal(gx_new, gx_ref), smiles
+            assert all(np.array_equal(a, b) for a, b in zip(gp_new, gp_ref)), smiles
+
+    def test_more_than_two_orbitals_on_an_atom_rejected(self, head):
+        carbon = DEFAULT_BASIS.orbitals["C"] + (Orbital("p", 0.25, -0.4),)
+        basis = OrbitalBasisSpec({**DEFAULT_BASIS.orbitals, "C": carbon}, dict(DEFAULT_BASIS.electrons))
+        lay = layout(("C", "H"), basis)
+        assert lay.counts == (3, 1)
+        params = head.head(head.leaves(None))
+        with pytest.raises(DimensionMismatch) as err:
+            predict_hamiltonian(constant(np.zeros((2, CFG.width))), lay, params)
+        assert isinstance(err.value, MolhamError)
 
     def test_embedding_count_checked(self, head):
         lay = layout(("C", "O"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import embed_3d_pairwise, spring_gradient_pairwise
+from molham import corpus
 from molham.basis import DEFAULT_BASIS, electron_count
 from molham.corpus import build_corpus, corpus_sha256
 from molham.dataset import (
@@ -30,6 +31,23 @@ RNG = np.random.default_rng(23)
 
 def _xmol(smiles):
     return expand_hydrogens(parse_smiles(smiles))
+
+
+class TestCorpus:
+    def test_size_and_digest_pinned(self):
+        kept = build_corpus()
+        assert len(kept) == 2213
+        assert corpus_sha256(kept) == ("14434b496de1045c1568a40692b6ec91"
+                                       "acd7a6152f69e299df399268fb0b5e94")
+
+    def test_non_smiles_error_propagates(self, monkeypatch):
+        def broken(smiles):
+            raise RuntimeError(f"parser bug on {smiles}")
+
+        monkeypatch.setattr(corpus, "_CACHE", None)
+        monkeypatch.setattr(corpus, "parse_smiles", broken)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            corpus.build_corpus()
 
 
 class TestEmbed:
