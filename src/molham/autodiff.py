@@ -8,6 +8,18 @@ constant, so backward over a record with no differentiable leaves is a no-op.
 
 Gradient accumulation follows the fixed reverse-scan order, which makes
 training runs bit-reproducible for a given seed.
+
+Memory rules. A tape and everything it recorded are freed by reference
+counting as soon as the last Tensor on it goes away, whether or not backward
+ran:
+- a node's record holds its parent ids and its pull functions, and the pulls
+  close over arrays (operand data, outputs, shapes), never over a Tensor or
+  a Tape, so the record forms no reference cycle;
+- backward releases each node's record once its pulls have run, and drops
+  each non-leaf gradient once it has been passed to the parents, so only
+  leaf gradients are kept: `Tape.grad` and `Tensor.grad` return None for
+  every intermediate node, the output included;
+- a tape can be backpropagated once; a second backward raises TapeConsumed.
 """
 
 from __future__ import annotations
@@ -16,9 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteValue, ShapeMismatch
+from .errors import NonFiniteValue, ShapeMismatch, TapeConsumed
 
 Array = np.ndarray
+Pull = Callable[[Array], Array]
 
 
 def _np(x) -> Array:
@@ -28,48 +41,60 @@ def _np(x) -> Array:
 class Tape:
     """Append-only computation record for one backward pass."""
 
-    __slots__ = ("_parents", "_backprops", "_grads")
+    __slots__ = ("_records", "_grads")
 
     def __init__(self):
-        self._parents: list[tuple[int, ...]] = []
-        self._backprops: list[Callable[[Array], tuple[Array, ...]] | None] = []
+        # per node: (parent ids, one pull per parent); a leaf has no parents;
+        # None once backward has released the node
+        self._records: list[tuple[tuple[int, ...], tuple[Pull, ...]] | None] = []
         self._grads: list[Array | None] = []
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._records)
 
-    def _record(self, parents: tuple[int, ...], backprop) -> int:
-        self._parents.append(parents)
-        self._backprops.append(backprop)
-        return len(self._parents) - 1
+    def _record(self, parents: tuple[int, ...], pulls: tuple[Pull, ...]) -> int:
+        self._records.append((parents, pulls))
+        return len(self._records) - 1
 
     def leaf(self, data) -> "Tensor":
         """Register a differentiable leaf (a trainable parameter)."""
         arr = _np(data)
-        node = self._record((), None)
+        node = self._record((), ())
         return Tensor(arr, self, node)
 
     def backward(self, out: "Tensor") -> None:
-        """Accumulate gradients of a scalar output into every node."""
+        """Accumulate gradients of a scalar output into every leaf.
+
+        Each non-leaf node is released as the reverse scan passes it: its
+        record and its gradient are dropped, so only leaf gradients remain.
+        """
         if out.tape is not self or out.node is None:
             raise ShapeMismatch("output tensor does not belong to this tape")
         if out.data.size != 1:
             raise ShapeMismatch(f"backward needs a scalar output, got shape {out.data.shape}")
-        grads: list[Array | None] = [None] * len(self._parents)
+        if self._grads:
+            raise TapeConsumed("backward already ran on this tape; record a new one")
+        records = self._records
+        grads: list[Array | None] = [None] * len(records)
+        self._grads = grads
         grads[out.node] = np.ones_like(out.data)
-        for nid in range(len(self._parents) - 1, -1, -1):
-            g = grads[nid]
-            bp = self._backprops[nid]
-            if g is None or bp is None:
+        for nid in range(len(records) - 1, -1, -1):
+            parents, pulls = records[nid]
+            if not parents:
+                continue  # a leaf keeps its gradient
+            records[nid] = None
+            g, grads[nid] = grads[nid], None
+            if g is None:
                 continue
-            for pid, pg in zip(self._parents[nid], bp(g)):
+            for pid, pull in zip(parents, pulls):
+                pg = pull(g)
                 if grads[pid] is None:
                     grads[pid] = pg
                 else:
                     grads[pid] = grads[pid] + pg
-        self._grads = grads
 
     def grad(self, t: "Tensor") -> Array | None:
+        """The gradient of a leaf after backward; None for any other node."""
         if t.tape is not self or t.node is None:
             return None
         if not self._grads:
@@ -101,6 +126,7 @@ class Tensor:
 
     @property
     def grad(self) -> Array | None:
+        """See `Tape.grad`: set for leaves only, after backward."""
         return None if self.tape is None else self.tape.grad(self)
 
     def item(self) -> float:
@@ -140,18 +166,18 @@ def _tape_of(*ts: Tensor) -> Tape | None:
     return tape
 
 
-def _make(data: Array, pulls: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
-    """Create the result tensor, recording only tape-attached parents."""
-    live = [(t.node, fn) for t, fn in pulls if t.tape is not None]
+def _make(data: Array, pulls: Sequence[tuple[Tensor, Pull]]) -> Tensor:
+    """Create the result tensor, recording only tape-attached parents.
+
+    Each pull maps the output gradient to one operand's gradient. It must
+    close over arrays only: a captured Tensor would keep its tape alive
+    through the tape's own record.
+    """
     tape = _tape_of(*[t for t, _ in pulls])
-    if tape is None or not live:
+    if tape is None:
         return Tensor(data)
-    parents = tuple(nid for nid, _ in live)
-
-    def backprop(g: Array) -> tuple[Array, ...]:
-        return tuple(fn(g) for _, fn in live)
-
-    node = tape._record(parents, backprop)
+    live = [(t.node, fn) for t, fn in pulls if t.tape is not None]
+    node = tape._record(tuple(nid for nid, _ in live), tuple(fn for _, fn in live))
     return Tensor(data, tape, node)
 
 
@@ -168,30 +194,30 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = a.data + b.data
-    return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape)),
-                       (b, lambda g: _unbroadcast(g, b.data.shape))])
+    sa, sb = a.data.shape, b.data.shape
+    return _make(a.data + b.data, [(a, lambda g: _unbroadcast(g, sa)),
+                                   (b, lambda g: _unbroadcast(g, sb))])
 
 
 def sub(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = a.data - b.data
-    return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape)),
-                       (b, lambda g: _unbroadcast(-g, b.data.shape))])
+    sa, sb = a.data.shape, b.data.shape
+    return _make(a.data - b.data, [(a, lambda g: _unbroadcast(g, sa)),
+                                   (b, lambda g: _unbroadcast(-g, sb))])
 
 
 def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = a.data * b.data
-    return _make(out, [(a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                       (b, lambda g: _unbroadcast(g * a.data, b.data.shape))])
+    x, y = a.data, b.data
+    return _make(x * y, [(a, lambda g: _unbroadcast(g * y, x.shape)),
+                         (b, lambda g: _unbroadcast(g * x, y.shape))])
 
 
 def div(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = a.data / b.data
-    return _make(out, [(a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-                       (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))])
+    x, y = a.data, b.data
+    return _make(x / y, [(a, lambda g: _unbroadcast(g / y, x.shape)),
+                         (b, lambda g: _unbroadcast(-g * x / (y * y), y.shape))])
 
 
 def matmul(a, b) -> Tensor:
@@ -200,9 +226,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-    return _make(out, [(a, lambda g: g @ b.data.T),
-                       (b, lambda g: a.data.T @ g)])
+    x, y = a.data, b.data
+    return _make(x @ y, [(a, lambda g: g @ y.T),
+                         (b, lambda g: x.T @ g)])
 
 
 def transpose(a) -> Tensor:
@@ -214,13 +240,14 @@ def transpose(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = constant(a)
-    out = a.data.reshape(shape)
-    return _make(np.ascontiguousarray(out), [(a, lambda g: g.reshape(a.data.shape))])
+    sa = a.data.shape
+    return _make(np.ascontiguousarray(a.data.reshape(shape)), [(a, lambda g: g.reshape(sa))])
 
 
 # --- elementwise primitives ---
 
-def _unary(a, out: Array, dfn: Callable[[], Array]) -> Tensor:
+def _unary(a: Tensor, out: Array, dfn: Callable[[], Array]) -> Tensor:
+    """Elementwise op; `dfn` computes the derivative lazily, from arrays only."""
     return _make(out, [(a, lambda g: g * dfn())])
 
 
@@ -233,8 +260,9 @@ def sigmoid(a) -> Tensor:
 def softplus(a) -> Tensor:
     """log(1 + exp(a)) as logaddexp(0, a): finite for any finite input."""
     a = constant(a)
-    out = np.logaddexp(0.0, a.data)
-    return _unary(a, out, lambda: np.exp(a.data - out))  # sigmoid(a)
+    x = a.data
+    out = np.logaddexp(0.0, x)
+    return _unary(a, out, lambda: np.exp(x - out))  # sigmoid(a)
 
 
 def tanh(a) -> Tensor:
@@ -245,12 +273,14 @@ def tanh(a) -> Tensor:
 
 def sin(a) -> Tensor:
     a = constant(a)
-    return _unary(a, np.sin(a.data), lambda: np.cos(a.data))
+    x = a.data
+    return _unary(a, np.sin(x), lambda: np.cos(x))
 
 
 def cos(a) -> Tensor:
     a = constant(a)
-    return _unary(a, np.cos(a.data), lambda: -np.sin(a.data))
+    x = a.data
+    return _unary(a, np.cos(x), lambda: -np.sin(x))
 
 
 def exp(a) -> Tensor:
@@ -261,7 +291,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = constant(a)
-    return _unary(a, np.log(a.data), lambda: 1.0 / a.data)
+    x = a.data
+    return _unary(a, np.log(x), lambda: 1.0 / x)
 
 
 def sqrt(a) -> Tensor:
@@ -272,12 +303,14 @@ def sqrt(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = constant(a)
-    return _unary(a, a.data * a.data, lambda: 2.0 * a.data)
+    x = a.data
+    return _unary(a, x * x, lambda: 2.0 * x)
 
 
 def abs_(a) -> Tensor:
     a = constant(a)
-    return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
+    x = a.data
+    return _unary(a, np.abs(x), lambda: np.sign(x))
 
 
 # --- reductions ---
@@ -285,12 +318,13 @@ def abs_(a) -> Tensor:
 def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = constant(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    sa = a.data.shape
 
     def pull(g: Array) -> Array:
         if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
+            return np.broadcast_to(g, sa).copy()
         ge = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge, a.data.shape).copy()
+        return np.broadcast_to(ge, sa).copy()
 
     return _make(_np(out), [(a, pull)])
 
@@ -322,16 +356,17 @@ def cosine_rows(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     if a.data.shape != b.data.shape or a.ndim != 2:
         raise ShapeMismatch(f"cosine_rows expects equal rank-2 shapes, got {a.data.shape}, {b.data.shape}")
-    na = np.linalg.norm(a.data, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
-    dot = (a.data * b.data).sum(axis=1, keepdims=True)
+    x, y = a.data, b.data
+    na = np.linalg.norm(x, axis=1, keepdims=True)
+    nb = np.linalg.norm(y, axis=1, keepdims=True)
+    dot = (x * y).sum(axis=1, keepdims=True)
     out = dot / (na * nb)
 
     def pull_a(g: Array) -> Array:
-        return g * (b.data / (na * nb) - out * a.data / (na * na))
+        return g * (y / (na * nb) - out * x / (na * na))
 
     def pull_b(g: Array) -> Array:
-        return g * (a.data / (na * nb) - out * b.data / (nb * nb))
+        return g * (x / (na * nb) - out * y / (nb * nb))
 
     return _make(out, [(a, pull_a), (b, pull_b)])
 
@@ -355,9 +390,10 @@ def gather_rows(a, idx: Array) -> Tensor:
         raise ShapeMismatch(f"gather_rows expects rank-2 input, got {a.data.shape}")
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
+    sa = a.data.shape
 
     def pull(g: Array) -> Array:
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(sa)
         np.add.at(ga, idx, g)
         return ga
 
@@ -392,9 +428,10 @@ def scatter_matrix(values, value_idx: Array, rows: Array, cols: Array, shape: tu
         raise ShapeMismatch(f"scatter_matrix expects rank-1 values, got {values.data.shape}")
     out = np.zeros(shape, dtype=np.float64)
     np.add.at(out, (rows, cols), values.data[value_idx])
+    n_values = values.data.shape[0]
 
     def pull(g: Array) -> Array:
-        gv = np.zeros(values.data.shape[0], dtype=np.float64)
+        gv = np.zeros(n_values, dtype=np.float64)
         np.add.at(gv, value_idx, g[rows, cols])
         return gv
 
@@ -410,6 +447,7 @@ def plane_rotation_chain(angles) -> Tensor:
     from the saved columns and undoing the column update on the gradient.
     """
     angles = constant(angles)
+    shape = angles.data.shape
     theta = angles.data.reshape(-1)
     d = theta.size + 1
     c, s = np.cos(theta), np.sin(theta)
@@ -431,7 +469,7 @@ def plane_rotation_chain(angles) -> Tensor:
             g_theta[k] = ga @ (c[k] * b - s[k] * a) - gb @ (c[k] * a + s[k] * b)
             g[:, k] = c[k] * ga - s[k] * gb
             g[:, k + 1] = s[k] * ga + c[k] * gb
-        return g_theta.reshape(angles.data.shape)
+        return g_theta.reshape(shape)
 
     return _make(rot, [(angles, pull)])
 

@@ -51,6 +51,10 @@ class NonFiniteValue(MolhamError):
     pass
 
 
+class TapeConsumed(MolhamError):
+    """backward was called again on a tape that has already released its nodes."""
+
+
 # --- encoders / embedding plumbing ---
 
 class UnknownTokenKind(MolhamError):

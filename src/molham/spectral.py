@@ -251,7 +251,8 @@ def orbital_similarity(c_pred: np.ndarray, c_true: np.ndarray,
     """Mean |cosine| between occupied orbital coefficients paired by energy rank.
 
     Columns arrive energy-sorted, so rank pairing is positional; the absolute
-    value removes the arbitrary sign of each orbital.
+    value removes the arbitrary sign of each orbital. Each term is clamped at
+    1, which rounding can exceed by an ulp, so identical orbitals read 1.0.
     """
     if c_pred.shape != c_true.shape:
         raise DimensionMismatch(f"coefficient shapes differ: {c_pred.shape} vs {c_true.shape}")
@@ -263,7 +264,7 @@ def orbital_similarity(c_pred: np.ndarray, c_true: np.ndarray,
     for cp, ct in zip(order_p, order_t):
         a = c_pred[:, cp]
         b = c_true[:, ct]
-        total += abs(float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
+        total += min(1.0, abs(float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))))
     return total / n_occ
 
 

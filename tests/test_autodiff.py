@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
 import molham.autodiff as ad
-from molham.autodiff import Tape, constant, grad_check
-from molham.errors import NonFiniteValue, ShapeMismatch
+from molham.autodiff import Tape, Tensor, constant, grad_check
+from molham.errors import NonFiniteValue, ShapeMismatch, TapeConsumed
 
 RNG = np.random.default_rng(20240617)
 
@@ -27,9 +30,21 @@ def test_backward_without_leaves_is_noop():
 def test_leaf_gradient_basic():
     tape = Tape()
     x = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.sum_(ad.square(x))
+    sq = ad.square(x)
+    out = ad.sum_(sq)
     tape.backward(out)
     assert np.allclose(x.grad, 2.0 * x.data)
+    assert sq.grad is None and out.grad is None  # only leaves keep gradients
+
+
+def test_second_backward_raises():
+    tape = Tape()
+    x = tape.leaf(np.ones((2, 2)))
+    out = ad.sum_(x * x)
+    tape.backward(out)
+    with pytest.raises(TapeConsumed):
+        tape.backward(out)
+    assert np.array_equal(x.grad, 2.0 * x.data)
 
 
 def test_backward_requires_scalar():
@@ -153,6 +168,56 @@ _C44 = RNG.standard_normal((4, 4))
 def test_primitive_gradients(name):
     x = RNG.standard_normal((3, 4)) + 0.31
     assert grad_check(PRIMITIVES[name], x, eps=1e-5) < 1e-6
+
+
+# every recorded primitive, including those whose gradient checks live below
+RECORDED = {
+    **PRIMITIVES,
+    "scatter_matrix": lambda x: ad.sum_(ad.scatter_matrix(ad.reshape(x, (12,)), _IDX, _IDX, _IDX[::-1], (3, 3))),
+    "concat_rows": lambda x: ad.sum_(ad.concat_rows([x, constant(_C34), x])),
+}
+
+
+def _captured(obj, seen: set[int]):
+    """Every object a function reaches through closure cells and defaults."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, types.FunctionType):
+        cells = [c.cell_contents for c in obj.__closure__ or ()]
+        for item in cells + list(obj.__defaults__ or ()):
+            yield from _captured(item, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _captured(item, seen)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_pulls_capture_no_tensor_or_tape(name):
+    tape = Tape()
+    out = RECORDED[name](tape.leaf(RNG.standard_normal((3, 4)) + 0.31))
+    pulls = [fn for rec in tape._records for fn in rec[1]]
+    assert pulls
+    seen: set[int] = set()
+    held = [type(o).__name__ for fn in pulls for o in _captured(fn, seen)
+            if isinstance(o, (Tensor, Tape))]
+    assert held == [], name
+    tape.backward(out)
+    assert all(rec is None or not rec[0] for rec in tape._records)  # every non-leaf released
+
+
+def test_dropped_forward_is_freed_without_the_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        for f in RECORDED.values():
+            tape = Tape()
+            f(tape.leaf(RNG.standard_normal((3, 4)) + 0.31))
+            del tape
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_softplus_is_finite_far_from_zero():

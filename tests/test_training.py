@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
 
@@ -13,12 +14,14 @@ from molham.dataset import Dataset, SplitConfig, assign_split, generate_records
 from molham.errors import CorruptFile, VersionMismatch
 from molham.model import Model, ModelConfig
 from molham.smiles import parse_smiles
+from molham.autodiff import Tape
 from molham.training import (
     TraceRow,
     TrainConfig,
     evaluate,
     finetune,
     load_checkpoint,
+    prepare,
     pretrain,
     save_checkpoint,
     write_trace,
@@ -189,6 +192,35 @@ class TestFinetune:
         assert ta == tb
         for k in pa:
             assert np.array_equal(pa[k], pb[k])
+
+
+class TestMemory:
+    """Tapes are freed by reference counting: the cyclic collector finds nothing."""
+
+    def test_training_leaves_no_cyclic_garbage(self):
+        model = Model.init(SMALL_CFG, seed=4)
+        ds = Dataset(TRAIN.records[:6])
+        gc.collect()
+        gc.disable()
+        try:
+            pretrain(model, ds, TrainConfig("pretrain", epochs=1, seed=4, batch_size=3))
+            finetune(model, ds, TrainConfig("finetune", epochs=1, seed=4, batch_size=3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_forward_dropped_before_backward_leaves_no_cyclic_garbage(self):
+        model = Model.init(SMALL_CFG, seed=4)
+        p = prepare(Dataset(TRAIN.records[:1]))[0]
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape()
+            model.hamiltonian_from_tokens(model.leaves(tape), p.tokens, p.xmol, p.lay)
+            del tape  # as when a non-finite loss aborts the step
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCheckpoints:
