@@ -351,26 +351,6 @@ def row_softmax(a) -> Tensor:
     return _make(out, [(a, pull)])
 
 
-def cosine_rows(a, b) -> Tensor:
-    """Cosine similarity of corresponding rows; returns an (n, 1) column."""
-    a, b = constant(a), constant(b)
-    if a.data.shape != b.data.shape or a.ndim != 2:
-        raise ShapeMismatch(f"cosine_rows expects equal rank-2 shapes, got {a.data.shape}, {b.data.shape}")
-    x, y = a.data, b.data
-    na = np.linalg.norm(x, axis=1, keepdims=True)
-    nb = np.linalg.norm(y, axis=1, keepdims=True)
-    dot = (x * y).sum(axis=1, keepdims=True)
-    out = dot / (na * nb)
-
-    def pull_a(g: Array) -> Array:
-        return g * (y / (na * nb) - out * x / (na * na))
-
-    def pull_b(g: Array) -> Array:
-        return g * (x / (na * nb) - out * y / (nb * nb))
-
-    return _make(out, [(a, pull_a), (b, pull_b)])
-
-
 def smooth_l1(a, b) -> Tensor:
     """Elementwise smooth L1 of (a - b): quadratic below 1, linear above."""
     a, b = constant(a), constant(b)
@@ -384,7 +364,11 @@ def smooth_l1(a, b) -> Tensor:
 
 
 def gather_rows(a, idx: Array) -> Tensor:
-    """Select rows of a rank-2 tensor by a fixed integer index array."""
+    """Select rows of a rank-2 tensor by a fixed integer index array.
+
+    The output has shape idx.shape + (columns,), so an index of any rank
+    works; repeated indices accumulate their gradients.
+    """
     a = constant(a)
     if a.ndim != 2:
         raise ShapeMismatch(f"gather_rows expects rank-2 input, got {a.data.shape}")
@@ -415,27 +399,6 @@ def concat_rows(parts: Sequence["Tensor"]) -> Tensor:
         lo, hi = int(bounds[k]), int(bounds[k + 1])
         pulls.append((p, lambda g, lo=lo, hi=hi: g[lo:hi]))
     return _make(out, pulls)
-
-
-def scatter_matrix(values, value_idx: Array, rows: Array, cols: Array, shape: tuple[int, int]) -> Tensor:
-    """Build a matrix with M[rows[k], cols[k]] += values[value_idx[k]].
-
-    The index arrays are fixed integer structure (not differentiated); only
-    `values` (rank-1) carries gradient.
-    """
-    values = constant(values)
-    if values.ndim != 1:
-        raise ShapeMismatch(f"scatter_matrix expects rank-1 values, got {values.data.shape}")
-    out = np.zeros(shape, dtype=np.float64)
-    np.add.at(out, (rows, cols), values.data[value_idx])
-    n_values = values.data.shape[0]
-
-    def pull(g: Array) -> Array:
-        gv = np.zeros(n_values, dtype=np.float64)
-        np.add.at(gv, value_idx, g[rows, cols])
-        return gv
-
-    return _make(out, [(values, pull)])
 
 
 def plane_rotation_chain(angles) -> Tensor:

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, pretrain, finetune, predict, eval, screen, bench,
-selftest. Options can come from a JSON config file (--config) with explicit
-flags taking precedence. Every run writes a run-manifest JSON with the fully
-resolved configuration, seed, version, and input hashes next to its outputs.
+selftest. gen-data, pretrain and finetune can also read options from a JSON
+config file (--config), with explicit flags taking precedence. Every run
+writes a run-manifest JSON with the fully resolved configuration, seed,
+version, and input hashes next to its outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error.
 """
@@ -79,21 +80,12 @@ def _merge(defaults: dict, config_file: dict, args: argparse.Namespace, keys: li
     return out
 
 
-def _model_config(resolved: dict) -> ModelConfig:
-    return ModelConfig(
-        width=resolved["width"], token_layers=resolved["token_layers"],
-        geom_rounds=resolved["geom_rounds"], cutoff=resolved["cutoff"],
-        n_rbf=resolved["n_rbf"], n_shear=resolved["n_shear"],
-        head_hidden=resolved["head_hidden"], compensation=resolved["compensation"],
-        loss_form=resolved["loss_form"],
-    )
-
-
 _MODEL_KEYS = ["width", "token_layers", "geom_rounds", "cutoff", "n_rbf", "n_shear",
                "head_hidden", "compensation", "loss_form"]
 _MODEL_DEFAULTS = {k: getattr(ModelConfig(), k) for k in _MODEL_KEYS}
 _TRAIN_KEYS = ["epochs", "batch_size", "lr", "lambda1", "lambda2", "mask_keep_prob",
                "seed", "fusion", "encoder_lr_scale"]
+_TRAIN_DEFAULTS = {k: getattr(TrainConfig(), k) for k in _TRAIN_KEYS}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -164,14 +156,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0, help="seed for geometry when --fusion")
     p.add_argument("--fusion", type=_bool_flag, default=False)
-    p.add_argument("--config")
 
     p = sub.add_parser("eval", help="metrics on a dataset's test half")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fusion", type=_bool_flag, default=False)
-    p.add_argument("--config")
 
     p = sub.add_parser("screen", help="gap-threshold screening report")
     p.add_argument("--checkpoint", required=True)
@@ -179,7 +169,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--thresholds", help="comma-separated eV thresholds")
     p.add_argument("--fusion", type=_bool_flag, default=False)
-    p.add_argument("--config")
 
     p = sub.add_parser("bench", help="wall-clock comparison of the inference routes")
     p.add_argument("--checkpoint", required=True)
@@ -187,7 +176,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--limit", type=int)
-    p.add_argument("--config")
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--out")
@@ -229,22 +217,14 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _train_common(args: argparse.Namespace, stage: str) -> int:
     cfg_file = _load_config_file(args.config)
-    defaults = dict(_MODEL_DEFAULTS)
-    defaults.update({"epochs": 10, "batch_size": 16, "lr": 1e-3, "lambda1": 0.5,
-                     "lambda2": 0.8, "mask_keep_prob": 0.85, "seed": 0, "fusion": False,
-                     "encoder_lr_scale": 1.0})
-    resolved = _merge(defaults, cfg_file, args, _MODEL_KEYS + _TRAIN_KEYS)
+    resolved = _merge({**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, cfg_file, args,
+                      _MODEL_KEYS + _TRAIN_KEYS)
     out = Path(args.out)
     data_dir = Path(args.data)
     train_set, _, _ = load_split(data_dir)
 
-    train_cfg = TrainConfig(stage=stage, epochs=resolved["epochs"],
-                            batch_size=resolved["batch_size"], lr=resolved["lr"],
-                            lambda1=resolved["lambda1"], lambda2=resolved["lambda2"],
-                            mask_keep_prob=resolved["mask_keep_prob"],
-                            seed=resolved["seed"], fusion=resolved["fusion"],
-                            encoder_lr_scale=resolved["encoder_lr_scale"])
-    model_cfg = _model_config(resolved)
+    train_cfg = TrainConfig(stage=stage, **{k: resolved[k] for k in _TRAIN_KEYS})
+    model_cfg = ModelConfig(**{k: resolved[k] for k in _MODEL_KEYS})
 
     init_path = getattr(args, "init", None)
     if stage == "finetune" and init_path:
@@ -372,13 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except MolhamError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return DATA_EXIT
-    except FileNotFoundError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return DATA_EXIT
-    except (ValueError, json.JSONDecodeError) as err:
+    except (MolhamError, OSError, ValueError) as err:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {err}\n")
         return DATA_EXIT
 

@@ -4,8 +4,9 @@ The matrix is assembled block-wise: same-atom blocks from a per-atom network
 and cross-atom blocks from a pair network fed with the order-invariant
 combination (t_i + t_j, |t_i - t_j|). Each block is emitted as three values
 (s-s, s-p, p-p), so swapping the two atoms of a pair leaves its block
-unchanged. Only diagonal and strict-upper entries are generated; the lower
-triangle is the mirrored upper triangle, making the output symmetric
+unchanged. The per-atom and per-pair values are stacked into one table, and
+the matrix is a single gather from it through an integer index matrix built
+from the layout. That index is symmetric, so the output is symmetric
 bit-exactly, and atom relabeling permutes it block-wise.
 """
 
@@ -88,47 +89,22 @@ class HeadParams:
         return self.diag.w1.data.shape[0]
 
 
-@dataclass(frozen=True)
-class _ScatterPlan:
-    """Index arrays mapping flat head values into matrix entries.
+def _value_index(lay: BlockLayout) -> np.ndarray:
+    """(n_orb, n_orb) index of each matrix entry into the flat value table.
 
-    Diagonal entries and same-atom cross entries index the per-atom value
-    vector; cross-atom entries index the per-pair value vector.
+    Table rows 0..n-1 hold the per-atom values and rows n.. the per-pair
+    values, pairs (i < j) in row-major order. The index depends only on the
+    unordered atom pair and on kind(u) + kind(v), so it is symmetric.
     """
-
-    pairs_i: np.ndarray
-    pairs_j: np.ndarray
-    diag_idx: np.ndarray
-    diag_rows: np.ndarray
-    diag_cols: np.ndarray
-    same_idx: np.ndarray
-    same_rows: np.ndarray
-    same_cols: np.ndarray
-    cross_idx: np.ndarray
-    cross_rows: np.ndarray
-    cross_cols: np.ndarray
-
-
-def _scatter_plan(lay: BlockLayout) -> _ScatterPlan:
     if max(lay.counts, default=0) > 2:
         raise DimensionMismatch(f"the head emits s and p blocks only; layout counts {lay.counts} "
                                 "put more than 2 orbitals on an atom")
     n = lay.n_atoms
     atom = lay.atom_of_orbital()
-    orb = np.arange(lay.n_orb)
-    kind = orb - np.asarray(lay.offsets, dtype=np.intp)[atom]
-    p_orb = np.flatnonzero(kind == 1)  # each p orbital sits right after its atom's s
-    rows, cols = np.nonzero(atom[:, None] < atom[None, :])  # cross-atom, row-major
-    ai, aj = atom[rows], atom[cols]
-    pair = ai * n - ai * (ai + 1) // 2 + aj - ai - 1  # row-major index of pair (ai < aj)
-    atoms = np.arange(n)
-    pairs_i, pairs_j = np.nonzero(atoms[:, None] < atoms[None, :])
-    return _ScatterPlan(
-        pairs_i=pairs_i, pairs_j=pairs_j,
-        diag_idx=atom * HEAD_VALUES + 2 * kind, diag_rows=orb, diag_cols=orb,
-        same_idx=atom[p_orb] * HEAD_VALUES + 1, same_rows=p_orb - 1, same_cols=p_orb,
-        cross_idx=pair * HEAD_VALUES + kind[rows] + kind[cols], cross_rows=rows, cross_cols=cols,
-    )
+    kind = np.arange(lay.n_orb) - np.asarray(lay.offsets, dtype=np.intp)[atom]
+    lo, hi = np.minimum.outer(atom, atom), np.maximum.outer(atom, atom)
+    row = np.where(lo == hi, lo, n + lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
+    return row * HEAD_VALUES + kind[:, None] + kind[None, :]
 
 
 def predict_hamiltonian(emb: Tensor, lay: BlockLayout, params: HeadParams) -> Tensor:
@@ -136,21 +112,13 @@ def predict_hamiltonian(emb: Tensor, lay: BlockLayout, params: HeadParams) -> Te
     n = lay.n_atoms
     if emb.shape[0] != n:
         raise ShapeMismatch(f"{emb.shape[0]} embedding rows for {n} layout atoms")
-    plan = _scatter_plan(lay)
-    dim = lay.n_orb
-
-    atom_vals = ad.reshape(params.diag(emb), (n * HEAD_VALUES,))
-    diag_part = ad.scatter_matrix(atom_vals, plan.diag_idx, plan.diag_rows, plan.diag_cols,
-                                  (dim, dim))
-    upper = ad.scatter_matrix(atom_vals, plan.same_idx, plan.same_rows, plan.same_cols,
-                              (dim, dim))
-    if len(plan.pairs_i):
-        ti = ad.gather_rows(emb, plan.pairs_i)
-        tj = ad.gather_rows(emb, plan.pairs_j)
-        pair_vals = ad.reshape(params.pair(ti, tj), (len(plan.pairs_i) * HEAD_VALUES,))
-        upper = upper + ad.scatter_matrix(pair_vals, plan.cross_idx, plan.cross_rows,
-                                          plan.cross_cols, (dim, dim))
-    return diag_part + upper + ad.transpose(upper)
+    index = _value_index(lay)
+    rows = [params.diag(emb)]
+    if n > 1:  # a lone atom leaves the pair net off the tape, so its gradient stays None
+        pairs_i, pairs_j = np.triu_indices(n, 1)
+        rows.append(params.pair(ad.gather_rows(emb, pairs_i), ad.gather_rows(emb, pairs_j)))
+    table = ad.reshape(ad.concat_rows(rows), (-1, 1))
+    return ad.reshape(ad.gather_rows(table, index), index.shape)
 
 
 def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:

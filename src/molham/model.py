@@ -19,7 +19,7 @@ from . import hamhead as hh
 from .autodiff import Tape, Tensor, constant
 from .errors import VersionMismatch
 from .nn import Mlp
-from .smiles import ExpandedMol, Fragment, MolGraph, Token, expanded_fragments
+from .smiles import ExpandedMol, Fragment, Token, expanded_fragments
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ class Model:
     def geom_matrix(self, lv: dict[str, Tensor], xmol: ExpandedMol, coords: np.ndarray) -> Tensor:
         return enc.encode_geometry(list(xmol.elements), coords, self.geom_encoder(lv))
 
-    def pretrain_molecule(self, lv: dict[str, Tensor], tokens: list[Token], mol: MolGraph,
-                          xmol: ExpandedMol, fragments: list[Fragment], coords: np.ndarray,
+    def pretrain_molecule(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol,
+                          fragments: list[Fragment], coords: np.ndarray,
                           lambda1: float) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Per-molecule discrepancy loss plus pooled fragment vector lists."""
         t = self.token_matrix(lv, tokens, xmol)
@@ -199,7 +199,7 @@ class Model:
         t_all: list[Tensor] = []
         for m in molecules:
             loss_d, v_vecs, t_vecs = self.pretrain_molecule(
-                lv, m["tokens"], m["mol"], m["xmol"], m["fragments"], m["coords"], lambda1)
+                lv, m["tokens"], m["xmol"], m["fragments"], m["coords"], lambda1)
             d_losses.append(loss_d)
             v_all.extend(v_vecs)
             t_all.extend(t_vecs)

@@ -102,7 +102,6 @@ class Prepared:
 
     record: DatasetRecord
     tokens: list
-    mol: object
     xmol: object
     fragments: list
     lay: BlockLayout
@@ -114,7 +113,7 @@ def prepare(dataset: Dataset) -> list[Prepared]:
         tokens = tokenize(rec.smiles)
         mol = parse_smiles(rec.smiles)
         xmol = expand_hydrogens(mol)
-        out.append(Prepared(rec, tokens, mol, xmol, fragment(mol), layout(xmol.elements)))
+        out.append(Prepared(rec, tokens, xmol, fragment(mol), layout(xmol.elements)))
     return out
 
 
@@ -162,9 +161,9 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape)
-            molecules = [{"tokens": prepared[i].tokens, "mol": prepared[i].mol,
-                          "xmol": prepared[i].xmol, "fragments": prepared[i].fragments,
-                          "coords": coords[i]} for i in batch]
+            molecules = [{"tokens": prepared[i].tokens, "xmol": prepared[i].xmol,
+                          "fragments": prepared[i].fragments, "coords": coords[i]}
+                         for i in batch]
             total, part_d, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
             _check_finite(total.item(), "pre-training loss", batch[0])
             tape.backward(total)
@@ -274,7 +273,12 @@ def load_checkpoint(path: str | Path,
     head_end = len(_CKPT_MAGIC) + 8 + n
     if len(raw) < head_end:
         raise CorruptFile(f"{path} is truncated inside the manifest")
-    manifest = json.loads(raw[len(_CKPT_MAGIC) + 8:head_end])
+    try:
+        manifest = json.loads(raw[len(_CKPT_MAGIC) + 8:head_end])
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise CorruptFile(f"{path} manifest is not UTF-8 JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise CorruptFile(f"{path} manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {manifest.get('format_version')} != {CHECKPOINT_VERSION}")
@@ -284,7 +288,10 @@ def load_checkpoint(path: str | Path,
     blob = raw[head_end:]
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise CorruptFile(f"{path} failed its content checksum")
-    config = ModelConfig(**manifest["model_config"])
+    try:
+        config = ModelConfig(**manifest["model_config"])
+    except (TypeError, ValueError) as err:
+        raise CorruptFile(f"{path} has an invalid model_config: {err}") from None
     params: dict[str, np.ndarray] = {}
     for entry in manifest["params"]:
         shape = tuple(entry["shape"])

@@ -6,7 +6,7 @@ graph theory, a shifted QR iteration for spectra, a Jacobi solver that applies
 each round as one dense n x n congruence, a spring descent that sums
 explicit difference vectors pair by pair, a rotation chain recorded as one
 dense plane matrix per angle, a geometry encoder that tiles and pools pair
-messages with dense n^2 x n matrices, and a Hamiltonian scatter plan built
+messages with dense n^2 x n matrices, and a Hamiltonian value index built
 entry by entry.
 """
 
@@ -269,42 +269,21 @@ def encode_geometry_dense(elements, coords: np.ndarray, params):
     return h
 
 
-def scatter_plan_loops(lay):
-    """`hamhead._scatter_plan` built entry by entry from per-block column tables."""
-    from molham.hamhead import HEAD_VALUES, _ScatterPlan
+def value_index_loops(lay):
+    """`hamhead._value_index` built entry by entry from per-block column tables."""
+    from molham.hamhead import HEAD_VALUES
 
-    diag_cols = {(0, 0): 0, (1, 1): 2}
-    pair_cols = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    cols = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
     n = lay.n_atoms
-    d_idx, d_rows, d_cols = [], [], []
-    s_idx, s_rows, s_cols = [], [], []
-    for a, (off, cnt) in enumerate(zip(lay.offsets, lay.counts)):
-        for oi in range(cnt):
-            for oj in range(oi, cnt):
-                if oi == oj:
-                    d_idx.append(a * HEAD_VALUES + diag_cols[(oi, oj)])
-                    d_rows.append(off + oi)
-                    d_cols.append(off + oj)
-                else:
-                    s_idx.append(a * HEAD_VALUES + 1)
-                    s_rows.append(off + oi)
-                    s_cols.append(off + oj)
-
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    c_idx, c_rows, c_cols = [], [], []
+    pair_row = {}
     for p, (i, j) in enumerate(pairs):
-        for oi in range(lay.counts[i]):
-            for oj in range(lay.counts[j]):
-                c_idx.append(p * HEAD_VALUES + pair_cols[(oi, oj)])
-                c_rows.append(lay.offsets[i] + oi)
-                c_cols.append(lay.offsets[j] + oj)
-
-    def arr(x):
-        return np.asarray(x, dtype=np.intp)
-
-    return _ScatterPlan(
-        pairs_i=arr([i for i, _ in pairs]), pairs_j=arr([j for _, j in pairs]),
-        diag_idx=arr(d_idx), diag_rows=arr(d_rows), diag_cols=arr(d_cols),
-        same_idx=arr(s_idx), same_rows=arr(s_rows), same_cols=arr(s_cols),
-        cross_idx=arr(c_idx), cross_rows=arr(c_rows), cross_cols=arr(c_cols),
-    )
+        pair_row[i, j] = pair_row[j, i] = n + p
+    index = np.zeros((lay.n_orb, lay.n_orb), dtype=np.intp)
+    for a, (off_a, cnt_a) in enumerate(zip(lay.offsets, lay.counts)):
+        for b, (off_b, cnt_b) in enumerate(zip(lay.offsets, lay.counts)):
+            row = a if a == b else pair_row[a, b]
+            for oi in range(cnt_a):
+                for oj in range(cnt_b):
+                    index[off_a + oi, off_b + oj] = row * HEAD_VALUES + cols[oi, oj]
+    return index

@@ -163,8 +163,7 @@ def test_criterion_03_differentiation():
     lay = layout(xmol.elements)
     masked = mask_tokens(tokens, frags, [1, 0])
     target = constant(rng.standard_normal((lay.n_orb, lay.n_orb)) * 0.3)
-    molecule = {"tokens": tokens, "mol": mol, "xmol": xmol, "fragments": frags,
-                "coords": coords}
+    molecule = {"tokens": tokens, "xmol": xmol, "fragments": frags, "coords": coords}
 
     worst = 0.0
     for name in base.params:

@@ -176,8 +176,8 @@ class TestPretrainLossComposition:
         tokens = tokenize(smiles)
         mol = parse_smiles(smiles)
         xmol = expand_hydrogens(mol)
-        return {"tokens": tokens, "mol": mol, "xmol": xmol,
-                "fragments": fragment(mol), "coords": embed_3d(xmol, seed)}
+        return {"tokens": tokens, "xmol": xmol, "fragments": fragment(mol),
+                "coords": embed_3d(xmol, seed)}
 
     def test_batch_equals_sum_of_components(self):
         cfg = ModelConfig(width=D, token_layers=1, geom_rounds=1, n_rbf=4, n_shear=2,
@@ -189,8 +189,8 @@ class TestPretrainLossComposition:
         assert total.item() == pytest.approx(part_d.item() + part_l.item(), abs=1e-14)
 
         # discrepancy part is the mean of per-molecule terms
-        d_terms = [model.pretrain_molecule(lv, m["tokens"], m["mol"], m["xmol"],
-                                           m["fragments"], m["coords"], 0.5)[0].item()
+        d_terms = [model.pretrain_molecule(lv, m["tokens"], m["xmol"], m["fragments"],
+                                           m["coords"], 0.5)[0].item()
                    for m in mols]
         assert part_d.item() == pytest.approx(np.mean(d_terms), abs=1e-14)
 

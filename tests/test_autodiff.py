@@ -94,12 +94,6 @@ def test_smooth_l1_regions():
     assert np.allclose(out, [[0.5 * 0.16, 2.5]])
 
 
-def test_cosine_rows_self_similarity():
-    u = RNG.standard_normal((5, 6))
-    out = ad.cosine_rows(constant(u), constant(u.copy()))
-    assert np.allclose(out.data, 1.0)
-
-
 def test_matmul_shape_errors():
     with pytest.raises(ShapeMismatch):
         ad.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
@@ -129,6 +123,8 @@ _C31 = RNG.standard_normal((3, 1))
 _C32 = RNG.standard_normal((3, 2))
 _C43 = RNG.standard_normal((4, 3))
 _IDX = np.array([2, 0, 1, 2], dtype=np.intp)
+_IDX2 = np.array([[0, 2, 2], [2, 1, 0]], dtype=np.intp)  # a 2-D index, as the head uses
+_W234 = np.cos(np.arange(24.0)).reshape(2, 3, 4)
 _W13 = np.cos(np.arange(169.0)).reshape(13, 13)  # fixed weights for the 13 x 13 rotation
 
 PRIMITIVES = {
@@ -156,9 +152,9 @@ PRIMITIVES = {
     "sum_axis1_keep": lambda x: ad.sum_(ad.sum_(x, axis=1, keepdims=True) * constant(_C31)),
     "mean": lambda x: ad.mean(x),
     "mean_axis": lambda x: ad.sum_(ad.mean(x, axis=0, keepdims=True) * constant(_C34)),
-    "cosine_rows": lambda x: ad.sum_(ad.cosine_rows(x, constant(_C34))),
     "smooth_l1": lambda x: ad.sum_(ad.smooth_l1(x, constant(_C34))),
     "gather_rows": lambda x: ad.sum_(ad.gather_rows(x, _IDX) * constant(_C44[_IDX])),
+    "gather_rows_2d": lambda x: ad.sum_(ad.gather_rows(x, _IDX2) * constant(_W234)),
     "plane_rotation_chain": lambda x: ad.sum_(ad.plane_rotation_chain(x) * constant(_W13)),
 }
 _C44 = RNG.standard_normal((4, 4))
@@ -173,7 +169,6 @@ def test_primitive_gradients(name):
 # every recorded primitive, including those whose gradient checks live below
 RECORDED = {
     **PRIMITIVES,
-    "scatter_matrix": lambda x: ad.sum_(ad.scatter_matrix(ad.reshape(x, (12,)), _IDX, _IDX, _IDX[::-1], (3, 3))),
     "concat_rows": lambda x: ad.sum_(ad.concat_rows([x, constant(_C34), x])),
 }
 
@@ -228,18 +223,6 @@ def test_softplus_is_finite_far_from_zero():
     assert np.array_equal(out.data, [0.0, np.log(2.0), 800.0])
     assert np.array_equal(x.grad, [0.0, 0.5, 1.0])
     assert grad_check(lambda t: ad.sum_(ad.softplus(t)), np.array([-40.0, 3.0, 800.0])) < 1e-6
-
-
-def test_scatter_matrix_gradient():
-    vi = np.array([0, 1, 2, 2, 4], dtype=np.intp)
-    rr = np.array([0, 0, 1, 2, 1], dtype=np.intp)
-    cc = np.array([0, 1, 2, 0, 1], dtype=np.intp)
-    w = constant(RNG.standard_normal((3, 3)))
-
-    def f(x):
-        return ad.sum_(ad.scatter_matrix(x, vi, rr, cc, (3, 3)) * w)
-
-    assert grad_check(f, RNG.standard_normal(5), eps=1e-5) < 1e-6
 
 
 def test_concat_rows_gradient():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from molham import cli
 from molham.cli import main
 from molham.corpus import build_corpus
+from molham.model import ModelConfig
 from molham.smiles import parse_smiles
+from molham.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,17 @@ def corpus_file(tmp_path_factory):
     picks = [s for s in build_corpus() if parse_smiles(s).n_atoms <= 6][:20]
     path.write_text("\n".join(picks) + "\n")
     return path
+
+
+def _edited_checkpoint(ckpt, dest, edit):
+    """Copy a checkpoint to dest with edit(manifest dict) applied to its JSON manifest."""
+    raw = ckpt.read_bytes()
+    size = struct.unpack("<Q", raw[8:16])[0]
+    manifest = json.loads(raw[16:16 + size])
+    edit(manifest)
+    payload = json.dumps(manifest).encode()
+    dest.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + size:])
+    return dest
 
 
 MODEL_FLAGS = ["--width", "8", "--token-layers", "1", "--geom-rounds", "1",
@@ -50,6 +64,33 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
+
+    def test_config_flag_only_where_it_is_read(self, tmp_path, pipeline):
+        data, ckpt = pipeline
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"fusion": True, "seed": 9}))
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e"), "--config", str(cfg)]) == 1
+        assert not (tmp_path / "e").exists()
+
+
+class TestDefaults:
+    def test_flag_free_pretrain_uses_the_config_defaults(self, tmp_path, pipeline, monkeypatch):
+        data, _ = pipeline
+        seen = {}
+
+        def record(model, dataset, config):
+            seen["model"], seen["train"] = model.config, config
+            return [], None
+
+        monkeypatch.setattr(cli, "pretrain", record)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--data", str(data), "--out", str(out)]) == 0
+        assert seen == {"model": ModelConfig(), "train": TrainConfig(stage="pretrain")}
+        resolved = json.loads((out / "run-manifest.json").read_text())["config"]
+        defaults = {**asdict(ModelConfig()), **asdict(TrainConfig())}
+        assert set(resolved) >= set(asdict(ModelConfig()))
+        assert resolved == {k: defaults[k] for k in resolved}
 
 
 class TestGenData:
@@ -154,6 +195,14 @@ class TestTrainEvalScreenBench:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.mh"),
                      "--data", str(data), "--out", str(tmp_path / "e")]) == 2
 
+    def test_out_under_a_regular_file_exits_two(self, tmp_path, pipeline, capsys):
+        _, ckpt = pipeline
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["predict", "--checkpoint", str(ckpt), "--smiles", "CCO",
+                     "--out", str(blocker / "pred")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_fusion_finetune_and_eval(self, tmp_path, pipeline):
         data, _ = pipeline
         run = tmp_path / "fused"
@@ -169,16 +218,19 @@ class TestTrainEvalScreenBench:
 class TestCorruptInputs:
     def test_checkpoint_without_checksum_exits_two(self, tmp_path, pipeline, capsys):
         _, ckpt = pipeline
-        raw = ckpt.read_bytes()
-        size = struct.unpack("<Q", raw[8:16])[0]
-        manifest = json.loads(raw[16:16 + size])
-        del manifest["blob_sha256"]
-        payload = json.dumps(manifest).encode()
-        bad = tmp_path / "bad.mh"
-        bad.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + size:])
+        bad = _edited_checkpoint(ckpt, tmp_path / "bad.mh", lambda m: m.pop("blob_sha256"))
         assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
                      "--out", str(tmp_path / "p")]) == 2
         assert "blob_sha256" in capsys.readouterr().err
+
+    def test_checkpoint_with_unknown_model_config_key_exits_two(self, tmp_path, pipeline,
+                                                                capsys):
+        _, ckpt = pipeline
+        bad = _edited_checkpoint(ckpt, tmp_path / "bad.mh",
+                                 lambda m: m["model_config"].update(bogus=1))
+        assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "model_config" in capsys.readouterr().err
 
     def test_record_without_hamiltonian_exits_two(self, tmp_path, pipeline, capsys):
         data, _ = pipeline

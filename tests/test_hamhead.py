@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import scatter_plan_loops
+from _oracles import value_index_loops
 from molham import autodiff as ad
 from molham import hamhead
 from molham.autodiff import Tape, constant, grad_check
@@ -130,15 +130,17 @@ class TestPredict:
 
     def test_matches_entry_by_entry_plan(self, head, monkeypatch):
         rng = np.random.default_rng(14)  # own stream: the shared RNG feeds the other tests
-        plans = (hamhead._scatter_plan, scatter_plan_loops)
-        for smiles in ("[H]", "C", "[H][H]", "CO", "OCC(=O)N", "c1ccccc1CCS", "CCCCCCCCCC(C)P"):
+        plans = (hamhead._value_index, value_index_loops)
+        for smiles in ("[H]", "C", "[H][H]", "CO", "OCC(=O)N", "c1ccccc1CCS", "CCCCCCCCCC(C)P",
+                       "CCCCCCCCCCCCCC"):
             elements = expand_hydrogens(parse_smiles(smiles)).elements
             lay = layout(elements)
+            assert np.array_equal(hamhead._value_index(lay), value_index_loops(lay)), smiles
             emb = rng.standard_normal((len(elements), CFG.width))
             weights = constant(rng.standard_normal((lay.n_orb, lay.n_orb)))
             results = []
             for plan in plans:
-                monkeypatch.setattr(hamhead, "_scatter_plan", plan)
+                monkeypatch.setattr(hamhead, "_value_index", plan)
                 tape = Tape()
                 lv = head.leaves(tape)
                 x = tape.leaf(emb)

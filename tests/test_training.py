@@ -46,14 +46,21 @@ def _fresh_train() -> Dataset:
     return Dataset(TRAIN.records)
 
 
-def _drop_manifest_field(path, field):
-    """Rewrite a checkpoint with one key removed from its JSON manifest."""
+def _rewrite_manifest(path, edit):
+    """Rewrite a checkpoint with its manifest bytes replaced by edit(manifest dict)."""
     raw = path.read_bytes()
     magic, size = raw[:8], struct.unpack("<Q", raw[8:16])[0]
-    manifest = json.loads(raw[16:16 + size])
-    del manifest[field]
-    payload = json.dumps(manifest, sort_keys=True).encode()
+    payload = edit(json.loads(raw[16:16 + size]))
     path.write_bytes(magic + struct.pack("<Q", len(payload)) + payload + raw[16 + size:])
+
+
+def _drop_manifest_field(path, field):
+    """Rewrite a checkpoint with one key removed from its JSON manifest."""
+    def edit(manifest):
+        del manifest[field]
+        return json.dumps(manifest, sort_keys=True).encode()
+
+    _rewrite_manifest(path, edit)
 
 
 class TestPretrain:
@@ -265,6 +272,25 @@ class TestCheckpoints:
         _drop_manifest_field(path, "blob_sha256")
         with pytest.raises(CorruptFile, match="blob_sha256"):
             load_checkpoint(path)
+
+    def test_unreadable_manifest_or_model_config_rejected(self, tmp_path):
+        def set_model_config(key, value):
+            def edit(manifest):
+                manifest["model_config"][key] = value
+                return json.dumps(manifest).encode()
+            return edit
+
+        cases = [(lambda m: b"{not json", "not UTF-8 JSON"),
+                 (lambda m: b'{"format_version": "\xff"}', "not UTF-8 JSON"),
+                 (lambda m: b"[1]", "not a JSON object"),
+                 (set_model_config("bogus", 1), "invalid model_config.*bogus"),
+                 (set_model_config("width", 7), "invalid model_config.*even")]
+        for edit, what in cases:
+            path = tmp_path / "m.mh"
+            save_checkpoint(path, Model.init(SMALL_CFG, seed=2), None, None)
+            _rewrite_manifest(path, edit)
+            with pytest.raises(CorruptFile, match=what):
+                load_checkpoint(path)
 
     def test_cross_config_load_reports_shapes(self, tmp_path):
         model = Model.init(SMALL_CFG, seed=2)
