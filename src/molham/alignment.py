@@ -1,15 +1,20 @@
 """Fragment-level multimodal alignment.
 
-Embeddings are segmented by fragment, the token side is pooled with
-cross-attention conditioned on the geometric side, and a pairwise sigmoid
-contrastive objective pulls matching fragment vectors together. The default
-objective is the log-sigmoid form; the printed sigmoid form is available
-behind a flag for comparison runs.
+The token side of each fragment is pooled with cross-attention conditioned
+on the geometric side, and a pairwise sigmoid contrastive objective pulls
+matching fragment vectors together. The default objective is the
+log-sigmoid form; the printed sigmoid form is available behind a flag for
+comparison runs.
+
+A batch pools every fragment at once on the padded (B, n, d) rows: an
+additive key bias keeps each row's attention inside its own fragment, and a
+(B, f, n) pooling matrix averages each fragment's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,36 +38,57 @@ class AlignmentParams:
         return ad.exp(self.log_tau)
 
 
-@dataclass
-class FragmentEmbedding:
-    fragment_id: int
-    rows: Tensor  # |fragment| x d, member-atom rows in atom-index order
+@dataclass(frozen=True)
+class FragmentPlan:
+    """Where the fragments of a padded batch sit."""
+
+    key_bias: np.ndarray  # (B, n, n) 0 within a fragment, -inf across; padding rows group together
+    pool: np.ndarray      # (B, f, n) 1/|fragment| on each fragment's member rows
+    rows: np.ndarray      # (F,) flat rows b * f + k of the batch's real fragments, in order
 
 
-def segment_embeddings(emb: Tensor, fragments: list[tuple[int, ...]]) -> list[FragmentEmbedding]:
-    """Gather each fragment's member-atom rows in ascending atom order."""
-    n = emb.shape[0]
-    out = []
-    for fid, members in enumerate(fragments):
-        ordered = sorted(members)
-        for a in ordered:
-            if not 0 <= a < n:
-                raise IndexOutOfRange(f"fragment {fid} references atom {a} of {n}")
-        out.append(FragmentEmbedding(fid, ad.gather_rows(emb, np.asarray(ordered, dtype=np.intp))))
-    return out
+def fragment_plan(fragment_of: Sequence[np.ndarray], n_fragments: Sequence[int],
+                  n: int) -> FragmentPlan:
+    """Plan for B molecules padded to n rows; fragment_of[b][i] is the
+    fragment of atom i of molecule b."""
+    f = max(n_fragments)
+    group = np.full((len(fragment_of), n), -1, dtype=np.intp)
+    pool = np.zeros((len(fragment_of), f, n))
+    rows = []
+    for b, (frag, count) in enumerate(zip(fragment_of, n_fragments)):
+        frag = np.asarray(frag, dtype=np.intp)
+        if frag.size > n or (frag.size and (frag.min() < 0 or frag.max() >= count)):
+            raise IndexOutOfRange(f"molecule {b}: fragment index outside [0, {count}) "
+                                  f"or more than {n} atoms")
+        sizes = np.bincount(frag, minlength=count)
+        group[b, :frag.size] = frag
+        pool[b, frag, np.arange(frag.size)] = 1.0 / sizes[frag]
+        rows.append(b * f + np.arange(count))
+    key_bias = np.where(group[:, :, None] == group[:, None, :], 0.0, -np.inf)
+    return FragmentPlan(key_bias, pool, np.concatenate(rows))
 
 
-def contextual_pool(t_frag: Tensor, v_frag: Tensor, params: AlignmentParams) -> Tensor:
-    """Token-conditioned attention pooling of a fragment, reduced to one row."""
+def contextual_pool(t_frag: Tensor, v_frag: Tensor, params: AlignmentParams,
+                    plan: FragmentPlan | None = None) -> Tensor:
+    """Token-conditioned attention pooling.
+
+    Without a plan, (m, d) rows of one fragment reduce to one (1, d) row.
+    With a plan, every row of the (B, n, d) block attends within its own
+    fragment and each fragment's rows are averaged: (B, f, d).
+    """
     d = params.wq.data.shape[0]
-    if t_frag.shape[1] != d or v_frag.shape[1] != d:
+    if t_frag.shape[-1] != d or v_frag.shape[-1] != d:
         raise ShapeMismatch(
             f"fragment width mismatch: {t_frag.shape}, {v_frag.shape} vs weights of width {d}")
     q = t_frag @ params.wq
     k = v_frag @ params.wk
-    attn = ad.row_softmax((q @ ad.transpose(k)) * (1.0 / np.sqrt(d)))
-    mixed = attn @ (v_frag @ params.wv)
-    return ad.mean(mixed, axis=0, keepdims=True)
+    scores = (q @ ad.transpose(k)) * (1.0 / np.sqrt(d))
+    if plan is not None:
+        scores = scores + constant(plan.key_bias)
+    mixed = ad.row_softmax(scores) @ (v_frag @ params.wv)
+    if plan is None:
+        return ad.mean(mixed, axis=0, keepdims=True)
+    return constant(plan.pool) @ mixed
 
 
 def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor,
@@ -88,21 +114,14 @@ def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor,
     return ad.mean(-ad.sigmoid(-z))  # the printed sigmoid form, kept verbatim
 
 
-def molecule_fragment_vectors(t_star: Tensor, v: Tensor,
-                              fragments: list[tuple[int, ...]],
-                              params: AlignmentParams) -> tuple[list[Tensor], list[Tensor]]:
-    """Per-fragment pooled vectors: (geometric means, token-conditioned pools)."""
-    t_parts = segment_embeddings(t_star, fragments)
-    v_parts = segment_embeddings(v, fragments)
-    v_out, t_out = [], []
-    for tp, vp in zip(t_parts, v_parts):
-        v_out.append(ad.mean(vp.rows, axis=0, keepdims=True))
-        t_out.append(contextual_pool(tp.rows, vp.rows, params))
-    return v_out, t_out
+def molecule_fragment_vectors(t_star: Tensor, v: Tensor, plan: FragmentPlan,
+                              params: AlignmentParams) -> tuple[Tensor, Tensor]:
+    """Pooled vectors of every fragment in the batch, (F, d) each:
+    (geometric means, token-conditioned pools)."""
+    d = v.shape[-1]
 
+    def real(x: Tensor) -> Tensor:
+        return ad.gather_rows(ad.reshape(x, (-1, d)), plan.rows)
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack 1 x d tensors into an n x d tensor (differentiable)."""
-    if not rows:
-        raise EmptyBatch("nothing to stack")
-    return ad.concat_rows(rows)
+    return (real(constant(plan.pool) @ v),
+            real(contextual_pool(t_star, v, params, plan)))

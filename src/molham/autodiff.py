@@ -9,6 +9,20 @@ constant, so backward over a record with no differentiable leaves is a no-op.
 Gradient accumulation follows the fixed reverse-scan order, which makes
 training runs bit-reproducible for a given seed.
 
+Rank-3 rules. A training step runs a whole batch as one stacked block, so
+the structured primitives take a leading batch axis:
+- `matmul` multiplies rank-2 @ rank-2, rank-3 @ rank-3 (one product per
+  batch entry, batch sizes equal) and rank-3 @ rank-2 (a weight shared by
+  every batch entry). The shared-weight form runs as one GEMM on the
+  flattened rows, forward and backward, so a weight gradient is one GEMM.
+  Rank-2 @ rank-3 and rank-1 operands raise ShapeMismatch.
+- `transpose` swaps the last two axes of a rank-2 or rank-3 tensor.
+- `plane_rotation_chain` maps (B, d-1) angles to B rotations (B, d, d).
+- `segment_sum` adds rows into segments by an integer index; its backward
+  is a gather. `gather_rows` is its mirror: a gather whose backward adds
+  rows into segments.
+- Elementwise ops broadcast as numpy does, and reductions take any axis.
+
 Memory rules. A tape and everything it recorded are freed by reference
 counting as soon as the last Tensor on it goes away, whether or not backward
 ran:
@@ -187,7 +201,8 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     for ax, s in enumerate(shape):
         if s == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return np.ascontiguousarray(g.reshape(shape))
+    g = g.reshape(shape)  # (np.ascontiguousarray would turn a 0-d array into shape (1,))
+    return g if g.flags.c_contiguous else np.ascontiguousarray(g)
 
 
 # --- arithmetic primitives ---
@@ -222,20 +237,28 @@ def div(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if (a.ndim, b.ndim) not in ((2, 2), (3, 3), (3, 2)):
+        raise ShapeMismatch(f"matmul expects rank-2 or rank-3 @ rank-2, or rank-3 @ rank-3 "
+                            f"operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2] or (b.ndim == 3 and a.data.shape[0] != b.data.shape[0]):
         raise ShapeMismatch(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     x, y = a.data, b.data
-    return _make(x @ y, [(a, lambda g: g @ y.T),
-                         (b, lambda g: x.T @ g)])
+    if x.ndim == 3 and y.ndim == 2:  # shared weight: one GEMM on the flattened rows
+        rows = x.reshape(-1, x.shape[-1])
+        out = (rows @ y).reshape(x.shape[:-1] + (y.shape[1],))
+        return _make(out, [(a, lambda g: (g.reshape(-1, y.shape[1]) @ y.T).reshape(x.shape)),
+                           (b, lambda g: rows.T @ g.reshape(-1, y.shape[1]))])
+    return _make(x @ y, [(a, lambda g: g @ np.swapaxes(y, -1, -2)),
+                         (b, lambda g: np.swapaxes(x, -1, -2) @ g)])
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
     a = constant(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"transpose expects rank-2, got {a.data.shape}")
-    return _make(np.ascontiguousarray(a.data.T), [(a, lambda g: np.ascontiguousarray(g.T))])
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch(f"transpose expects rank-2 or rank-3, got {a.data.shape}")
+    return _make(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
+                 [(a, lambda g: np.ascontiguousarray(np.swapaxes(g, -1, -2)))])
 
 
 def reshape(a, shape) -> Tensor:
@@ -315,7 +338,7 @@ def abs_(a) -> Tensor:
 
 # --- reductions ---
 
-def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     a = constant(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     sa = a.data.shape
@@ -363,6 +386,18 @@ def smooth_l1(a, b) -> Tensor:
     return _make(out, [(a, lambda g: g * slope), (b, lambda g: -g * slope)])
 
 
+def _scatter_rows(idx: Array, rows: Array, n: int) -> Array:
+    """out[k] = sum of rows[r] over every r with idx[r] == k, for k < n.
+
+    Accumulates in row order, as np.add.at does, through one flat bincount.
+    """
+    tail = rows.shape[idx.ndim:]
+    width = int(np.prod(tail))
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + tail)
+
+
 def gather_rows(a, idx: Array) -> Tensor:
     """Select rows of a rank-2 tensor by a fixed integer index array.
 
@@ -373,15 +408,24 @@ def gather_rows(a, idx: Array) -> Tensor:
     if a.ndim != 2:
         raise ShapeMismatch(f"gather_rows expects rank-2 input, got {a.data.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
-    sa = a.data.shape
+    n = a.data.shape[0]
+    return _make(a.data[idx], [(a, lambda g: _scatter_rows(idx, g, n))])
 
-    def pull(g: Array) -> Array:
-        ga = np.zeros(sa)
-        np.add.at(ga, idx, g)
-        return ga
 
-    return _make(out, [(a, pull)])
+def segment_sum(a, seg: Array, n: int) -> Tensor:
+    """Sum the rows of `a` (axis 0, any trailing shape) into n segments.
+
+    Row r goes to segment seg[r]; a segment no row names is zero. The
+    backward pass is the gather g[seg].
+    """
+    a = constant(a)
+    seg = np.asarray(seg, dtype=np.intp)
+    if a.ndim == 0 or seg.shape != a.data.shape[:1]:
+        raise ShapeMismatch(f"segment_sum needs one segment id per row, got {seg.shape} "
+                            f"for {a.data.shape}")
+    if seg.size and (seg.min() < 0 or seg.max() >= n):
+        raise ShapeMismatch(f"segment ids must lie in [0, {n})")
+    return _make(_scatter_rows(seg, a.data, n), [(a, lambda g: g[seg])])
 
 
 def concat_rows(parts: Sequence["Tensor"]) -> Tensor:
@@ -402,37 +446,43 @@ def concat_rows(parts: Sequence["Tensor"]) -> Tensor:
 
 
 def plane_rotation_chain(angles) -> Tensor:
-    """R = P_1 @ P_2 @ ... @ P_{d-1} for d-1 angles, P_k rotating plane (k, k+1).
+    """R_b = P_1 @ P_2 @ ... @ P_{d-1} per row b of (B, d-1) angles, P_k rotating
+    plane (k, k+1); the result is (B, d, d).
 
     Right-multiplying by P_k mixes columns k and k+1 only, so the forward pass
-    applies each plane to two columns of the identity and saves them; the
-    backward pass walks the planes in reverse, reading each angle's gradient
-    from the saved columns and undoing the column update on the gradient.
+    applies each plane to two columns of the identity, for every b at once,
+    and saves them; the backward pass walks the planes in reverse, reading
+    each angle's gradient from the saved columns and undoing the column
+    update on the gradient.
     """
     angles = constant(angles)
-    shape = angles.data.shape
-    theta = angles.data.reshape(-1)
-    d = theta.size + 1
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.eye(d)
-    saved = np.empty((d - 1, 2, d))
+    if angles.ndim != 2:
+        raise ShapeMismatch(f"plane_rotation_chain expects (B, d-1) angles, got {angles.data.shape}")
+    theta = angles.data
+    nb, d = theta.shape[0], theta.shape[1] + 1
+    c, s = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]  # (B, 1, d-1)
+    rot = np.broadcast_to(np.eye(d), (nb, d, d)).copy()
+    saved = np.empty((d - 1, 2, nb, d))
     for k in range(d - 1):
-        a, b = rot[:, k].copy(), rot[:, k + 1].copy()
+        a, b = rot[:, :, k].copy(), rot[:, :, k + 1].copy()
         saved[k, 0], saved[k, 1] = a, b
-        rot[:, k] = c[k] * a + s[k] * b
-        rot[:, k + 1] = c[k] * b - s[k] * a
+        ck, sk = c[:, :, k], s[:, :, k]
+        rot[:, :, k] = ck * a + sk * b
+        rot[:, :, k + 1] = ck * b - sk * a
 
     def pull(g: Array) -> Array:
         g = g.copy()
-        g_theta = np.empty(d - 1)
+        g_theta = np.empty((nb, d - 1))
         for k in range(d - 2, -1, -1):
             a, b = saved[k]
-            ga, gb = g[:, k].copy(), g[:, k + 1]
+            ck, sk = c[:, :, k], s[:, :, k]
+            ga, gb = g[:, :, k].copy(), g[:, :, k + 1]
             # d(col k)/dtheta = -s a + c b, d(col k+1)/dtheta = -c a - s b
-            g_theta[k] = ga @ (c[k] * b - s[k] * a) - gb @ (c[k] * a + s[k] * b)
-            g[:, k] = c[k] * ga - s[k] * gb
-            g[:, k + 1] = s[k] * ga + c[k] * gb
-        return g_theta.reshape(shape)
+            g_theta[:, k] = ((ga * (ck * b - sk * a)).sum(axis=1)
+                             - (gb * (ck * a + sk * b)).sum(axis=1))
+            g[:, :, k] = ck * ga - sk * gb
+            g[:, :, k + 1] = sk * ga + ck * gb
+        return g_theta
 
     return _make(rot, [(angles, pull)])
 

@@ -5,6 +5,12 @@ token-relevant part and a token-irrelevant remainder; the remainder drives a
 per-molecule learnable affine map (plane-rotation chain, diagonal scaling,
 rank-K shear, translation) plus a sinusoidal perturbation that turns token
 embeddings into geometry-aware token embeddings.
+
+Every function takes one molecule's (n, d) rows or a padded batch's
+(B, n, d) rows. A batch passes `pad`, (B, n, 1) with 1 on padding rows:
+attention hides padding keys, and per-molecule means and losses weigh the
+real rows only. Per-molecule transform parameters carry the same leading
+axis: (1, k) rows for one molecule, (B, 1, k) for a batch.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .errors import ShapeMismatch
-from .nn import SOFTPLUS_INV_ONE, Mlp, pairwise_cosine
+from .nn import SOFTPLUS_INV_ONE, Mlp, key_bias, pairwise_cosine, row_weights
 
 
 @dataclass
@@ -27,22 +33,26 @@ class DisentangleParams:
     v_minus: Mlp  # token-irrelevant value path
 
 
-def attention_matrix(v: Tensor, t: Tensor, params: DisentangleParams) -> Tensor:
+def attention_matrix(v: Tensor, t: Tensor, params: DisentangleParams,
+                     pad: np.ndarray | None = None) -> Tensor:
     """Row-stochastic cross-modal attention from cosine affinities."""
     if v.shape != t.shape:
         raise ShapeMismatch(f"modalities differ in shape: {v.shape} vs {t.shape}")
-    affinity = pairwise_cosine(params.u(v), params.t(t), "cross-modal projection")
+    affinity = pairwise_cosine(params.u(v), params.t(t), "cross-modal projection", pad)
+    if pad is not None:
+        affinity = affinity + constant(key_bias(pad))
     return ad.row_softmax(affinity)
 
 
-def disentangle(v: Tensor, t: Tensor, params: DisentangleParams) -> tuple[Tensor, Tensor]:
+def disentangle(v: Tensor, t: Tensor, params: DisentangleParams,
+                pad: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Split v into (token-relevant, token-irrelevant) parts via attention.
 
     For a single-atom molecule the attention matrix is [[1]], which forces the
     token-irrelevant part to be exactly zero.
     """
-    beta = attention_matrix(v, t, params)
-    eye = constant(np.eye(v.shape[0]))
+    beta = attention_matrix(v, t, params, pad)
+    eye = constant(np.eye(v.shape[-2]))
     v_plus = beta @ params.v_plus(v)
     v_minus = (eye - beta) @ params.v_minus(v)
     return v_plus, v_minus
@@ -50,7 +60,8 @@ def disentangle(v: Tensor, t: Tensor, params: DisentangleParams) -> tuple[Tensor
 
 @dataclass
 class CompensationParams:
-    """Realized per-molecule transform parameters (all 1 x d or K x d rows)."""
+    """Realized per-molecule transform parameters: (1, k) rows for one
+    molecule, (B, 1, k) for a batch; the shears are (K, d) or (B, K, d)."""
 
     angles: Tensor   # 1 x (d-1), one angle per adjacent plane
     scales: Tensor   # 1 x d, diagonal of the scaling factor
@@ -63,7 +74,7 @@ class CompensationParams:
 
     @property
     def width(self) -> int:
-        return self.scales.data.shape[1]
+        return self.scales.data.shape[-1]
 
 
 def neutral_params(d: int, n_shear: int) -> CompensationParams:
@@ -83,21 +94,24 @@ def neutral_params(d: int, n_shear: int) -> CompensationParams:
 def build_rotation(angles: Tensor, d: int) -> Tensor:
     """Chain of plane rotations over adjacent planes (1,2)(2,3)...(d-1,d).
 
-    Composed left to right as one tape node; the result is orthogonal for any
-    angles and the zero vector yields the identity exactly.
+    (1, d-1) angles give one (d, d) rotation, (B, 1, d-1) give (B, d, d).
+    Composed left to right by one `plane_rotation_chain` node; the result is
+    orthogonal for any angles and the zero vector yields the identity exactly.
     """
-    if angles.data.size != d - 1:
-        raise ShapeMismatch(f"need {d - 1} angles for width {d}, got {angles.data.size}")
-    return ad.plane_rotation_chain(angles)
+    if angles.shape[-2:] != (1, d - 1):
+        raise ShapeMismatch(f"need 1 x {d - 1} angle rows for width {d}, got {angles.shape}")
+    if angles.ndim == 2:
+        return ad.reshape(ad.plane_rotation_chain(angles), (d, d))
+    return ad.plane_rotation_chain(ad.reshape(angles, (-1, d - 1)))
 
 
 def build_affine(params: CompensationParams) -> Tensor:
-    """Rotation @ scaling @ shear, with shear = I + sum_k p_k w_k^T."""
+    """Rotation @ scaling @ shear, with shear = I + sum_k p_k w_k^T; the
+    diagonal scaling scales the rotation's columns."""
     d = params.width
     rot = build_rotation(params.angles, d)
-    scale = constant(np.eye(d)) * params.scales  # broadcast row over the identity
     shear = constant(np.eye(d)) + ad.transpose(params.shear_p) @ params.shear_w
-    return rot @ scale @ shear
+    return (rot * params.scales) @ shear
 
 
 def apply_compensation(t: Tensor, params: CompensationParams) -> Tensor:
@@ -124,10 +138,13 @@ class ParamGenerator:
     def width(self) -> int:
         return self.w_hidden.data.shape[0]
 
-    def __call__(self, v_minus: Tensor) -> CompensationParams:
+    def __call__(self, v_minus: Tensor, pad: np.ndarray | None = None) -> CompensationParams:
         d = self.width
-        pooled = ad.mean(v_minus, axis=0, keepdims=True)  # 1 x d, one transform per molecule
+        # one transform per molecule, from the mean of its real rows: 1 x d or B x 1 x d
+        weights = row_weights(pad, v_minus.shape[-2])
+        pooled = ad.sum_(v_minus * weights, axis=-2, keepdims=True)
         hidden = ad.tanh(pooled @ self.w_hidden + self.b_hidden)
+        shear_shape = pooled.shape[:-2] + (self.n_shear, d)
 
         def head(name: str) -> Tensor:
             w, b = self.heads[name]
@@ -136,8 +153,8 @@ class ParamGenerator:
         return CompensationParams(
             angles=head("angles"),
             scales=ad.softplus(head("scales") + SOFTPLUS_INV_ONE),
-            shear_p=ad.reshape(head("shear_p"), (self.n_shear, d)),
-            shear_w=ad.reshape(head("shear_w"), (self.n_shear, d)),
+            shear_p=ad.reshape(head("shear_p"), shear_shape),
+            shear_w=ad.reshape(head("shear_w"), shear_shape),
             shift=head("shift"),
             amp=head("amp"),
             freq=head("freq") + 1.0,
@@ -145,22 +162,28 @@ class ParamGenerator:
         )
 
 
-def compensate(t: Tensor, v_minus: Tensor, generator: ParamGenerator) -> Tensor:
+def compensate(t: Tensor, v_minus: Tensor, generator: ParamGenerator,
+               pad: np.ndarray | None = None) -> Tensor:
     """Geometry-aware token embeddings from tokens and the irrelevant part."""
     if t.shape != v_minus.shape:
         raise ShapeMismatch(f"token/geometry shapes differ: {t.shape} vs {v_minus.shape}")
-    return apply_compensation(t, generator(v_minus))
+    return apply_compensation(t, generator(v_minus, pad))
+
+
+def mean_smooth_l1(a: Tensor, b: Tensor, pad: np.ndarray | None = None) -> Tensor:
+    """Smooth-L1 distance averaged over each molecule's real entries: a scalar
+    for (n, d) rows, one value per molecule (B,) for a padded batch."""
+    weights = row_weights(pad, a.shape[-2]) / a.shape[-1]
+    return ad.sum_(ad.smooth_l1(a, b) * weights, axis=(-2, -1))
 
 
 def discrepancy_loss(v: Tensor, t_star: Tensor, t: Tensor, v_plus: Tensor,
-                     lambda1: float) -> Tensor:
-    """Mean smooth-L1 distance D(v, t*) + lambda1 * D(t, v+)."""
+                     lambda1: float, pad: np.ndarray | None = None) -> Tensor:
+    """Mean smooth-L1 distance D(v, t*) + lambda1 * D(t, v+), per molecule."""
     for name, pair in (("v/t*", (v, t_star)), ("t/v+", (t, v_plus))):
         a, b = pair
         if a.shape != b.shape:
             raise ShapeMismatch(f"{name} shapes differ: {a.shape} vs {b.shape}")
     if lambda1 < 0:
         raise ValueError(f"lambda1 must be non-negative, got {lambda1}")
-    main = ad.mean(ad.smooth_l1(v, t_star))
-    aux = ad.mean(ad.smooth_l1(t, v_plus))
-    return main + lambda1 * aux
+    return mean_smooth_l1(v, t_star, pad) + lambda1 * mean_smooth_l1(t, v_plus, pad)

@@ -5,11 +5,19 @@ and mean-pools each atom's tokens into one row, so masked and unmasked
 strings produce same-shaped matrices. The geometry encoder builds features
 from element identities and pairwise distances only, which makes it exactly
 invariant to rigid motions of the coordinates.
+
+Both encoders run a whole batch as one block: S sequences (or B molecules)
+padded to one length, giving (S, n, d) rows where rows past a molecule's
+atom count are padding. Padded tokens are hidden from attention by an
+additive -inf key bias and pool onto no atom; padded atoms receive no
+geometry messages. Padding rows hold finite values, so masking them out
+downstream never multiplies a NaN by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +71,10 @@ def element_id(element: str) -> int:
         raise UnknownTokenKind(f"element {element!r} has no embedding row") from None
 
 
+def element_ids(elements: Sequence[str]) -> np.ndarray:
+    return np.asarray([element_id(e) for e in elements], dtype=np.intp)
+
+
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     """Standard fixed sin/cos positional table, shape (n, d)."""
     pos = np.arange(n, dtype=np.float64)[:, None]
@@ -87,7 +99,7 @@ class TokenEncoderParams:
         return self.embed.data.shape[1]
 
 
-def _pool_matrix(atom_token_sets: list[tuple[int, ...]], n_tokens: int) -> np.ndarray:
+def _pool_matrix(atom_token_sets: Sequence[tuple[int, ...]], n_tokens: int) -> np.ndarray:
     pool = np.zeros((len(atom_token_sets), n_tokens))
     for row, members in enumerate(atom_token_sets):
         for t in members:
@@ -97,33 +109,64 @@ def _pool_matrix(atom_token_sets: list[tuple[int, ...]], n_tokens: int) -> np.nd
     return pool
 
 
-def encode_tokens(tokens: list[Token],
-                  atom_token_sets: list[tuple[int, ...]],
-                  atom_elements: list[str],
-                  params: TokenEncoderParams) -> Tensor:
-    """One embedding row per atom, pooled from that atom's tokens.
+def token_sequence(tokens: Sequence[Token], atom_token_sets: Sequence[tuple[int, ...]],
+                   atom_elements: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One molecule's token input: (vocabulary ids (L,), pooling weights (n, L),
+    element ids (n,)).
 
-    `atom_token_sets[i]` lists the token positions owned by output row i;
+    `atom_token_sets[i]` lists the token positions owned by atom row i;
     hydrogen rows of an expanded molecule reuse their parent's tokens and are
     distinguished by the per-element refinement row.
     """
-    d = params.width
     ids = np.asarray([token_vocab_id(t) for t in tokens], dtype=np.intp)
-    x = ad.gather_rows(params.embed, ids)
-    x = x + constant(sinusoidal_positions(len(tokens), d))
+    return ids, _pool_matrix(atom_token_sets, len(tokens)), element_ids(atom_elements)
+
+
+@dataclass(frozen=True)
+class TokenBatch:
+    """S token sequences padded to L tokens, each pooled onto n atom rows."""
+
+    ids: np.ndarray       # (S, L) vocabulary rows; padding tokens hold row 0
+    key_bias: np.ndarray  # (S, 1, L) 0 on real tokens, -inf on padding
+    pool: np.ndarray      # (S, n, L) pooling weights; padding atoms and tokens are 0
+    elem_ids: np.ndarray  # (S, n) refinement rows; padding atoms hold row 0
+
+
+def token_batch(seqs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> TokenBatch:
+    """Pack `token_sequence` triples into one padded block."""
+    n_seq = len(seqs)
+    length = max(len(ids) for ids, _, _ in seqs)
+    n = max(len(elems) for _, _, elems in seqs)
+    ids = np.zeros((n_seq, length), dtype=np.intp)
+    key_bias = np.full((n_seq, 1, length), -np.inf)
+    pool = np.zeros((n_seq, n, length))
+    elem = np.zeros((n_seq, n), dtype=np.intp)
+    for s, (seq_ids, seq_pool, seq_elems) in enumerate(seqs):
+        ids[s, :len(seq_ids)] = seq_ids
+        key_bias[s, 0, :len(seq_ids)] = 0.0
+        pool[s, :seq_pool.shape[0], :seq_pool.shape[1]] = seq_pool
+        elem[s, :len(seq_elems)] = seq_elems
+    return TokenBatch(ids, key_bias, pool, elem)
+
+
+def encode_tokens(batch: TokenBatch, params: TokenEncoderParams) -> Tensor:
+    """(S, n, d) atom rows of a packed token batch, pooled from each atom's tokens."""
+    d = params.width
+    x = ad.gather_rows(params.embed, batch.ids)
+    x = x + constant(sinusoidal_positions(batch.ids.shape[1], d))
+    bias = constant(batch.key_bias)
 
     scale = 1.0 / np.sqrt(d)
     for block in params.blocks:
         q = x @ block["wq"]
         k = x @ block["wk"]
         v = x @ block["wv"]
-        attn = ad.row_softmax((q @ ad.transpose(k)) * scale)
+        attn = ad.row_softmax((q @ ad.transpose(k)) * scale + bias)
         x = x + attn @ v
         x = x + ad.tanh(x @ block["wf"]) @ block["wg"]
 
-    pooled = constant(_pool_matrix(atom_token_sets, len(tokens))) @ x
-    elem_ids = np.asarray([element_id(e) for e in atom_elements], dtype=np.intp)
-    return pooled + ad.gather_rows(params.atom_refine, elem_ids)
+    pooled = constant(batch.pool) @ x
+    return pooled + ad.gather_rows(params.atom_refine, batch.elem_ids)
 
 
 @dataclass
@@ -153,41 +196,60 @@ def cutoff_envelope(dist: np.ndarray, cutoff: float) -> np.ndarray:
     return np.where(inside, 0.5 * (np.cos(np.pi * dist / cutoff) + 1.0), 0.0)
 
 
-def _distance_features(coords: np.ndarray, cutoff: float,
-                       n_rbf: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rbf rows over ordered pairs (i, j), row i * n + j; (n, n, 1) gate)."""
-    n = coords.shape[0]
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1)).reshape(-1)
-    gate = cutoff_envelope(dist, cutoff).reshape(n, n)
-    np.fill_diagonal(gate, 0.0)
-    return radial_basis(dist, cutoff, n_rbf), gate[:, :, None]
+@dataclass(frozen=True)
+class GeomBatch:
+    """B molecules padded to n atom rows, with their ordered neighbour pairs
+    (i != j, closer than the cutoff) concatenated over the batch.
+
+    Pair rows name flat atom rows b * n + i of the (B * n, d) block."""
+
+    elem_ids: np.ndarray  # (B, n) element rows; padding atoms hold row 0
+    rbf: np.ndarray       # (P, n_rbf) radial basis of each pair's distance
+    gate: np.ndarray      # (P, 1) cutoff envelope of each pair
+    src: np.ndarray       # (P,) row of the neighbour j sending the message
+    dst: np.ndarray       # (P,) row of the atom i receiving it
 
 
-def encode_geometry(elements: list[str], coords: np.ndarray,
-                    params: GeomEncoderParams) -> Tensor:
-    """One embedding row per atom from element identities and distances.
+def geom_batch(elem_ids: Sequence[np.ndarray], coords: Sequence[np.ndarray],
+               cutoff: float, n_rbf: int) -> GeomBatch:
+    """Distance features of a batch; pairs beyond the cutoff carry a zero gate
+    and are left out."""
+    n = max(len(e) for e in elem_ids)
+    elem = np.zeros((len(elem_ids), n), dtype=np.intp)
+    dists, src, dst = [], [], []
+    for b, (ids, xyz) in enumerate(zip(elem_ids, coords)):
+        xyz = np.asarray(xyz, dtype=np.float64)
+        if xyz.ndim != 2 or xyz.shape != (len(ids), 3):
+            raise NonFiniteCoordinate(f"expected ({len(ids)}, 3) coordinates, got {xyz.shape}")
+        if not np.isfinite(xyz).all():
+            raise NonFiniteCoordinate("coordinates contain non-finite values")
+        elem[b, :len(ids)] = ids
+        diff = xyz[:, None, :] - xyz[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        i, j = np.nonzero((dist < cutoff) & ~np.eye(len(ids), dtype=bool))
+        dists.append(dist[i, j])
+        dst.append(b * n + i)
+        src.append(b * n + j)
+    dist = np.concatenate(dists)
+    return GeomBatch(elem, radial_basis(dist, cutoff, n_rbf),
+                     cutoff_envelope(dist, cutoff)[:, None],
+                     np.concatenate(src), np.concatenate(dst))
 
-    Output depends on the pairwise distance matrix only, so rigid motions of
-    the coordinates leave it unchanged and relabeling atoms permutes rows.
+
+def encode_geometry(batch: GeomBatch, params: GeomEncoderParams) -> Tensor:
+    """(B, n, d) atom rows from element identities and distances.
+
+    Output depends on the pairwise distances only, so rigid motions of the
+    coordinates leave it unchanged and relabeling atoms permutes rows.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] != len(elements):
-        raise NonFiniteCoordinate(f"expected ({len(elements)}, 3) coordinates, got {coords.shape}")
-    if not np.isfinite(coords).all():
-        raise NonFiniteCoordinate("coordinates contain non-finite values")
-
-    n = len(elements)
-    rbf_arr, gate_arr = _distance_features(coords, params.cutoff, params.n_rbf)
-    rbf, gate = constant(rbf_arr), constant(gate_arr)
-
-    elem_ids = np.asarray([element_id(e) for e in elements], dtype=np.intp)
-    h = ad.gather_rows(params.elem_embed, elem_ids)
+    shape = batch.elem_ids.shape + (params.width,)
+    rbf, gate = constant(batch.rbf), constant(batch.gate)
+    h = ad.gather_rows(params.elem_embed, batch.elem_ids.reshape(-1))
 
     for rnd in params.rounds:
         filt = ad.tanh(rbf @ rnd["wf1"] + rnd["bf1"]) @ rnd["wf2"] + rnd["bf2"]
         g = h @ rnd["wmsg"] + rnd["bmsg"]
-        # message i = sum_j filt[i, j] * g[j] * gate[i, j]; g broadcasts as (1, n, d)
-        msg = ad.sum_(ad.reshape(filt, (n, n, -1)) * g * gate, axis=1)
+        # message i = sum over pairs (i, j) of filt * g[j] * gate
+        msg = ad.segment_sum(ad.gather_rows(g, batch.src) * filt * gate, batch.dst, h.shape[0])
         h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
-    return h
+    return ad.reshape(h, shape)

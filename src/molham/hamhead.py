@@ -8,6 +8,10 @@ unchanged. The per-atom and per-pair values are stacked into one table, and
 the matrix is a single gather from it through an integer index matrix built
 from the layout. That index is symmetric, so the output is symmetric
 bit-exactly, and atom relabeling permutes it block-wise.
+
+A batch stacks its molecules' tables (every padded atom row, then every
+molecule's pairs) and gathers all their entries at once through the
+molecules' index matrices, offset to their rows of the stacked table.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .atomic import atomic_open
-from .autodiff import Tensor
+from .autodiff import Tensor, constant
 from .basis import DEFAULT_BASIS, OrbitalBasisSpec
 from .errors import CorruptFile, DimensionMismatch, ShapeMismatch
 from .nn import Mlp
@@ -107,18 +112,54 @@ def _value_index(lay: BlockLayout) -> np.ndarray:
     return row * HEAD_VALUES + kind[:, None] + kind[None, :]
 
 
-def predict_hamiltonian(emb: Tensor, lay: BlockLayout, params: HeadParams) -> Tensor:
-    """Assemble the symmetric Hamiltonian from per-atom embeddings."""
-    n = lay.n_atoms
-    if emb.shape[0] != n:
-        raise ShapeMismatch(f"{emb.shape[0]} embedding rows for {n} layout atoms")
-    index = _value_index(lay)
-    rows = [params.diag(emb)]
-    if n > 1:  # a lone atom leaves the pair net off the tape, so its gradient stays None
-        pairs_i, pairs_j = np.triu_indices(n, 1)
-        rows.append(params.pair(ad.gather_rows(emb, pairs_i), ad.gather_rows(emb, pairs_j)))
-    table = ad.reshape(ad.concat_rows(rows), (-1, 1))
-    return ad.reshape(ad.gather_rows(table, index), index.shape)
+@dataclass(frozen=True)
+class HeadPlan:
+    """Where a batch's matrix entries read the stacked value table."""
+
+    pairs_i: np.ndarray  # (P,) embedding row of each pair's first atom
+    pairs_j: np.ndarray  # (P,) embedding row of its second atom
+    index: np.ndarray    # entry -> flat table position; its shape is the output's
+
+
+def head_plan(indices: Sequence[np.ndarray], n_atoms: Sequence[int], rows: int) -> HeadPlan:
+    """Plan for S molecules whose atoms sit at rows s * rows .. s * rows + n_s - 1
+    of the flattened (S * rows, d) embedding block. `indices` are their
+    `_value_index` matrices; the entries come out raveled and concatenated."""
+    pair_base = len(indices) * rows
+    pairs_i, pairs_j, parts = [], [], []
+    for s, (index, n) in enumerate(zip(indices, n_atoms)):
+        i, j = np.triu_indices(n, 1)
+        pairs_i.append(s * rows + i)
+        pairs_j.append(s * rows + j)
+        flat = index.reshape(-1)
+        shift = np.where(flat // HEAD_VALUES < n, s * rows, pair_base - n)
+        parts.append(flat + HEAD_VALUES * shift)
+        pair_base += i.size
+    return HeadPlan(np.concatenate(pairs_i), np.concatenate(pairs_j), np.concatenate(parts))
+
+
+def predict_hamiltonian(emb: Tensor, lay: BlockLayout | HeadPlan, params: HeadParams) -> Tensor:
+    """Assemble symmetric Hamiltonians from per-atom embeddings.
+
+    One molecule: (n, d) rows and its layout give the (n_orb, n_orb) matrix.
+    A batch: (S, n, d) rows and a `head_plan` give every entry of the S
+    matrices, row-major and concatenated.
+    """
+    if isinstance(lay, BlockLayout):
+        if emb.ndim != 2 or emb.shape[0] != lay.n_atoms:
+            raise ShapeMismatch(f"{emb.shape[0]} embedding rows for {lay.n_atoms} layout atoms")
+        index = _value_index(lay)
+        plan = head_plan([index], [lay.n_atoms], lay.n_atoms)
+        shape = index.shape
+    else:
+        plan, shape = lay, lay.index.shape
+    rows = emb if emb.ndim == 2 else ad.reshape(emb, (-1, emb.shape[-1]))
+    parts = [params.diag(rows)]
+    if plan.pairs_i.size:  # a lone atom leaves the pair net off the tape, so its gradient stays None
+        parts.append(params.pair(ad.gather_rows(rows, plan.pairs_i),
+                                 ad.gather_rows(rows, plan.pairs_j)))
+    table = ad.reshape(ad.concat_rows(parts), (-1, 1))
+    return ad.reshape(ad.gather_rows(table, plan.index), shape)
 
 
 def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:
@@ -128,24 +169,47 @@ def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:
     return t + v
 
 
-def finetune_loss(h_star: Tensor, h: Tensor, h_masked: Tensor, lambda2: float) -> Tensor:
+def finetune_loss(h_star: Tensor, h: Tensor, h_masked: Tensor, lambda2: float,
+                  molecule: np.ndarray | None = None,
+                  masked_at: np.ndarray | None = None) -> Tensor:
     """Entry-mean MAE+MSE against the target, for full and masked predictions.
 
     lambda2 weights the full-string branch; (1 - lambda2) weights the branch
-    predicted from the fragment-masked string.
+    predicted from the fragment-masked string. Unbatched, the three inputs
+    are one molecule's matrices and the result has one element.
+
+    Batched, h_star and h hold the entries of B molecules and `molecule`
+    names each entry's molecule; the result holds one loss per molecule.
+    h_masked holds masked-branch entries only for the molecules whose masked
+    string differs from the full one, and `masked_at` gives the position in
+    h of the entry each one predicts. A molecule without a masked branch
+    puts weight 1 on its full branch, so its loss does not depend on lambda2.
     """
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 must lie in [0, 1], got {lambda2}")
-    if h.shape != h_star.shape or h_masked.shape != h_star.shape:
-        raise ShapeMismatch(
-            f"matrix shapes differ: target {h_star.shape}, full {h.shape}, masked {h_masked.shape}")
-    n = h_star.data.size
+    if molecule is None:
+        if h.shape != h_star.shape or h_masked.shape != h_star.shape:
+            raise ShapeMismatch(f"matrix shapes differ: target {h_star.shape}, full {h.shape}, "
+                                f"masked {h_masked.shape}")
+        h_star, h, h_masked = (ad.reshape(x, (-1,)) for x in (h_star, h, h_masked))
+        molecule = np.zeros(h_star.data.size, dtype=np.intp)
+        masked_at = np.arange(h_star.data.size)
+    if not h_star.shape == h.shape == molecule.shape or h_masked.shape != masked_at.shape:
+        raise ShapeMismatch(f"entry counts differ: target {h_star.shape}, full {h.shape}, "
+                            f"molecule ids {molecule.shape}, masked {h_masked.shape} "
+                            f"at {masked_at.shape} positions")
+    counts = np.bincount(molecule)
+    full_weight = np.ones(counts.size)
+    full_weight[molecule[masked_at]] = lambda2
 
-    def term(pred: Tensor) -> Tensor:
-        diff = pred - h_star
-        return ad.sum_(ad.abs_(diff) + ad.square(diff)) * (1.0 / n)
+    def term(pred: Tensor, target: Tensor, seg: np.ndarray, weight: np.ndarray) -> Tensor:
+        diff = pred - target
+        return ad.segment_sum((ad.abs_(diff) + ad.square(diff)) * constant(weight[seg]),
+                              seg, counts.size)
 
-    return lambda2 * term(h) + (1.0 - lambda2) * term(h_masked)
+    target_masked = ad.reshape(ad.gather_rows(ad.reshape(h_star, (-1, 1)), masked_at), (-1,))
+    return (term(h, h_star, molecule, full_weight / counts)
+            + term(h_masked, target_masked, molecule[masked_at], (1.0 - lambda2) / counts))
 
 
 # --- serialization: dimension + upper triangle, little-endian float64 ---

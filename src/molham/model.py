@@ -3,11 +3,19 @@
 The model owns plain float64 arrays; every forward pass wraps them as tape
 leaves (or constants, for frozen groups) so training steps stay functional:
 run forward, backward, update arrays, discard the tape.
+
+Training runs each step as one pass over the whole batch. Every molecule's
+integer structures (`MolStructure`) are built once; a step packs them into
+padded (B, n, d) atom rows (`pad` marks rows past each molecule's atoms)
+with concatenated pair lists, and every loss comes out per molecule. The
+single-molecule forms (`token_matrix`, `geom_matrix`, `hamiltonian_*`) are
+batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +28,8 @@ from .autodiff import Tape, Tensor, constant
 from .errors import VersionMismatch
 from .nn import Mlp
 from .smiles import ExpandedMol, Fragment, Token, expanded_fragments
+
+MASK_ID = enc.token_vocab_id(Token("mask", "", 0))
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,54 @@ class ModelConfig:
 
 
 _GENERATOR_HEADS = ("angles", "scales", "shear_p", "shear_w", "shift", "amp", "freq", "phase")
+
+
+@dataclass(frozen=True)
+class MolStructure:
+    """One molecule's integer structures, built once from its strings."""
+
+    tokens: tuple[np.ndarray, np.ndarray, np.ndarray]  # enc.token_sequence output
+    token_fragment: np.ndarray  # (L,) fragment of each atom token, -1 on other tokens
+    fragment_of: np.ndarray     # (n,) fragment of each expanded atom
+    n_fragments: int
+    value_index: np.ndarray | None  # hamhead._value_index of the layout, if one was given
+
+    @property
+    def elem_ids(self) -> np.ndarray:
+        return self.tokens[2]
+
+    @property
+    def n_atoms(self) -> int:
+        return self.elem_ids.size
+
+    def masked(self, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Token input with the atom tokens of dropped fragments (keep 0) masked,
+        as `smiles.mask_tokens` does."""
+        ids, pool, elems = self.tokens
+        drop = np.append(np.asarray(keep) == 0, False)[self.token_fragment]
+        return np.where(drop, MASK_ID, ids), pool, elems
+
+
+def mol_structure(tokens: list[Token], xmol: ExpandedMol, fragments: list[Fragment],
+                  lay: hh.BlockLayout | None = None) -> MolStructure:
+    """Structures of a molecule; the head's value index needs its layout."""
+    token_fragment = np.full(len(tokens), -1, dtype=np.intp)
+    for f in fragments:
+        for t in f.token_indices:
+            if tokens[t].kind in ("atom", "bracket"):
+                token_fragment[t] = f.fragment_id
+    fragment_of = np.empty(xmol.n_atoms, dtype=np.intp)
+    for fid, members in enumerate(expanded_fragments(xmol, fragments)):
+        fragment_of[list(members)] = fid
+    return MolStructure(enc.token_sequence(tokens, xmol.token_sets, xmol.elements),
+                        token_fragment, fragment_of, len(fragments),
+                        None if lay is None else hh._value_index(lay))
+
+
+def padding(n_atoms: Sequence[int]) -> np.ndarray:
+    """(B, n, 1) block marking with 1 the rows past each molecule's atom count."""
+    n_atoms = np.asarray(n_atoms)
+    return (np.arange(n_atoms.max())[None, :] >= n_atoms[:, None]).astype(np.float64)[:, :, None]
 
 
 def _head_width(name: str, d: int, n_shear: int) -> int:
@@ -168,48 +226,82 @@ class Model:
     # --- forward passes ---
 
     def token_matrix(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol) -> Tensor:
-        return enc.encode_tokens(tokens, list(xmol.token_sets), list(xmol.elements),
-                                 self.token_encoder(lv))
+        seq = enc.token_sequence(tokens, xmol.token_sets, xmol.elements)
+        t = enc.encode_tokens(enc.token_batch([seq]), self.token_encoder(lv))
+        return ad.reshape(t, t.shape[1:])
 
     def geom_matrix(self, lv: dict[str, Tensor], xmol: ExpandedMol, coords: np.ndarray) -> Tensor:
-        return enc.encode_geometry(list(xmol.elements), coords, self.geom_encoder(lv))
+        v = self._geometry(lv, [enc.element_ids(xmol.elements)], [coords])
+        return ad.reshape(v, v.shape[1:])
 
-    def pretrain_molecule(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol,
-                          fragments: list[Fragment], coords: np.ndarray,
-                          lambda1: float) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-        """Per-molecule discrepancy loss plus pooled fragment vector lists."""
-        t = self.token_matrix(lv, tokens, xmol)
-        v = self.geom_matrix(lv, xmol, coords)
-        if self.config.compensation:
-            v_plus, v_minus = comp.disentangle(v, t, self.disentangler(lv))
-            t_star = comp.compensate(t, v_minus, self.generator(lv))
-            loss_d = comp.discrepancy_loss(v, t_star, t, v_plus, lambda1)
-        else:
-            t_star = t
-            loss_d = ad.mean(ad.smooth_l1(v, t))  # direct alignment, no compensation
-        xfrags = expanded_fragments(xmol, fragments)
-        v_vecs, t_vecs = al.molecule_fragment_vectors(t_star, v, xfrags, self.aligner(lv))
-        return loss_d, v_vecs, t_vecs
+    def _geometry(self, lv: dict[str, Tensor], elem_ids: Sequence[np.ndarray],
+                  coords: Sequence[np.ndarray]) -> Tensor:
+        cfg = self.config
+        batch = enc.geom_batch(elem_ids, coords, cfg.cutoff, cfg.n_rbf)
+        return enc.encode_geometry(batch, self.geom_encoder(lv))
 
     def pretrain_batch_loss(self, lv: dict[str, Tensor], molecules: list[dict],
                             lambda1: float) -> tuple[Tensor, Tensor, Tensor]:
-        """(total, discrepancy part, contrastive part) over a molecule batch."""
-        d_losses = []
-        v_all: list[Tensor] = []
-        t_all: list[Tensor] = []
-        for m in molecules:
-            loss_d, v_vecs, t_vecs = self.pretrain_molecule(
-                lv, m["tokens"], m["xmol"], m["fragments"], m["coords"], lambda1)
-            d_losses.append(loss_d)
-            v_all.extend(v_vecs)
-            t_all.extend(t_vecs)
-        total_d = d_losses[0]
-        for term in d_losses[1:]:
-            total_d = total_d + term
-        total_d = total_d * (1.0 / len(d_losses))
-        contrast = al.contrastive_loss(al.stack_rows(v_all), al.stack_rows(t_all),
-                                       self.aligner(lv).tau, self.config.loss_form)
-        return total_d + contrast, total_d, contrast
+        """(total, per-molecule discrepancy terms (B,), contrastive part).
+
+        Each molecule is a dict with its "coords" and either its prebuilt
+        "structure" or its "tokens", "xmol" and "fragments". The total is the
+        mean discrepancy term plus the contrastive part.
+        """
+        structs = [m["structure"] if "structure" in m else
+                   mol_structure(m["tokens"], m["xmol"], m["fragments"]) for m in molecules]
+        pad = padding([s.n_atoms for s in structs])
+        t = enc.encode_tokens(enc.token_batch([s.tokens for s in structs]), self.token_encoder(lv))
+        v = self._geometry(lv, [s.elem_ids for s in structs], [m["coords"] for m in molecules])
+        if self.config.compensation:
+            v_plus, v_minus = comp.disentangle(v, t, self.disentangler(lv), pad)
+            t_star = comp.compensate(t, v_minus, self.generator(lv), pad)
+            d_terms = comp.discrepancy_loss(v, t_star, t, v_plus, lambda1, pad)
+        else:
+            t_star = t
+            d_terms = comp.mean_smooth_l1(v, t, pad)  # direct alignment, no compensation
+        plan = al.fragment_plan([s.fragment_of for s in structs],
+                                [s.n_fragments for s in structs], pad.shape[1])
+        v_vecs, t_vecs = al.molecule_fragment_vectors(t_star, v, plan, self.aligner(lv))
+        contrast = al.contrastive_loss(v_vecs, t_vecs, self.aligner(lv).tau, self.config.loss_form)
+        return ad.mean(d_terms) + contrast, d_terms, contrast
+
+    def finetune_batch_loss(self, lv: dict[str, Tensor], structs: Sequence[MolStructure],
+                            keeps: Sequence[Sequence[int]], targets: Sequence[np.ndarray],
+                            lambda2: float, coords: Sequence[np.ndarray] | None = None) -> Tensor:
+        """Per-molecule fine-tuning losses (B,).
+
+        The B full strings and the masked strings that differ from them run
+        as one stack of sequences; a molecule whose mask keeps every atom
+        token has no masked branch (see `hamhead.finetune_loss`). With
+        `coords` (fusion) each molecule's geometry rows are added to all of
+        its branches.
+        """
+        masked = [s.masked(k) for s, k in zip(structs, keeps)]
+        branch = [b for b, (s, m) in enumerate(zip(structs, masked))
+                  if not np.array_equal(m[0], s.tokens[0])]
+        rows = list(range(len(structs))) + branch  # the molecule of each sequence
+        t = enc.encode_tokens(enc.token_batch([s.tokens for s in structs] +
+                                              [masked[b] for b in branch]),
+                              self.token_encoder(lv))
+        if coords is not None:
+            v = self._geometry(lv, [s.elem_ids for s in structs], coords)
+            v = ad.gather_rows(ad.reshape(v, (len(structs), -1)), rows)
+            t = hh.fuse_modalities(t, ad.reshape(v, t.shape))
+        plan = hh.head_plan([structs[b].value_index for b in rows],
+                            [structs[b].n_atoms for b in rows], t.shape[1])
+        entries = ad.reshape(hh.predict_hamiltonian(t, plan, self.head(lv)), (-1, 1))
+
+        sizes = [structs[b].value_index.size for b in rows]
+        starts = np.cumsum([0] + sizes)
+        n_full = starts[len(structs)]
+        full, rest = (ad.reshape(ad.gather_rows(entries, idx), (-1,))
+                      for idx in (np.arange(n_full), np.arange(n_full, starts[-1])))
+        positions = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in branch]
+                                   + [np.zeros(0, dtype=np.intp)])
+        h_star = constant(np.concatenate([np.asarray(h).reshape(-1) for h in targets]))
+        return hh.finetune_loss(h_star, full, rest, lambda2,
+                                np.repeat(np.arange(len(structs)), sizes[:len(structs)]), positions)
 
     def hamiltonian_from_tokens(self, lv: dict[str, Tensor], tokens: list[Token],
                                 xmol: ExpandedMol, lay: hh.BlockLayout) -> Tensor:

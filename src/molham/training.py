@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open, atomic_write_text
-from .autodiff import Tape, constant
+from . import autodiff as ad
+from .autodiff import Tape
 from .dataset import Dataset, DatasetRecord
 from .errors import CorruptFile, TrainingAborted, VersionMismatch
-from .hamhead import BlockLayout, finetune_loss, layout
-from .model import Model, ModelConfig, check_compatible
-from .smiles import expand_hydrogens, fragment, mask_tokens, parse_smiles, tokenize
+from .hamhead import BlockLayout, layout
+from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
+from .smiles import expand_hydrogens, fragment, parse_smiles, tokenize
 from .spectral import mae_blocks, mae_energies, orbital_similarity, solve_gev
 
 CHECKPOINT_VERSION = 1
@@ -105,6 +106,7 @@ class Prepared:
     xmol: object
     fragments: list
     lay: BlockLayout
+    structure: MolStructure
 
 
 def prepare(dataset: Dataset) -> list[Prepared]:
@@ -113,7 +115,10 @@ def prepare(dataset: Dataset) -> list[Prepared]:
         tokens = tokenize(rec.smiles)
         mol = parse_smiles(rec.smiles)
         xmol = expand_hydrogens(mol)
-        out.append(Prepared(rec, tokens, xmol, fragment(mol), layout(xmol.elements)))
+        fragments = fragment(mol)
+        lay = layout(xmol.elements)
+        out.append(Prepared(rec, tokens, xmol, fragments, lay,
+                            mol_structure(tokens, xmol, fragments, lay)))
     return out
 
 
@@ -142,10 +147,14 @@ def _batches(order: np.ndarray, size: int) -> list[list[int]]:
     return [list(map(int, order[i:i + size])) for i in range(0, len(order), size)]
 
 
-def _check_finite(value: float, what: str, index: int | None) -> None:
-    if not np.isfinite(value):
-        raise TrainingAborted(f"non-finite {what}" +
-                              (f" at record {index}" if index is not None else ""), index)
+def _check_finite(terms: np.ndarray, what: str, batch: list[int]) -> None:
+    """Raise TrainingAborted naming the first record whose loss term is not
+    finite; a non-finite term shared by the whole batch names its first record."""
+    if np.isfinite(terms).all():
+        return
+    bad = np.flatnonzero(~np.isfinite(terms))
+    index = batch[int(bad[0])] if bad.size else batch[0]
+    raise TrainingAborted(f"non-finite {what} at record {index}", index)
 
 
 def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
@@ -161,16 +170,15 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape)
-            molecules = [{"tokens": prepared[i].tokens, "xmol": prepared[i].xmol,
-                          "fragments": prepared[i].fragments, "coords": coords[i]}
-                         for i in batch]
-            total, part_d, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
-            _check_finite(total.item(), "pre-training loss", batch[0])
+            molecules = [{"structure": prepared[i].structure, "coords": coords[i]} for i in batch]
+            total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
+            _check_finite(d_terms.data, "pre-training loss", batch)
+            _check_finite(total.data, "pre-training loss", batch)
             tape.backward(total)
             opt.step(model.params, model.grads(tape, leaves))
             rows.append(TraceRow(step, epoch, {
                 "loss_total": total.item(),
-                "loss_discrepancy": part_d.item(),
+                "loss_discrepancy": float(d_terms.data.mean()),
                 "loss_contrastive": part_l.item(),
             }))
             step += 1
@@ -205,20 +213,12 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape, frozen_prefixes=frozen)
-            total = None
-            for i in batch:
-                p = prepared[i]
-                masked = mask_tokens(p.tokens, p.fragments, masks[i])
-                if config.fusion:
-                    h_full = model.hamiltonian_fused(leaves, p.tokens, p.xmol, p.lay, coords[i])
-                    h_mask = model.hamiltonian_fused(leaves, masked, p.xmol, p.lay, coords[i])
-                else:
-                    h_full = model.hamiltonian_from_tokens(leaves, p.tokens, p.xmol, p.lay)
-                    h_mask = model.hamiltonian_from_tokens(leaves, masked, p.xmol, p.lay)
-                term = finetune_loss(constant(targets[i]), h_full, h_mask, config.lambda2)
-                _check_finite(term.item(), "fine-tuning loss", i)
-                total = term if total is None else total + term
-            total = total * (1.0 / len(batch))
+            terms = model.finetune_batch_loss(
+                leaves, [prepared[i].structure for i in batch], [masks[i] for i in batch],
+                [targets[i] for i in batch], config.lambda2,
+                [coords[i] for i in batch] if config.fusion else None)
+            _check_finite(terms.data, "fine-tuning loss", batch)
+            total = ad.mean(terms)
             tape.backward(total)
             opt.step(model.params, model.grads(tape, leaves))
             rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))

@@ -6,8 +6,10 @@ graph theory, a shifted QR iteration for spectra, a Jacobi solver that applies
 each round as one dense n x n congruence, a spring descent that sums
 explicit difference vectors pair by pair, a rotation chain recorded as one
 dense plane matrix per angle, a geometry encoder that tiles and pools pair
-messages with dense n^2 x n matrices, and a Hamiltonian value index built
-entry by entry.
+messages with dense n^2 x n matrices, a Hamiltonian value index built
+entry by entry, and both training losses run one molecule at a time
+(`pretrain_loss_per_molecule`, `finetune_loss_per_molecule`), with the
+model's forward arithmetic written out on unpadded rank-2 rows.
 """
 
 from __future__ import annotations
@@ -287,3 +289,164 @@ def value_index_loops(lay):
                 for oj in range(cnt_b):
                     index[off_a + oi, off_b + oj] = row * HEAD_VALUES + cols[oi, oj]
     return index
+
+
+# --- the training forward, one molecule at a time ---
+
+def segment_embeddings(emb, fragments):
+    """Each fragment's member-atom rows, in ascending atom order."""
+    from molham import autodiff as ad
+    from molham.errors import IndexOutOfRange
+
+    n = emb.shape[0]
+    out = []
+    for fid, members in enumerate(fragments):
+        ordered = sorted(members)
+        for a in ordered:
+            if not 0 <= a < n:
+                raise IndexOutOfRange(f"fragment {fid} references atom {a} of {n}")
+        out.append(ad.gather_rows(emb, np.asarray(ordered, dtype=np.intp)))
+    return out
+
+
+def _mlp(x, p):
+    from molham import autodiff as ad
+
+    return ad.tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2
+
+
+def _unit_rows(x):
+    from molham import autodiff as ad
+
+    return x / ad.sqrt(ad.sum_(ad.square(x), axis=1, keepdims=True))
+
+
+def token_rows_per_molecule(tokens, xmol, params):
+    """(n, d) token-encoder rows of one molecule."""
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+    from molham.encoders import element_id, sinusoidal_positions, token_vocab_id
+
+    d = params.width
+    ids = np.asarray([token_vocab_id(t) for t in tokens], dtype=np.intp)
+    x = ad.gather_rows(params.embed, ids) + constant(sinusoidal_positions(len(tokens), d))
+    for block in params.blocks:
+        q, k, v = x @ block["wq"], x @ block["wk"], x @ block["wv"]
+        x = x + ad.row_softmax((q @ ad.transpose(k)) * (1.0 / np.sqrt(d))) @ v
+        x = x + ad.tanh(x @ block["wf"]) @ block["wg"]
+    pool = np.zeros((xmol.n_atoms, len(tokens)))
+    for row, members in enumerate(xmol.token_sets):
+        pool[row, list(members)] = 1.0 / len(members)
+    elems = np.asarray([element_id(e) for e in xmol.elements], dtype=np.intp)
+    return constant(pool) @ x + ad.gather_rows(params.atom_refine, elems)
+
+
+def compensate_per_molecule(v, t, dis, gen):
+    """(v_plus, t_star) of one molecule from its (n, d) rows."""
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+    from molham.nn import SOFTPLUS_INV_ONE
+
+    n, d = v.shape
+    beta = ad.row_softmax(_unit_rows(_mlp(v, dis.u)) @ ad.transpose(_unit_rows(_mlp(t, dis.t))))
+    v_plus = beta @ _mlp(v, dis.v_plus)
+    v_minus = (constant(np.eye(n)) - beta) @ _mlp(v, dis.v_minus)
+
+    hidden = ad.tanh(ad.mean(v_minus, axis=0, keepdims=True) @ gen.w_hidden + gen.b_hidden)
+
+    def head(name):
+        w, b = gen.heads[name]
+        return hidden @ w + b
+
+    rot = rotation_chain_recorded(head("angles"), d)
+    scale = constant(np.eye(d)) * ad.softplus(head("scales") + SOFTPLUS_INV_ONE)
+    shear = constant(np.eye(d)) + (ad.transpose(ad.reshape(head("shear_p"), (gen.n_shear, d)))
+                                   @ ad.reshape(head("shear_w"), (gen.n_shear, d)))
+    affine = rot @ scale @ shear
+    deform = head("amp") * ad.sin(t * (head("freq") + 1.0) + head("phase"))
+    return v_plus, t @ ad.transpose(affine) + head("shift") + deform
+
+
+def fragment_vectors_per_molecule(t_star, v, fragments, params):
+    """Per fragment: (mean geometric row, token-conditioned attention pool)."""
+    from molham import autodiff as ad
+
+    d = v.shape[1]
+    v_out, t_out = [], []
+    for tp, vp in zip(segment_embeddings(t_star, fragments), segment_embeddings(v, fragments)):
+        v_out.append(ad.mean(vp, axis=0, keepdims=True))
+        scores = (tp @ params.wq) @ ad.transpose(vp @ params.wk) * (1.0 / np.sqrt(d))
+        mixed = ad.row_softmax(scores) @ (vp @ params.wv)
+        t_out.append(ad.mean(mixed, axis=0, keepdims=True))
+    return v_out, t_out
+
+
+def pretrain_loss_per_molecule(model, lv, molecules, lambda1):
+    """(total, per-molecule discrepancy terms, contrastive part), one forward per molecule."""
+    from molham import autodiff as ad
+    from molham.alignment import contrastive_loss
+    from molham.smiles import expanded_fragments
+
+    d_terms, v_all, t_all = [], [], []
+    for m in molecules:
+        t = token_rows_per_molecule(m["tokens"], m["xmol"], model.token_encoder(lv))
+        v = encode_geometry_dense(list(m["xmol"].elements), m["coords"], model.geom_encoder(lv))
+        if model.config.compensation:
+            v_plus, t_star = compensate_per_molecule(v, t, model.disentangler(lv),
+                                                     model.generator(lv))
+            d_terms.append(ad.mean(ad.smooth_l1(v, t_star))
+                           + lambda1 * ad.mean(ad.smooth_l1(t, v_plus)))
+        else:
+            t_star = t
+            d_terms.append(ad.mean(ad.smooth_l1(v, t)))
+        vs, ts = fragment_vectors_per_molecule(
+            t_star, v, expanded_fragments(m["xmol"], m["fragments"]), model.aligner(lv))
+        v_all += vs
+        t_all += ts
+    total_d = d_terms[0]
+    for term in d_terms[1:]:
+        total_d = total_d + term
+    total_d = total_d * (1.0 / len(d_terms))
+    contrast = contrastive_loss(ad.concat_rows(v_all), ad.concat_rows(t_all),
+                                model.aligner(lv).tau, model.config.loss_form)
+    return total_d + contrast, d_terms, contrast
+
+
+def hamiltonian_per_molecule(emb, lay, params):
+    """One molecule's matrix through the entry-by-entry value index."""
+    from molham import autodiff as ad
+
+    rows = [_mlp(emb, params.diag)]
+    if lay.n_atoms > 1:
+        i, j = np.triu_indices(lay.n_atoms, 1)
+        rows.append(params.pair(ad.gather_rows(emb, i), ad.gather_rows(emb, j)))
+    index = value_index_loops(lay)
+    table = ad.reshape(ad.concat_rows(rows), (-1, 1))
+    return ad.reshape(ad.gather_rows(table, index), index.shape)
+
+
+def finetune_loss_per_molecule(model, lv, molecules, lambda2):
+    """(batch loss, per-molecule losses): two forwards per molecule, summed.
+
+    Each molecule is a dict with "tokens", "masked" (its masked token list),
+    "xmol", "lay", "target" and, for fusion, "coords".
+    """
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+
+    terms = []
+    for m in molecules:
+        target = constant(m["target"])
+        branch = []
+        for tokens in (m["tokens"], m["masked"]):
+            emb = token_rows_per_molecule(tokens, m["xmol"], model.token_encoder(lv))
+            if "coords" in m:
+                emb = emb + encode_geometry_dense(list(m["xmol"].elements), m["coords"],
+                                                  model.geom_encoder(lv))
+            diff = hamiltonian_per_molecule(emb, m["lay"], model.head(lv)) - target
+            branch.append(ad.sum_(ad.abs_(diff) + ad.square(diff)) * (1.0 / target.data.size))
+        terms.append(lambda2 * branch[0] + (1.0 - lambda2) * branch[1])
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total * (1.0 / len(terms)), terms

@@ -9,18 +9,12 @@ import pytest
 
 import molham.autodiff as ad
 from molham.autodiff import constant, grad_check
-from molham.alignment import (
-    AlignmentParams,
-    contextual_pool,
-    contrastive_loss,
-    molecule_fragment_vectors,
-    segment_embeddings,
-    stack_rows,
-)
+from _oracles import pretrain_loss_per_molecule, segment_embeddings
+from molham.alignment import AlignmentParams, contextual_pool, contrastive_loss
 from molham.errors import EmptyBatch, IndexOutOfRange, ShapeMismatch
 from molham.model import Model, ModelConfig
 from molham.oracle import embed_3d
-from molham.smiles import expand_hydrogens, expanded_fragments, fragment, parse_smiles, tokenize
+from molham.smiles import expand_hydrogens, fragment, parse_smiles, tokenize
 
 RNG = np.random.default_rng(77)
 D = 8
@@ -41,12 +35,12 @@ class TestSegment:
         emb = constant(RNG.standard_normal((4, D)))
         parts = segment_embeddings(emb, [(0, 1, 2, 3)])
         assert len(parts) == 1
-        assert np.array_equal(parts[0].rows.data, emb.data)
+        assert np.array_equal(parts[0].data, emb.data)
 
     def test_partition_recovers_rows(self):
         emb = constant(RNG.standard_normal((5, D)))
         parts = segment_embeddings(emb, [(0, 1), (2, 3, 4)])
-        rebuilt = np.vstack([p.rows.data for p in parts])
+        rebuilt = np.vstack([p.data for p in parts])
         assert np.array_equal(rebuilt, emb.data)
 
     def test_rows_follow_fragment_atom_sets(self):
@@ -55,7 +49,7 @@ class TestSegment:
         emb = constant(RNG.standard_normal((mol.n_atoms, D)))
         parts = segment_embeddings(emb, [f.atoms for f in frags])
         for f, p in zip(frags, parts):
-            assert np.array_equal(p.rows.data, emb.data[list(f.atoms)])
+            assert np.array_equal(p.data, emb.data[list(f.atoms)])
 
     def test_out_of_range_rejected(self):
         emb = constant(RNG.standard_normal((3, D)))
@@ -185,30 +179,15 @@ class TestPretrainLossComposition:
         model = Model.init(cfg, seed=2)
         lv = model.leaves(None)
         mols = [self._molecule("CCOCC", 1), self._molecule("CCO", 2)]
-        total, part_d, part_l = model.pretrain_batch_loss(lv, mols, 0.5)
-        assert total.item() == pytest.approx(part_d.item() + part_l.item(), abs=1e-14)
+        total, d_terms, part_l = model.pretrain_batch_loss(lv, mols, 0.5)
+        assert total.item() == pytest.approx(d_terms.data.mean() + part_l.item(), abs=1e-14)
 
-        # discrepancy part is the mean of per-molecule terms
-        d_terms = [model.pretrain_molecule(lv, m["tokens"], m["xmol"], m["fragments"],
-                                           m["coords"], 0.5)[0].item()
-                   for m in mols]
-        assert part_d.item() == pytest.approx(np.mean(d_terms), abs=1e-14)
-
-        # contrastive part recomputed from the stacked fragment vectors
-        v_all, t_all = [], []
-        for m in mols:
-            xfrags = expanded_fragments(m["xmol"], m["fragments"])
-            t_emb = model.token_matrix(lv, m["tokens"], m["xmol"])
-            v_emb = model.geom_matrix(lv, m["xmol"], m["coords"])
-            from molham.compensation import compensate, disentangle
-            v_plus, v_minus = disentangle(v_emb, t_emb, model.disentangler(lv))
-            t_star = compensate(t_emb, v_minus, model.generator(lv))
-            vs, ts = molecule_fragment_vectors(t_star, v_emb, xfrags, model.aligner(lv))
-            v_all.extend(vs)
-            t_all.extend(ts)
-        again = contrastive_loss(stack_rows(v_all), stack_rows(t_all),
-                                 model.aligner(lv).tau, "log_sigmoid")
-        assert part_l.item() == pytest.approx(again.item(), abs=1e-12)
+        # one discrepancy term per molecule, as the one-molecule-at-a-time
+        # reference computes them, and the contrastive part recomputed from
+        # the reference's stacked fragment vectors
+        _, ref_terms, ref_contrast = pretrain_loss_per_molecule(model, lv, mols, 0.5)
+        assert d_terms.data == pytest.approx([t.item() for t in ref_terms], abs=1e-14)
+        assert part_l.item() == pytest.approx(ref_contrast.item(), abs=1e-12)
 
     def test_single_fragment_molecule_single_positive_pair(self):
         cfg = ModelConfig(width=D, token_layers=1, geom_rounds=1, n_rbf=4, n_shear=2,

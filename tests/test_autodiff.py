@@ -99,6 +99,38 @@ def test_matmul_shape_errors():
         ad.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
     with pytest.raises(ShapeMismatch):
         ad.matmul(constant(np.ones(3)), constant(np.ones((3, 2))))
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(constant(np.ones((4, 2, 3))), constant(np.ones(3)))
+    with pytest.raises(ShapeMismatch):  # rank-3 inner dims
+        ad.matmul(constant(np.ones((4, 2, 3))), constant(np.ones((4, 2, 3))))
+    with pytest.raises(ShapeMismatch):  # shared weight inner dims
+        ad.matmul(constant(np.ones((4, 2, 3))), constant(np.ones((2, 3))))
+    with pytest.raises(ShapeMismatch):  # batch sizes
+        ad.matmul(constant(np.ones((4, 2, 3))), constant(np.ones((5, 3, 2))))
+    with pytest.raises(ShapeMismatch):  # a rank-3 right operand needs a rank-3 left one
+        ad.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 3, 2))))
+
+
+def test_rank3_matmul_matches_per_entry_products():
+    x = RNG.standard_normal((4, 2, 3))
+    y = RNG.standard_normal((4, 3, 5))
+    w = RNG.standard_normal((3, 5))
+    batched = ad.matmul(constant(x), constant(y)).data
+    shared = ad.matmul(constant(x), constant(w)).data
+    for b in range(4):
+        assert np.allclose(batched[b], x[b] @ y[b], rtol=0, atol=1e-14)
+        assert np.allclose(shared[b], x[b] @ w, rtol=0, atol=1e-14)
+    assert np.array_equal(ad.transpose(constant(x)).data, np.swapaxes(x, 1, 2))
+
+
+def test_segment_sum_values_and_errors():
+    x = RNG.standard_normal((5, 2))
+    out = ad.segment_sum(constant(x), np.array([3, 0, 3, 1, 0]), 4).data
+    assert np.array_equal(out, np.vstack([x[1] + x[4], x[3], np.zeros(2), x[0] + x[2]]))
+    with pytest.raises(ShapeMismatch):
+        ad.segment_sum(constant(x), np.array([0, 1]), 2)
+    with pytest.raises(ShapeMismatch):
+        ad.segment_sum(constant(x), np.array([0, 1, 2, 3, 4]), 4)
 
 
 def test_gather_and_concat():
@@ -126,6 +158,15 @@ _IDX = np.array([2, 0, 1, 2], dtype=np.intp)
 _IDX2 = np.array([[0, 2, 2], [2, 1, 0]], dtype=np.intp)  # a 2-D index, as the head uses
 _W234 = np.cos(np.arange(24.0)).reshape(2, 3, 4)
 _W13 = np.cos(np.arange(169.0)).reshape(13, 13)  # fixed weights for the 13 x 13 rotation
+_W355 = np.cos(np.arange(75.0)).reshape(3, 5, 5)  # for three 5 x 5 rotations
+_W232 = np.sin(np.arange(12.0)).reshape(2, 3, 2)
+_W223 = np.sin(np.arange(12.0)).reshape(2, 2, 3)
+_W254 = np.cos(np.arange(40.0)).reshape(2, 5, 4)
+_B224 = np.cos(np.arange(16.0)).reshape(2, 2, 4)
+_B243 = np.sin(np.arange(24.0)).reshape(2, 4, 3)
+_A253 = np.cos(np.arange(30.0)).reshape(2, 5, 3)
+_C24 = np.sin(np.arange(8.0)).reshape(2, 4)
+_SEG = np.array([2, 0, 2], dtype=np.intp)  # three rows into four segments, two left empty
 
 PRIMITIVES = {
     "add": lambda x: ad.sum_(x + constant(_C34)),
@@ -155,7 +196,21 @@ PRIMITIVES = {
     "smooth_l1": lambda x: ad.sum_(ad.smooth_l1(x, constant(_C34))),
     "gather_rows": lambda x: ad.sum_(ad.gather_rows(x, _IDX) * constant(_C44[_IDX])),
     "gather_rows_2d": lambda x: ad.sum_(ad.gather_rows(x, _IDX2) * constant(_W234)),
-    "plane_rotation_chain": lambda x: ad.sum_(ad.plane_rotation_chain(x) * constant(_W13)),
+    "plane_rotation_chain": lambda x: ad.sum_(ad.plane_rotation_chain(ad.reshape(x, (1, 12)))
+                                              * constant(_W13)),
+    "plane_rotation_chain_batched": lambda x: ad.sum_(ad.plane_rotation_chain(x)
+                                                      * constant(_W355)),
+    # rank-3 @ rank-3, x on either side; rank-3 @ shared rank-2 weight, x on either side
+    "matmul_batched": lambda x: ad.sum_((ad.reshape(x, (2, 3, 2)) @ constant(_B224))
+                                        * constant(_W254[:, :3])),
+    "matmul_batched_right": lambda x: ad.sum_((constant(_B243) @ ad.reshape(x, (2, 3, 2)))
+                                              * constant(_W254[:, :4, :2])),
+    "matmul_shared_weight": lambda x: ad.sum_((constant(_A253) @ x) * constant(_W254)),
+    "matmul_shared_rows": lambda x: ad.sum_((ad.reshape(x, (2, 3, 2)) @ constant(_C24))
+                                            * constant(_W254[:, :3])),
+    "transpose_batched": lambda x: ad.sum_(ad.transpose(ad.reshape(x, (2, 3, 2)))
+                                           * constant(_W223)),
+    "segment_sum": lambda x: ad.sum_(ad.segment_sum(x, _SEG, 4) * constant(_C44)),
 }
 _C44 = RNG.standard_normal((4, 4))
 

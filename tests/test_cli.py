@@ -15,7 +15,7 @@ from molham.cli import main
 from molham.corpus import build_corpus
 from molham.model import ModelConfig
 from molham.smiles import parse_smiles
-from molham.training import TrainConfig
+from molham.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +243,18 @@ class TestCorruptInputs:
         assert main(["finetune", "--data", str(bad), "--out", str(tmp_path / "ft"),
                      "--epochs", "1", "--seed", "1"] + MODEL_FLAGS) == 2
         assert "h_upper" in capsys.readouterr().err
+
+    def test_nan_weight_aborts_finetune_with_exit_two(self, tmp_path, pipeline, capsys):
+        data, ckpt = pipeline
+        model, train_cfg, rng_state = load_checkpoint(ckpt)
+        model.params["head.diag.b2"][:] = np.nan
+        bad = tmp_path / "nan.mh"
+        save_checkpoint(bad, model, None, None)
+        with np.errstate(invalid="ignore"):
+            code = main(["finetune", "--data", str(data), "--out", str(tmp_path / "ft"),
+                         "--init", str(bad), "--epochs", "1", "--seed", "1"] + MODEL_FLAGS)
+        assert code == 2
+        assert "non-finite fine-tuning loss at record" in capsys.readouterr().err
 
 
 class TestCoordinateAudit:

@@ -162,11 +162,16 @@ class TestRotation:
             assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, d
 
     def test_records_one_tape_node(self):
-        tape = Tape()
-        angles = tape.leaf(np.full((1, D - 1), 0.3))
-        before = len(tape)
-        build_rotation(angles, D)
-        assert len(tape) == before + 1
+        # one plane_rotation_chain node plus one reshape, at any width and batch
+        # size: (1, d-1) angles reshape the (1, d, d) output to (d, d), and
+        # (B, 1, d-1) angles reshape to the chain's (B, d-1) input
+        for shape in ((1, D - 1), (1, 31), (5, 1, D - 1)):
+            tape = Tape()
+            angles = tape.leaf(np.full(shape, 0.3))
+            before = len(tape)
+            r = build_rotation(angles, shape[-1] + 1)
+            assert len(tape) == before + 2
+            assert r.shape == shape[:-2] + (shape[-1] + 1, shape[-1] + 1)
 
 
 class TestAffine:

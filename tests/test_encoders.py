@@ -11,9 +11,13 @@ from molham.autodiff import Tape
 from molham.encoders import (
     VOCAB,
     cutoff_envelope,
+    element_ids,
     encode_geometry,
     encode_tokens,
+    geom_batch,
     radial_basis,
+    token_batch,
+    token_sequence,
     token_vocab_id,
 )
 from molham.errors import NonFiniteCoordinate, UnknownTokenKind
@@ -38,6 +42,19 @@ def _token_params(model, layers=None):
     return params
 
 
+def _tokens_one(tokens, token_sets, elements, params):
+    """encode_tokens on a batch of one molecule, as (n, d) rows."""
+    rows = encode_tokens(token_batch([token_sequence(tokens, token_sets, elements)]), params)
+    return ad.reshape(rows, rows.shape[1:])
+
+
+def _geometry_one(elements, coords, params):
+    """encode_geometry on a batch of one molecule, as (n, d) rows."""
+    batch = geom_batch([element_ids(elements)], [coords], params.cutoff, params.n_rbf)
+    rows = encode_geometry(batch, params)
+    return ad.reshape(rows, rows.shape[1:])
+
+
 def _encode(model, smiles, layers=None, masked_keep=None):
     tokens = tokenize(smiles)
     mol = parse_smiles(smiles)
@@ -45,7 +62,7 @@ def _encode(model, smiles, layers=None, masked_keep=None):
     if masked_keep is not None:
         tokens = mask_tokens(tokens, fragment(mol), masked_keep)
     params = _token_params(model, layers)
-    return encode_tokens(tokens, list(xmol.token_sets), list(xmol.elements), params), xmol
+    return _tokens_one(tokens, list(xmol.token_sets), list(xmol.elements), params), xmol
 
 
 class TestVocabulary:
@@ -115,7 +132,7 @@ class TestTokenEncoder:
 
 class TestGeometryEncoder:
     def _geom(self, model, elements, coords):
-        return encode_geometry(elements, coords, model.geom_encoder(model.leaves(None)))
+        return _geometry_one(elements, coords, model.geom_encoder(model.leaves(None)))
 
     def test_shape(self, model):
         coords = RNG.standard_normal((4, 3))
@@ -184,7 +201,7 @@ class TestGeometryEncoder:
             elements = list(xmol.elements)
             weights = ad.constant(rng.standard_normal((xmol.n_atoms, CFG.width)))
             values, grads = [], []
-            for encode in (encode_geometry, encode_geometry_dense):
+            for encode in (_geometry_one, encode_geometry_dense):
                 tape = Tape()
                 lv = model.leaves(tape)
                 h = encode(elements, coords, model.geom_encoder(lv))
@@ -209,8 +226,8 @@ class TestTokenEquivariance:
         tokens = tokenize("CCO")
         xmol = expand_hydrogens(parse_smiles("CCO"))
         params = _token_params(model)
-        base = encode_tokens(tokens, list(xmol.token_sets), list(xmol.elements), params).data
+        base = _tokens_one(tokens, list(xmol.token_sets), list(xmol.elements), params).data
         perm = list(reversed(range(xmol.n_atoms)))
-        permuted = encode_tokens(tokens, [xmol.token_sets[i] for i in perm],
-                                 [xmol.elements[i] for i in perm], params).data
+        permuted = _tokens_one(tokens, [xmol.token_sets[i] for i in perm],
+                               [xmol.elements[i] for i in perm], params).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-12
