@@ -69,25 +69,18 @@ def fragment_plan(fragment_of: Sequence[np.ndarray], n_fragments: Sequence[int],
 
 
 def contextual_pool(t_frag: Tensor, v_frag: Tensor, params: AlignmentParams,
-                    plan: FragmentPlan | None = None) -> Tensor:
-    """Token-conditioned attention pooling.
-
-    Without a plan, (m, d) rows of one fragment reduce to one (1, d) row.
-    With a plan, every row of the (B, n, d) block attends within its own
-    fragment and each fragment's rows are averaged: (B, f, d).
-    """
+                    plan: FragmentPlan) -> Tensor:
+    """Token-conditioned attention pooling: every row of the (B, n, d) block
+    attends within its own fragment and each fragment's rows are averaged,
+    giving (B, f, d)."""
     d = params.wq.data.shape[0]
     if t_frag.shape[-1] != d or v_frag.shape[-1] != d:
         raise ShapeMismatch(
             f"fragment width mismatch: {t_frag.shape}, {v_frag.shape} vs weights of width {d}")
     q = t_frag @ params.wq
     k = v_frag @ params.wk
-    scores = (q @ ad.transpose(k)) * (1.0 / np.sqrt(d))
-    if plan is not None:
-        scores = scores + constant(plan.key_bias)
+    scores = (q @ ad.transpose(k)) * (1.0 / np.sqrt(d)) + constant(plan.key_bias)
     mixed = ad.row_softmax(scores) @ (v_frag @ params.wv)
-    if plan is None:
-        return ad.mean(mixed, axis=0, keepdims=True)
     return constant(plan.pool) @ mixed
 
 

@@ -300,22 +300,10 @@ def sin(a) -> Tensor:
     return _unary(a, np.sin(x), lambda: np.cos(x))
 
 
-def cos(a) -> Tensor:
-    a = constant(a)
-    x = a.data
-    return _unary(a, np.cos(x), lambda: -np.sin(x))
-
-
 def exp(a) -> Tensor:
     a = constant(a)
     out = np.exp(a.data)
     return _unary(a, out, lambda: out)
-
-
-def log(a) -> Tensor:
-    a = constant(a)
-    x = a.data
-    return _unary(a, np.log(x), lambda: 1.0 / x)
 
 
 def sqrt(a) -> Tensor:

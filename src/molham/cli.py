@@ -64,16 +64,33 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, inputs: dict[st
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text())
+    try:
+        config = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"config file {path} is not JSON: {err}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} holds a JSON {type(config).__name__}, not an object")
+    return config
 
 
-def _merge(defaults: dict, config_file: dict, args: argparse.Namespace, keys: list[str]) -> dict:
-    """defaults < config file < explicit flags."""
+def _check_kind(key: str, value, kind: type) -> None:
+    """Reject a config-file value of the wrong JSON type; a float key takes an integer."""
+    kinds = (int, float) if kind is float else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _merge(defaults: dict, config_file: dict, args: argparse.Namespace,
+           kinds: dict[str, type]) -> dict:
+    """defaults < config file < explicit flags, for the keys of `defaults`. A
+    config-file value must have its key's kind, or be null where the default is."""
     out = dict(defaults)
-    for k in keys:
+    for k in defaults:
         if k in config_file:
+            if config_file[k] is not None or defaults[k] is not None:
+                _check_kind(k, config_file[k], kinds[k])
             out[k] = config_file[k]
-    for k in keys:
+    for k in defaults:
         v = getattr(args, k.replace("-", "_"), None)
         if v is not None:
             out[k] = v
@@ -86,6 +103,9 @@ _MODEL_DEFAULTS = {k: getattr(ModelConfig(), k) for k in _MODEL_KEYS}
 _TRAIN_KEYS = ["epochs", "batch_size", "lr", "lambda1", "lambda2", "mask_keep_prob",
                "seed", "fusion", "encoder_lr_scale"]
 _TRAIN_DEFAULTS = {k: getattr(TrainConfig(), k) for k in _TRAIN_KEYS}
+_TRAIN_KINDS = {k: type(v) for k, v in {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}.items()}
+_GEN_KINDS = {"split": str, "seed": int, "train_fraction": float, "limit": int,
+              "max_heavy_atoms": int, "corpus": str}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -189,9 +209,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg_file = _load_config_file(args.config)
     resolved = _merge({"split": "random-id", "seed": 0, "train_fraction": 0.8,
                        "limit": None, "max_heavy_atoms": None, "corpus": None},
-                      cfg_file, args,
-                      ["split", "seed", "train_fraction", "limit", "max_heavy_atoms",
-                       "corpus"])
+                      cfg_file, args, _GEN_KINDS)
     inputs = {}
     if resolved["corpus"]:
         corpus = [line.strip() for line in Path(resolved["corpus"]).read_text().splitlines()
@@ -217,8 +235,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _train_common(args: argparse.Namespace, stage: str) -> int:
     cfg_file = _load_config_file(args.config)
-    resolved = _merge({**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, cfg_file, args,
-                      _MODEL_KEYS + _TRAIN_KEYS)
+    resolved = _merge({**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, cfg_file, args, _TRAIN_KINDS)
     out = Path(args.out)
     data_dir = Path(args.data)
     train_set, _, _ = load_split(data_dir)

@@ -6,11 +6,10 @@ per-molecule learnable affine map (plane-rotation chain, diagonal scaling,
 rank-K shear, translation) plus a sinusoidal perturbation that turns token
 embeddings into geometry-aware token embeddings.
 
-Every function takes one molecule's (n, d) rows or a padded batch's
-(B, n, d) rows. A batch passes `pad`, (B, n, 1) with 1 on padding rows:
-attention hides padding keys, and per-molecule means and losses weigh the
-real rows only. Per-molecule transform parameters carry the same leading
-axis: (1, k) rows for one molecule, (B, 1, k) for a batch.
+Every function takes a padded batch's (B, n, d) rows and its `pad`,
+(B, n, 1) with 1 on padding rows: attention hides padding keys, and
+per-molecule means and losses weigh the real rows only. Per-molecule
+transform parameters carry the batch axis: (B, 1, k) rows, (B, K, d) shears.
 """
 
 from __future__ import annotations
@@ -34,18 +33,16 @@ class DisentangleParams:
 
 
 def attention_matrix(v: Tensor, t: Tensor, params: DisentangleParams,
-                     pad: np.ndarray | None = None) -> Tensor:
+                     pad: np.ndarray) -> Tensor:
     """Row-stochastic cross-modal attention from cosine affinities."""
     if v.shape != t.shape:
         raise ShapeMismatch(f"modalities differ in shape: {v.shape} vs {t.shape}")
     affinity = pairwise_cosine(params.u(v), params.t(t), "cross-modal projection", pad)
-    if pad is not None:
-        affinity = affinity + constant(key_bias(pad))
-    return ad.row_softmax(affinity)
+    return ad.row_softmax(affinity + constant(key_bias(pad)))
 
 
 def disentangle(v: Tensor, t: Tensor, params: DisentangleParams,
-                pad: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                pad: np.ndarray) -> tuple[Tensor, Tensor]:
     """Split v into (token-relevant, token-irrelevant) parts via attention.
 
     For a single-atom molecule the attention matrix is [[1]], which forces the
@@ -60,17 +57,16 @@ def disentangle(v: Tensor, t: Tensor, params: DisentangleParams,
 
 @dataclass
 class CompensationParams:
-    """Realized per-molecule transform parameters: (1, k) rows for one
-    molecule, (B, 1, k) for a batch; the shears are (K, d) or (B, K, d)."""
+    """Realized per-molecule transform parameters of a batch of B molecules."""
 
-    angles: Tensor   # 1 x (d-1), one angle per adjacent plane
-    scales: Tensor   # 1 x d, diagonal of the scaling factor
-    shear_p: Tensor  # K x d shear directions
-    shear_w: Tensor  # K x d shear directions
-    shift: Tensor    # 1 x d translation
-    amp: Tensor      # 1 x d sinusoid amplitudes
-    freq: Tensor     # 1 x d sinusoid frequencies
-    phase: Tensor    # 1 x d sinusoid phases
+    angles: Tensor   # B x 1 x (d-1), one angle per adjacent plane
+    scales: Tensor   # B x 1 x d, diagonal of the scaling factor
+    shear_p: Tensor  # B x K x d shear directions
+    shear_w: Tensor  # B x K x d shear directions
+    shift: Tensor    # B x 1 x d translation
+    amp: Tensor      # B x 1 x d sinusoid amplitudes
+    freq: Tensor     # B x 1 x d sinusoid frequencies
+    phase: Tensor    # B x 1 x d sinusoid phases
 
     @property
     def width(self) -> int:
@@ -78,30 +74,29 @@ class CompensationParams:
 
 
 def neutral_params(d: int, n_shear: int) -> CompensationParams:
-    """Parameters under which the compensation map is the exact identity."""
+    """Parameters of a batch of one under which the compensation map is the
+    exact identity."""
     return CompensationParams(
-        angles=constant(np.zeros((1, d - 1))),
-        scales=constant(np.ones((1, d))),
-        shear_p=constant(np.zeros((n_shear, d))),
-        shear_w=constant(np.zeros((n_shear, d))),
-        shift=constant(np.zeros((1, d))),
-        amp=constant(np.zeros((1, d))),
-        freq=constant(np.ones((1, d))),
-        phase=constant(np.zeros((1, d))),
+        angles=constant(np.zeros((1, 1, d - 1))),
+        scales=constant(np.ones((1, 1, d))),
+        shear_p=constant(np.zeros((1, n_shear, d))),
+        shear_w=constant(np.zeros((1, n_shear, d))),
+        shift=constant(np.zeros((1, 1, d))),
+        amp=constant(np.zeros((1, 1, d))),
+        freq=constant(np.ones((1, 1, d))),
+        phase=constant(np.zeros((1, 1, d))),
     )
 
 
 def build_rotation(angles: Tensor, d: int) -> Tensor:
     """Chain of plane rotations over adjacent planes (1,2)(2,3)...(d-1,d).
 
-    (1, d-1) angles give one (d, d) rotation, (B, 1, d-1) give (B, d, d).
-    Composed left to right by one `plane_rotation_chain` node; the result is
-    orthogonal for any angles and the zero vector yields the identity exactly.
+    (B, 1, d-1) angles give B (d, d) rotations, composed left to right by one
+    `plane_rotation_chain` node; each is orthogonal for any angles and the
+    zero vector yields the identity exactly.
     """
-    if angles.shape[-2:] != (1, d - 1):
-        raise ShapeMismatch(f"need 1 x {d - 1} angle rows for width {d}, got {angles.shape}")
-    if angles.ndim == 2:
-        return ad.reshape(ad.plane_rotation_chain(angles), (d, d))
+    if angles.ndim != 3 or angles.shape[1:] != (1, d - 1):
+        raise ShapeMismatch(f"need B x 1 x {d - 1} angles for width {d}, got {angles.shape}")
     return ad.plane_rotation_chain(ad.reshape(angles, (-1, d - 1)))
 
 
@@ -138,13 +133,12 @@ class ParamGenerator:
     def width(self) -> int:
         return self.w_hidden.data.shape[0]
 
-    def __call__(self, v_minus: Tensor, pad: np.ndarray | None = None) -> CompensationParams:
+    def __call__(self, v_minus: Tensor, pad: np.ndarray) -> CompensationParams:
         d = self.width
-        # one transform per molecule, from the mean of its real rows: 1 x d or B x 1 x d
-        weights = row_weights(pad, v_minus.shape[-2])
-        pooled = ad.sum_(v_minus * weights, axis=-2, keepdims=True)
+        # one transform per molecule, from the mean of its real rows: B x 1 x d
+        pooled = ad.sum_(v_minus * row_weights(pad), axis=-2, keepdims=True)
         hidden = ad.tanh(pooled @ self.w_hidden + self.b_hidden)
-        shear_shape = pooled.shape[:-2] + (self.n_shear, d)
+        shear_shape = (pooled.shape[0], self.n_shear, d)
 
         def head(name: str) -> Tensor:
             w, b = self.heads[name]
@@ -163,22 +157,21 @@ class ParamGenerator:
 
 
 def compensate(t: Tensor, v_minus: Tensor, generator: ParamGenerator,
-               pad: np.ndarray | None = None) -> Tensor:
+               pad: np.ndarray) -> Tensor:
     """Geometry-aware token embeddings from tokens and the irrelevant part."""
     if t.shape != v_minus.shape:
         raise ShapeMismatch(f"token/geometry shapes differ: {t.shape} vs {v_minus.shape}")
     return apply_compensation(t, generator(v_minus, pad))
 
 
-def mean_smooth_l1(a: Tensor, b: Tensor, pad: np.ndarray | None = None) -> Tensor:
-    """Smooth-L1 distance averaged over each molecule's real entries: a scalar
-    for (n, d) rows, one value per molecule (B,) for a padded batch."""
-    weights = row_weights(pad, a.shape[-2]) / a.shape[-1]
+def mean_smooth_l1(a: Tensor, b: Tensor, pad: np.ndarray) -> Tensor:
+    """Smooth-L1 distance averaged over each molecule's real entries, (B,)."""
+    weights = row_weights(pad) / a.shape[-1]
     return ad.sum_(ad.smooth_l1(a, b) * weights, axis=(-2, -1))
 
 
 def discrepancy_loss(v: Tensor, t_star: Tensor, t: Tensor, v_plus: Tensor,
-                     lambda1: float, pad: np.ndarray | None = None) -> Tensor:
+                     lambda1: float, pad: np.ndarray) -> Tensor:
     """Mean smooth-L1 distance D(v, t*) + lambda1 * D(t, v+), per molecule."""
     for name, pair in (("v/t*", (v, t_star)), ("t/v+", (t, v_plus))):
         a, b = pair

@@ -11,7 +11,8 @@ bit-exactly, and atom relabeling permutes it block-wise.
 
 A batch stacks its molecules' tables (every padded atom row, then every
 molecule's pairs) and gathers all their entries at once through the
-molecules' index matrices, offset to their rows of the stacked table.
+molecules' index matrices, offset to their rows of the stacked table. One
+molecule is a batch of one.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ def _value_index(lay: BlockLayout) -> np.ndarray:
 class HeadPlan:
     """Where a batch's matrix entries read the stacked value table."""
 
+    rows: int            # S * n rows of the (S, n, d) embedding block it reads
     pairs_i: np.ndarray  # (P,) embedding row of each pair's first atom
     pairs_j: np.ndarray  # (P,) embedding row of its second atom
-    index: np.ndarray    # entry -> flat table position; its shape is the output's
+    index: np.ndarray    # (E,) flat table position of every entry
 
 
 def head_plan(indices: Sequence[np.ndarray], n_atoms: Sequence[int], rows: int) -> HeadPlan:
@@ -128,6 +130,9 @@ def head_plan(indices: Sequence[np.ndarray], n_atoms: Sequence[int], rows: int) 
     pair_base = len(indices) * rows
     pairs_i, pairs_j, parts = [], [], []
     for s, (index, n) in enumerate(zip(indices, n_atoms)):
+        if n > rows or index.max() // HEAD_VALUES + 1 != n * (n + 1) // 2:
+            raise ShapeMismatch(f"molecule {s}: a value index for another atom count than "
+                                f"{n}, or more than {rows} rows")
         i, j = np.triu_indices(n, 1)
         pairs_i.append(s * rows + i)
         pairs_j.append(s * rows + j)
@@ -135,31 +140,24 @@ def head_plan(indices: Sequence[np.ndarray], n_atoms: Sequence[int], rows: int) 
         shift = np.where(flat // HEAD_VALUES < n, s * rows, pair_base - n)
         parts.append(flat + HEAD_VALUES * shift)
         pair_base += i.size
-    return HeadPlan(np.concatenate(pairs_i), np.concatenate(pairs_j), np.concatenate(parts))
+    return HeadPlan(len(indices) * rows, np.concatenate(pairs_i), np.concatenate(pairs_j),
+                    np.concatenate(parts))
 
 
-def predict_hamiltonian(emb: Tensor, lay: BlockLayout | HeadPlan, params: HeadParams) -> Tensor:
-    """Assemble symmetric Hamiltonians from per-atom embeddings.
-
-    One molecule: (n, d) rows and its layout give the (n_orb, n_orb) matrix.
-    A batch: (S, n, d) rows and a `head_plan` give every entry of the S
-    matrices, row-major and concatenated.
-    """
-    if isinstance(lay, BlockLayout):
-        if emb.ndim != 2 or emb.shape[0] != lay.n_atoms:
-            raise ShapeMismatch(f"{emb.shape[0]} embedding rows for {lay.n_atoms} layout atoms")
-        index = _value_index(lay)
-        plan = head_plan([index], [lay.n_atoms], lay.n_atoms)
-        shape = index.shape
-    else:
-        plan, shape = lay, lay.index.shape
-    rows = emb if emb.ndim == 2 else ad.reshape(emb, (-1, emb.shape[-1]))
+def predict_hamiltonian(emb: Tensor, plan: HeadPlan, params: HeadParams) -> Tensor:
+    """Every entry of S symmetric Hamiltonians, row-major and concatenated,
+    from (S, n, d) per-atom embeddings and their `head_plan`."""
+    if not isinstance(plan, HeadPlan):
+        raise TypeError(f"predict_hamiltonian needs a head_plan, got {type(plan).__name__}")
+    if emb.ndim != 3 or emb.shape[0] * emb.shape[1] != plan.rows:
+        raise ShapeMismatch(f"embedding rows {emb.shape[:-1]} do not match the plan's {plan.rows}")
+    rows = ad.reshape(emb, (-1, emb.shape[-1]))
     parts = [params.diag(rows)]
     if plan.pairs_i.size:  # a lone atom leaves the pair net off the tape, so its gradient stays None
         parts.append(params.pair(ad.gather_rows(rows, plan.pairs_i),
                                  ad.gather_rows(rows, plan.pairs_j)))
     table = ad.reshape(ad.concat_rows(parts), (-1, 1))
-    return ad.reshape(ad.gather_rows(table, plan.index), shape)
+    return ad.reshape(ad.gather_rows(table, plan.index), plan.index.shape)
 
 
 def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:
@@ -170,30 +168,20 @@ def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:
 
 
 def finetune_loss(h_star: Tensor, h: Tensor, h_masked: Tensor, lambda2: float,
-                  molecule: np.ndarray | None = None,
-                  masked_at: np.ndarray | None = None) -> Tensor:
-    """Entry-mean MAE+MSE against the target, for full and masked predictions.
+                  molecule: np.ndarray, masked_at: np.ndarray) -> Tensor:
+    """Entry-mean MAE+MSE against the target, for full and masked predictions,
+    one loss per molecule.
 
     lambda2 weights the full-string branch; (1 - lambda2) weights the branch
-    predicted from the fragment-masked string. Unbatched, the three inputs
-    are one molecule's matrices and the result has one element.
-
-    Batched, h_star and h hold the entries of B molecules and `molecule`
-    names each entry's molecule; the result holds one loss per molecule.
-    h_masked holds masked-branch entries only for the molecules whose masked
-    string differs from the full one, and `masked_at` gives the position in
-    h of the entry each one predicts. A molecule without a masked branch
-    puts weight 1 on its full branch, so its loss does not depend on lambda2.
+    predicted from the fragment-masked string. h_star and h hold the entries
+    of B molecules and `molecule` names each entry's molecule. h_masked holds
+    masked-branch entries only for the molecules whose masked string differs
+    from the full one, and `masked_at` gives the position in h of the entry
+    each one predicts. A molecule without a masked branch puts weight 1 on
+    its full branch, so its loss does not depend on lambda2.
     """
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 must lie in [0, 1], got {lambda2}")
-    if molecule is None:
-        if h.shape != h_star.shape or h_masked.shape != h_star.shape:
-            raise ShapeMismatch(f"matrix shapes differ: target {h_star.shape}, full {h.shape}, "
-                                f"masked {h_masked.shape}")
-        h_star, h, h_masked = (ad.reshape(x, (-1,)) for x in (h_star, h, h_masked))
-        molecule = np.zeros(h_star.data.size, dtype=np.intp)
-        masked_at = np.arange(h_star.data.size)
     if not h_star.shape == h.shape == molecule.shape or h_masked.shape != masked_at.shape:
         raise ShapeMismatch(f"entry counts differ: target {h_star.shape}, full {h.shape}, "
                             f"molecule ids {molecule.shape}, masked {h_masked.shape} "

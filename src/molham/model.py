@@ -4,12 +4,13 @@ The model owns plain float64 arrays; every forward pass wraps them as tape
 leaves (or constants, for frozen groups) so training steps stay functional:
 run forward, backward, update arrays, discard the tape.
 
-Training runs each step as one pass over the whole batch. Every molecule's
-integer structures (`MolStructure`) are built once; a step packs them into
-padded (B, n, d) atom rows (`pad` marks rows past each molecule's atoms)
-with concatenated pair lists, and every loss comes out per molecule. The
-single-molecule forms (`token_matrix`, `geom_matrix`, `hamiltonian_*`) are
-batches of one.
+Every forward pass runs a packed batch. Each molecule's integer structures
+(`MolStructure`) are built once; a pass packs them into padded (B, n, d)
+atom rows (`pad` marks rows past each molecule's atoms) with concatenated
+pair lists, and every loss comes out per molecule. Fine-tuning and
+inference share one prediction forward, `predict_entries`; predicting one
+molecule (`hamiltonian_from_tokens`, `hamiltonian_fused`) runs it as a
+batch of one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .nn import Mlp
 from .smiles import ExpandedMol, Fragment, Token, expanded_fragments
 
 MASK_ID = enc.token_vocab_id(Token("mask", "", 0))
+TokenInput = tuple[np.ndarray, np.ndarray, np.ndarray]  # enc.token_sequence output
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ _GENERATOR_HEADS = ("angles", "scales", "shear_p", "shear_w", "shift", "amp", "f
 class MolStructure:
     """One molecule's integer structures, built once from its strings."""
 
-    tokens: tuple[np.ndarray, np.ndarray, np.ndarray]  # enc.token_sequence output
+    tokens: TokenInput
     token_fragment: np.ndarray  # (L,) fragment of each atom token, -1 on other tokens
     fragment_of: np.ndarray     # (n,) fragment of each expanded atom
     n_fragments: int
@@ -72,7 +74,7 @@ class MolStructure:
     def n_atoms(self) -> int:
         return self.elem_ids.size
 
-    def masked(self, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def masked(self, keep: Sequence[int]) -> TokenInput:
         """Token input with the atom tokens of dropped fragments (keep 0) masked,
         as `smiles.mask_tokens` does."""
         ids, pool, elems = self.tokens
@@ -225,15 +227,6 @@ class Model:
 
     # --- forward passes ---
 
-    def token_matrix(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol) -> Tensor:
-        seq = enc.token_sequence(tokens, xmol.token_sets, xmol.elements)
-        t = enc.encode_tokens(enc.token_batch([seq]), self.token_encoder(lv))
-        return ad.reshape(t, t.shape[1:])
-
-    def geom_matrix(self, lv: dict[str, Tensor], xmol: ExpandedMol, coords: np.ndarray) -> Tensor:
-        v = self._geometry(lv, [enc.element_ids(xmol.elements)], [coords])
-        return ad.reshape(v, v.shape[1:])
-
     def _geometry(self, lv: dict[str, Tensor], elem_ids: Sequence[np.ndarray],
                   coords: Sequence[np.ndarray]) -> Tensor:
         cfg = self.config
@@ -244,12 +237,10 @@ class Model:
                             lambda1: float) -> tuple[Tensor, Tensor, Tensor]:
         """(total, per-molecule discrepancy terms (B,), contrastive part).
 
-        Each molecule is a dict with its "coords" and either its prebuilt
-        "structure" or its "tokens", "xmol" and "fragments". The total is the
-        mean discrepancy term plus the contrastive part.
+        Each molecule is a dict with its "structure" and its "coords". The
+        total is the mean discrepancy term plus the contrastive part.
         """
-        structs = [m["structure"] if "structure" in m else
-                   mol_structure(m["tokens"], m["xmol"], m["fragments"]) for m in molecules]
+        structs = [m["structure"] for m in molecules]
         pad = padding([s.n_atoms for s in structs])
         t = enc.encode_tokens(enc.token_batch([s.tokens for s in structs]), self.token_encoder(lv))
         v = self._geometry(lv, [s.elem_ids for s in structs], [m["coords"] for m in molecules])
@@ -266,6 +257,26 @@ class Model:
         contrast = al.contrastive_loss(v_vecs, t_vecs, self.aligner(lv).tau, self.config.loss_form)
         return ad.mean(d_terms) + contrast, d_terms, contrast
 
+    def predict_entries(self, lv: dict[str, Tensor], seqs: Sequence[TokenInput],
+                        molecule: Sequence[int], indices: Sequence[np.ndarray],
+                        coords: Sequence[np.ndarray] | None = None) -> Tensor:
+        """The packed prediction forward: every entry of the Hamiltonians that
+        S token sequences predict, row-major and concatenated.
+
+        Sequence s (a `token_sequence` triple) is a string of molecule
+        `molecule[s]`, and molecule b's own string is sequence b. Molecule b's
+        head value index is `indices[b]`; with `coords` (fusion) its geometry
+        rows, from coords[b], are added to each of its sequences.
+        """
+        t = enc.encode_tokens(enc.token_batch(seqs), self.token_encoder(lv))
+        if coords is not None:
+            v = self._geometry(lv, [seq[2] for seq in seqs[:len(coords)]], coords)
+            v = ad.gather_rows(ad.reshape(v, (len(coords), -1)), molecule)
+            t = hh.fuse_modalities(t, ad.reshape(v, t.shape))
+        plan = hh.head_plan([indices[b] for b in molecule], [seq[2].size for seq in seqs],
+                            t.shape[1])
+        return hh.predict_hamiltonian(t, plan, self.head(lv))
+
     def finetune_batch_loss(self, lv: dict[str, Tensor], structs: Sequence[MolStructure],
                             keeps: Sequence[Sequence[int]], targets: Sequence[np.ndarray],
                             lambda2: float, coords: Sequence[np.ndarray] | None = None) -> Tensor:
@@ -281,16 +292,9 @@ class Model:
         branch = [b for b, (s, m) in enumerate(zip(structs, masked))
                   if not np.array_equal(m[0], s.tokens[0])]
         rows = list(range(len(structs))) + branch  # the molecule of each sequence
-        t = enc.encode_tokens(enc.token_batch([s.tokens for s in structs] +
-                                              [masked[b] for b in branch]),
-                              self.token_encoder(lv))
-        if coords is not None:
-            v = self._geometry(lv, [s.elem_ids for s in structs], coords)
-            v = ad.gather_rows(ad.reshape(v, (len(structs), -1)), rows)
-            t = hh.fuse_modalities(t, ad.reshape(v, t.shape))
-        plan = hh.head_plan([structs[b].value_index for b in rows],
-                            [structs[b].n_atoms for b in rows], t.shape[1])
-        entries = ad.reshape(hh.predict_hamiltonian(t, plan, self.head(lv)), (-1, 1))
+        entries = ad.reshape(self.predict_entries(
+            lv, [s.tokens for s in structs] + [masked[b] for b in branch], rows,
+            [s.value_index for s in structs], coords), (-1, 1))
 
         sizes = [structs[b].value_index.size for b in rows]
         starts = np.cumsum([0] + sizes)
@@ -305,13 +309,18 @@ class Model:
 
     def hamiltonian_from_tokens(self, lv: dict[str, Tensor], tokens: list[Token],
                                 xmol: ExpandedMol, lay: hh.BlockLayout) -> Tensor:
-        return hh.predict_hamiltonian(self.token_matrix(lv, tokens, xmol), lay, self.head(lv))
+        return self._hamiltonian(lv, tokens, xmol, lay, None)
 
     def hamiltonian_fused(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol,
                           lay: hh.BlockLayout, coords: np.ndarray) -> Tensor:
-        fused = hh.fuse_modalities(self.token_matrix(lv, tokens, xmol),
-                                   self.geom_matrix(lv, xmol, coords))
-        return hh.predict_hamiltonian(fused, lay, self.head(lv))
+        return self._hamiltonian(lv, tokens, xmol, lay, [coords])
+
+    def _hamiltonian(self, lv: dict[str, Tensor], tokens: list[Token], xmol: ExpandedMol,
+                     lay: hh.BlockLayout, coords: list[np.ndarray] | None) -> Tensor:
+        """One molecule's (n_orb, n_orb) matrix: `predict_entries` on a batch of one."""
+        index = hh._value_index(lay)
+        seq = enc.token_sequence(tokens, xmol.token_sets, xmol.elements)
+        return ad.reshape(self.predict_entries(lv, [seq], [0], [index], coords), index.shape)
 
     # --- checkpoint compatibility ---
 

@@ -44,11 +44,9 @@ def pairwise_cosine(a: Tensor, b: Tensor, what: str = "embedding",
     return normalize_rows(a, what, pad) @ ad.transpose(normalize_rows(b, what, pad))
 
 
-def row_weights(pad: np.ndarray | None, n: int) -> np.ndarray | float:
-    """Weights that average over the real rows of each block: 1/n with no
-    padding, else (1 - pad) divided by each block's count of real rows."""
-    if pad is None:
-        return 1.0 / n
+def row_weights(pad: np.ndarray) -> np.ndarray:
+    """Weights that average over the real rows of each block: (1 - pad)
+    divided by each block's count of real rows."""
     real = 1.0 - pad
     return real / real.sum(axis=-2, keepdims=True)
 

@@ -58,12 +58,12 @@ def run_selftest() -> bool:
     ok = True
     for _ in range(20):
         d = int(rng.integers(2, 33))
-        angles = constant(rng.uniform(-np.pi, np.pi, (1, d - 1)))
-        r = build_rotation(angles, d).data
+        angles = constant(rng.uniform(-np.pi, np.pi, (1, 1, d - 1)))
+        r = build_rotation(angles, d).data[0]
         ok &= np.max(np.abs(r.T @ r - np.eye(d))) < 1e-10
     _check("rotation chain orthogonality", ok, results)
 
-    t = rng.standard_normal((5, 8))
+    t = rng.standard_normal((1, 5, 8))
     ident = apply_compensation(constant(t), neutral_params(8, 4)).data
     _check("neutral compensation is the identity", bool(np.array_equal(ident, t)), results)
 

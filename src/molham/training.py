@@ -48,6 +48,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in ("pretrain", "finetune"):
             raise ValueError(f"stage must be pretrain or finetune, got {self.stage!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.lambda1 < 0:
             raise ValueError("lambda1 must be non-negative")
         if not 0.0 <= self.lambda2 <= 1.0:
@@ -102,9 +106,6 @@ class Prepared:
     """Per-record structures computed once and reused across epochs."""
 
     record: DatasetRecord
-    tokens: list
-    xmol: object
-    fragments: list
     lay: BlockLayout
     structure: MolStructure
 
@@ -117,8 +118,7 @@ def prepare(dataset: Dataset) -> list[Prepared]:
         xmol = expand_hydrogens(mol)
         fragments = fragment(mol)
         lay = layout(xmol.elements)
-        out.append(Prepared(rec, tokens, xmol, fragments, lay,
-                            mol_structure(tokens, xmol, fragments, lay)))
+        out.append(Prepared(rec, lay, mol_structure(tokens, xmol, fragments, lay)))
     return out
 
 
@@ -187,7 +187,8 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
 
 def _mask_vectors(prepared: list[Prepared], rng: np.random.Generator,
                   keep_prob: float) -> list[list[int]]:
-    return [[1 if rng.random() < keep_prob else 0 for _ in p.fragments] for p in prepared]
+    return [[1 if rng.random() < keep_prob else 0 for _ in range(p.structure.n_fragments)]
+            for p in prepared]
 
 
 def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
@@ -307,22 +308,27 @@ def load_checkpoint(path: str | Path,
 
 # --- evaluation ---
 
+def _predictions(model: Model, dataset: Dataset, fusion: bool):
+    """Each record with its predicted matrix, one molecule at a time, from
+    the string path or, with `fusion`, the string+geometry path."""
+    leaves = model.leaves(None)
+    for i, p in enumerate(prepare(dataset)):
+        s = p.structure
+        coords = [dataset.get_coords(i)] if fusion else None
+        entries = model.predict_entries(leaves, [s.tokens], [0], [s.value_index], coords)
+        yield p, entries.data.reshape(s.value_index.shape)
+
+
 def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
     """Block MAEs, occupied-energy MAE, and orbital similarity over a dataset.
 
     Predictions use the string path (optionally fused with geometry); the
     overlap matrix comes from each record's stored oracle geometry.
     """
-    prepared = prepare(dataset)
-    leaves = model.leaves(None)
     sums = {"mae_diag": 0.0, "mae_offdiag": 0.0, "mae_all": 0.0,
             "mae_eps_occ": 0.0, "psi_occ": 0.0}
-    for i, p in enumerate(prepared):
-        if fusion:
-            h_pred = model.hamiltonian_fused(leaves, p.tokens, p.xmol, p.lay,
-                                             dataset.get_coords(i)).data
-        else:
-            h_pred = model.hamiltonian_from_tokens(leaves, p.tokens, p.xmol, p.lay).data
+    count = 0
+    for p, h_pred in _predictions(model, dataset, fusion):
         rec = p.record
         res_pred = solve_gev(h_pred, rec.s, rec.n_electrons)
         res_true = solve_gev(rec.h, rec.s, rec.n_electrons)
@@ -335,23 +341,16 @@ def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
         sums["psi_occ"] += orbital_similarity(res_pred.coefficients, res_true.coefficients,
                                               res_pred.eigenvalues, res_true.eigenvalues,
                                               res_true.n_occupied)
-    count = max(1, len(prepared))
-    out = {k: v / count for k, v in sums.items()}
-    out["count"] = len(prepared)
+        count += 1
+    out = {k: v / max(1, count) for k, v in sums.items()}
+    out["count"] = count
     return out
 
 
 def gap_predictions(model: Model, dataset: Dataset, fusion: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(predicted, true) gap vectors in eV for a dataset."""
-    prepared = prepare(dataset)
-    leaves = model.leaves(None)
     pred, true = [], []
-    for i, p in enumerate(prepared):
-        if fusion:
-            h_pred = model.hamiltonian_fused(leaves, p.tokens, p.xmol, p.lay,
-                                             dataset.get_coords(i)).data
-        else:
-            h_pred = model.hamiltonian_from_tokens(leaves, p.tokens, p.xmol, p.lay).data
+    for p, h_pred in _predictions(model, dataset, fusion):
         rec = p.record
         pred.append(solve_gev(h_pred, rec.s, rec.n_electrons).gap_ev)
         true.append(rec.gap_ev)

@@ -24,11 +24,12 @@ from molham.compensation import (
 )
 from molham.corpus import build_corpus
 from molham.dataset import Dataset, SplitConfig, assign_split, generate_records
-from molham.hamhead import finetune_loss, layout, predict_hamiltonian
-from molham.model import Model, ModelConfig
+from molham.encoders import element_ids, encode_geometry, geom_batch
+from molham.hamhead import _value_index, head_plan, layout, predict_hamiltonian
+from molham.model import Model, ModelConfig, mol_structure, padding
 from molham.oracle import embed_3d, huckel_labels
 from molham.screening import bench_pipelines, classify_by_gap, default_thresholds, screen_dataset
-from molham.smiles import expand_hydrogens, fragment, mask_tokens, parse_smiles, tokenize
+from molham.smiles import expand_hydrogens, fragment, parse_smiles, tokenize
 from molham.spectral import (
     jacobi_eigh,
     lowdin_inv_sqrt,
@@ -121,24 +122,24 @@ def test_criterion_02_compensation_algebra():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         d = int(rng.integers(2, 65))
-        r = build_rotation(constant(rng.uniform(-np.pi, np.pi, (1, d - 1))), d).data
+        r = build_rotation(constant(rng.uniform(-np.pi, np.pi, (1, 1, d - 1))), d).data[0]
         assert np.max(np.abs(r.T @ r - np.eye(d))) < 1e-10
 
-    t = rng.standard_normal((7, 16))
+    t = rng.standard_normal((1, 7, 16))
     ident = apply_compensation(constant(t), neutral_params(16, 4)).data
     assert np.array_equal(ident, t)
 
     model = Model.init(ModelConfig(width=16, token_layers=1, geom_rounds=1, n_rbf=4,
                                    n_shear=4, head_hidden=8), seed=2)
     lv = model.leaves(None)
-    _, v_minus = disentangle(constant(rng.standard_normal((1, 16))),
-                             constant(rng.standard_normal((1, 16))),
-                             model.disentangler(lv))
+    _, v_minus = disentangle(constant(rng.standard_normal((1, 1, 16))),
+                             constant(rng.standard_normal((1, 1, 16))),
+                             model.disentangler(lv), padding([1]))
     assert np.all(v_minus.data == 0.0)
 
-    beta = attention_matrix(constant(rng.standard_normal((6, 16))),
-                            constant(rng.standard_normal((6, 16))),
-                            model.disentangler(lv)).data
+    beta = attention_matrix(constant(rng.standard_normal((1, 6, 16))),
+                            constant(rng.standard_normal((1, 6, 16))),
+                            model.disentangler(lv), padding([6])).data[0]
     assert np.max(np.abs(beta.sum(axis=1) - 1.0)) <= 1e-12
     _report(2, True, "rotation orthogonality, neutral identity, single-atom zeroing, "
                      "attention row sums")
@@ -161,9 +162,9 @@ def test_criterion_03_differentiation():
     xmol = expand_hydrogens(mol)
     coords = embed_3d(xmol, 5)
     lay = layout(xmol.elements)
-    masked = mask_tokens(tokens, frags, [1, 0])
-    target = constant(rng.standard_normal((lay.n_orb, lay.n_orb)) * 0.3)
-    molecule = {"tokens": tokens, "xmol": xmol, "fragments": frags, "coords": coords}
+    target = rng.standard_normal((lay.n_orb, lay.n_orb)) * 0.3
+    structure = mol_structure(tokens, xmol, frags, lay)
+    molecule = {"structure": structure, "coords": coords}
 
     worst = 0.0
     for name in base.params:
@@ -177,9 +178,7 @@ def test_criterion_03_differentiation():
             m = Model(cfg, dict(base.params))
             lv = m.leaves(None)
             lv[name] = x
-            h_full = m.hamiltonian_from_tokens(lv, tokens, xmol, lay)
-            h_mask = m.hamiltonian_from_tokens(lv, masked, xmol, lay)
-            return finetune_loss(target, h_full, h_mask, 0.8)
+            return m.finetune_batch_loss(lv, [structure], [[1, 0]], [target], 0.8)
 
         worst = max(worst, grad_check(f_pre, base.params[name], eps=1e-5))
         worst = max(worst, grad_check(f_fine, base.params[name], eps=1e-5))
@@ -194,24 +193,35 @@ def test_criterion_04_symmetry_invariance():
     lv = model.leaves(None)
     head = model.head(lv)
 
+    def matrix(emb, lay):  # one molecule's matrix through a batch-of-one head plan
+        index = _value_index(lay)
+        plan = head_plan([index], [lay.n_atoms], lay.n_atoms)
+        return predict_hamiltonian(constant(emb[None]), plan, head).data.reshape(index.shape)
+
     # bit-exact symmetry of predictions
     for smiles in ("CCO", "c1ccccc1", "CSC"):
         xmol = expand_hydrogens(parse_smiles(smiles))
         lay = layout(xmol.elements)
-        h = predict_hamiltonian(constant(rng.standard_normal((xmol.n_atoms, 32))), lay, head)
-        assert np.array_equal(h.data, h.data.T)
+        h = matrix(rng.standard_normal((xmol.n_atoms, 32)), lay)
+        assert np.array_equal(h, h.T)
 
     # rigid-motion invariance of the geometry encoder and the oracle labels
     xmol = expand_hydrogens(parse_smiles("CCO"))
     coords = embed_3d(xmol, 2)
-    base_emb = model.geom_matrix(lv, xmol, coords).data
+    cfg = model.config
+
+    def geom_rows(xyz):
+        batch = geom_batch([element_ids(xmol.elements)], [xyz], cfg.cutoff, cfg.n_rbf)
+        return encode_geometry(batch, model.geom_encoder(lv)).data[0]
+
+    base_emb = geom_rows(coords)
     base_h, base_s = huckel_labels(xmol, coords)
     for _ in range(100):
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         moved = coords @ q.T + rng.standard_normal(3)
-        assert np.max(np.abs(model.geom_matrix(lv, xmol, moved).data - base_emb)) < 1e-10
+        assert np.max(np.abs(geom_rows(moved) - base_emb)) < 1e-10
         h1, _ = huckel_labels(xmol, moved)
         assert np.max(np.abs(h1 - base_h)) < 1e-10
 
@@ -228,11 +238,11 @@ def test_criterion_04_symmetry_invariance():
     elements = ["C", "O", "H", "N", "H"]
     emb = rng.standard_normal((5, 32))
     lay = layout(tuple(elements))
-    h = predict_hamiltonian(constant(emb), lay, head).data
+    h = matrix(emb, lay)
     for _ in range(5):
         perm = rng.permutation(5)
         lay_p = layout(tuple(elements[i] for i in perm))
-        h_p = predict_hamiltonian(constant(emb[perm]), lay_p, head).data
+        h_p = matrix(emb[perm], lay_p)
         orb_perm = np.concatenate(
             [np.arange(lay.offsets[a], lay.offsets[a] + lay.counts[a]) for a in perm])
         assert np.max(np.abs(h_p - h[np.ix_(orb_perm, orb_perm)])) < 1e-12

@@ -10,9 +10,10 @@ import pytest
 import molham.autodiff as ad
 from molham.autodiff import constant, grad_check
 from _oracles import pretrain_loss_per_molecule, segment_embeddings
-from molham.alignment import AlignmentParams, contextual_pool, contrastive_loss
+from molham.alignment import AlignmentParams, contextual_pool, contrastive_loss, fragment_plan
 from molham.errors import EmptyBatch, IndexOutOfRange, ShapeMismatch
-from molham.model import Model, ModelConfig
+from molham.hamhead import layout
+from molham.model import Model, ModelConfig, mol_structure
 from molham.oracle import embed_3d
 from molham.smiles import expand_hydrogens, fragment, parse_smiles, tokenize
 
@@ -57,26 +58,33 @@ class TestSegment:
             segment_embeddings(emb, [(0, 5)])
 
 
+def _pool(t, v, params, fragment_of):
+    """contextual_pool on one molecule's (n, d) rows, run as a batch of one."""
+    plan = fragment_plan([np.asarray(fragment_of)], [max(fragment_of) + 1], len(fragment_of))
+    return contextual_pool(constant(t[None]), constant(v[None]), params, plan)
+
+
 class TestContextualPool:
     def test_singleton_fragment_is_linear_map(self):
         params = _params()
         v = RNG.standard_normal((1, D))
         t = RNG.standard_normal((1, D))
-        out = contextual_pool(constant(t), constant(v), params)
-        assert np.allclose(out.data, v @ params.wv.data, atol=1e-14)
+        out = _pool(t, v, params, [0])
+        assert np.allclose(out.data[0], v @ params.wv.data, atol=1e-14)
 
     def test_single_row_value_identity(self):
+        # three one-atom fragments: each pools its single value row
         params = _params()
         params.wv = constant(np.eye(D))
-        v = RNG.standard_normal((1, D))
-        out = contextual_pool(constant(RNG.standard_normal((3, D))), constant(v), params)
-        assert np.allclose(out.data, np.tile(v, (1, 1)), atol=1e-14)
+        v = RNG.standard_normal((3, D))
+        out = _pool(RNG.standard_normal((3, D)), v, params, [0, 1, 2])
+        assert np.allclose(out.data[0], v, atol=1e-14)
 
     def test_matches_straight_line_recomputation(self):
         params = _params()
         t = RNG.standard_normal((3, D))
         v = RNG.standard_normal((3, D))
-        out = contextual_pool(constant(t), constant(v), params).data
+        out = _pool(t, v, params, [0, 0, 0]).data[0]
 
         q = t @ params.wq.data
         k = v @ params.wk.data
@@ -88,7 +96,7 @@ class TestContextualPool:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            contextual_pool(constant(np.ones((2, 3))), constant(np.ones((2, 3))), _params())
+            _pool(np.ones((2, 3)), np.ones((2, 3)), _params(), [0, 0])
 
 
 class TestContrastive:
@@ -170,7 +178,9 @@ class TestPretrainLossComposition:
         tokens = tokenize(smiles)
         mol = parse_smiles(smiles)
         xmol = expand_hydrogens(mol)
-        return {"tokens": tokens, "xmol": xmol, "fragments": fragment(mol),
+        frags = fragment(mol)
+        return {"tokens": tokens, "xmol": xmol, "fragments": frags,
+                "structure": mol_structure(tokens, xmol, frags, layout(xmol.elements)),
                 "coords": embed_3d(xmol, seed)}
 
     def test_batch_equals_sum_of_components(self):

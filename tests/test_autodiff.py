@@ -183,9 +183,7 @@ PRIMITIVES = {
     "tanh": lambda x: ad.sum_(ad.tanh(x) * constant(_C34)),
     "softplus": lambda x: ad.sum_(ad.softplus(x) * constant(_C34)),
     "sin": lambda x: ad.sum_(ad.sin(x) * constant(_C34)),
-    "cos": lambda x: ad.sum_(ad.cos(x) * constant(_C34)),
     "exp": lambda x: ad.sum_(ad.exp(x) * constant(_C34)),
-    "log": lambda x: ad.sum_(ad.log(x + 6.0) * constant(_C34)),
     "sqrt": lambda x: ad.sum_(ad.sqrt(x + 6.0) * constant(_C34)),
     "square": lambda x: ad.sum_(ad.square(x) * constant(_C34)),
     "abs": lambda x: ad.sum_(ad.abs_(x) * constant(_C34)),
@@ -296,7 +294,7 @@ def test_grad_check_validates_eps():
 
 def test_grad_check_flags_nonfinite():
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-        grad_check(lambda x: ad.sum_(ad.log(x)), np.array([-1.0]))
+        grad_check(lambda x: ad.sum_(ad.sqrt(x)), np.array([-1.0]))
 
 
 def test_grad_check_exact_quadratic():

@@ -132,6 +132,36 @@ class TestGenData:
                      "--jobs", "2"]) == 1
 
 
+class TestConfigFile:
+    """A bad pretrain config exits 2 with one error line and writes nothing."""
+
+    def _pretrain(self, tmp_path, pipeline, capsys, config):
+        data, _ = pipeline
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg)] + MODEL_FLAGS)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "run").exists()
+        return err[0]
+
+    def test_json_that_is_not_an_object(self, tmp_path, pipeline, capsys):
+        assert "bad.json" in self._pretrain(tmp_path, pipeline, capsys, ["epochs"])
+
+    def test_value_of_the_wrong_type(self, tmp_path, pipeline, capsys):
+        assert "'epochs'" in self._pretrain(tmp_path, pipeline, capsys, {"epochs": "3"})
+
+    def test_boolean_of_the_wrong_type(self, tmp_path, pipeline, capsys):
+        assert "'fusion'" in self._pretrain(tmp_path, pipeline, capsys, {"fusion": "no"})
+
+    def test_zero_batch_size(self, tmp_path, pipeline, capsys):
+        assert "batch_size" in self._pretrain(tmp_path, pipeline, capsys, {"batch_size": 0})
+
+    def test_negative_epochs(self, tmp_path, pipeline, capsys):
+        assert "epochs" in self._pretrain(tmp_path, pipeline, capsys, {"epochs": -1})
+
+
 class TestTrainEvalScreenBench:
     def test_eval_writes_metrics(self, tmp_path, pipeline):
         data, ckpt = pipeline

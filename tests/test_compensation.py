@@ -1,4 +1,7 @@
-"""Disentanglement, affine transform construction, and discrepancy loss."""
+"""Disentanglement, affine transform construction, and discrepancy loss.
+
+The layers take padded batches; one molecule's rows run as a batch of one.
+"""
 
 from __future__ import annotations
 
@@ -19,10 +22,19 @@ from molham.compensation import (
     neutral_params,
 )
 from molham.errors import ShapeMismatch, ZeroNormRow
-from molham.model import Model, ModelConfig
+from molham.model import Model, ModelConfig, padding
 
 RNG = np.random.default_rng(41)
 D = 8
+
+
+def _one(x):
+    """One molecule's (n, d) rows as a batch of one."""
+    return constant(np.asarray(x)[None])
+
+
+def _pad(n):
+    return padding([n])
 
 
 @pytest.fixture()
@@ -42,21 +54,21 @@ def _gen(model):
 
 class TestAttention:
     def test_singleton_is_one(self, model):
-        v = constant(RNG.standard_normal((1, D)))
-        t = constant(RNG.standard_normal((1, D)))
-        beta = attention_matrix(v, t, _dis(model))
-        assert np.array_equal(beta.data, [[1.0]])
+        v = _one(RNG.standard_normal((1, D)))
+        t = _one(RNG.standard_normal((1, D)))
+        beta = attention_matrix(v, t, _dis(model), _pad(1))
+        assert np.array_equal(beta.data[0], [[1.0]])
 
     def test_duplicate_rows_give_uniform(self, model):
-        v = constant(np.tile(RNG.standard_normal((1, D)), (4, 1)))
-        t = constant(np.tile(RNG.standard_normal((1, D)), (4, 1)))
-        beta = attention_matrix(v, t, _dis(model))
-        assert np.allclose(beta.data, 0.25)
+        v = _one(np.tile(RNG.standard_normal((1, D)), (4, 1)))
+        t = _one(np.tile(RNG.standard_normal((1, D)), (4, 1)))
+        beta = attention_matrix(v, t, _dis(model), _pad(4))
+        assert np.allclose(beta.data[0], 0.25)
 
     def test_rows_sum_to_one_strictly_positive(self, model):
-        v = constant(RNG.standard_normal((6, D)))
-        t = constant(RNG.standard_normal((6, D)))
-        beta = attention_matrix(v, t, _dis(model)).data
+        v = _one(RNG.standard_normal((6, D)))
+        t = _one(RNG.standard_normal((6, D)))
+        beta = attention_matrix(v, t, _dis(model), _pad(6)).data[0]
         assert np.max(np.abs(beta.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(beta > 0.0)
 
@@ -64,7 +76,7 @@ class TestAttention:
         v = RNG.standard_normal((3, D))
         t = RNG.standard_normal((3, D))
         dis = _dis(model)
-        beta = attention_matrix(constant(v), constant(t), dis).data
+        beta = attention_matrix(_one(v), _one(t), dis, _pad(3)).data[0]
 
         def mlp(x, p):
             return np.tanh(x @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
@@ -86,55 +98,55 @@ class TestAttention:
         dis.u.w2.data[:] = 0.0
         dis.u.b2.data[:] = 0.0
         with pytest.raises(ZeroNormRow):
-            attention_matrix(constant(RNG.standard_normal((2, D))),
-                             constant(RNG.standard_normal((2, D))), dis)
+            attention_matrix(_one(RNG.standard_normal((2, D))),
+                             _one(RNG.standard_normal((2, D))), dis, _pad(2))
 
     def test_shape_mismatch(self, model):
         with pytest.raises(ShapeMismatch):
-            attention_matrix(constant(np.ones((2, D))), constant(np.ones((3, D))), _dis(model))
+            attention_matrix(_one(np.ones((2, D))), _one(np.ones((3, D))), _dis(model), _pad(2))
 
 
 class TestDisentangle:
     def test_single_atom_irrelevant_part_exactly_zero(self, model):
-        v = constant(RNG.standard_normal((1, D)))
-        t = constant(RNG.standard_normal((1, D)))
-        _, v_minus = disentangle(v, t, _dis(model))
+        v = _one(RNG.standard_normal((1, D)))
+        t = _one(RNG.standard_normal((1, D)))
+        _, v_minus = disentangle(v, t, _dis(model), _pad(1))
         assert np.all(v_minus.data == 0.0)
 
     def test_matches_straight_line_recomputation(self, model):
         v = RNG.standard_normal((4, D))
         t = RNG.standard_normal((4, D))
         dis = _dis(model)
-        v_plus, v_minus = disentangle(constant(v), constant(t), dis)
-        beta = attention_matrix(constant(v), constant(t), dis).data
+        v_plus, v_minus = disentangle(_one(v), _one(t), dis, _pad(4))
+        beta = attention_matrix(_one(v), _one(t), dis, _pad(4)).data[0]
 
         def mlp(x, p):
             return np.tanh(x @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
 
-        assert np.allclose(v_plus.data, beta @ mlp(v, dis.v_plus), atol=1e-12)
-        assert np.allclose(v_minus.data, (np.eye(4) - beta) @ mlp(v, dis.v_minus), atol=1e-12)
+        assert np.allclose(v_plus.data[0], beta @ mlp(v, dis.v_plus), atol=1e-12)
+        assert np.allclose(v_minus.data[0], (np.eye(4) - beta) @ mlp(v, dis.v_minus), atol=1e-12)
 
 
 class TestRotation:
     def test_zero_angles_identity(self):
-        r = build_rotation(constant(np.zeros((1, D - 1))), D)
-        assert np.array_equal(r.data, np.eye(D))
+        r = build_rotation(constant(np.zeros((1, 1, D - 1))), D)
+        assert np.array_equal(r.data[0], np.eye(D))
 
     def test_two_dim_quarter_turn(self):
-        r = build_rotation(constant(np.array([[np.pi / 2]])), 2).data
+        r = build_rotation(constant(np.array([[[np.pi / 2]]])), 2).data[0]
         assert np.allclose(r, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_orthogonality_many_draws(self):
         for _ in range(300):
             d = int(RNG.integers(2, 65))
-            angles = constant(RNG.uniform(-np.pi, np.pi, (1, d - 1)))
-            r = build_rotation(angles, d).data
+            angles = constant(RNG.uniform(-np.pi, np.pi, (1, 1, d - 1)))
+            r = build_rotation(angles, d).data[0]
             assert np.max(np.abs(r.T @ r - np.eye(d))) < 1e-10
 
     def test_matches_explicit_product(self):
         d = 5
         angles = RNG.uniform(-np.pi, np.pi, d - 1)
-        r = build_rotation(constant(angles.reshape(1, -1)), d).data
+        r = build_rotation(constant(angles.reshape(1, 1, -1)), d).data[0]
         expect = np.eye(d)
         for i, th in enumerate(angles):
             plane = np.eye(d)
@@ -147,7 +159,7 @@ class TestRotation:
     def test_matches_recorded_chain_value_and_gradient(self):
         rng = np.random.default_rng(17)  # own stream: the shared RNG feeds the other tests
         for d in (2, 3, 8, 32, 33):
-            angles = rng.uniform(-np.pi, np.pi, (1, d - 1))
+            angles = rng.uniform(-np.pi, np.pi, (1, 1, d - 1))
             weights = constant(rng.standard_normal((d, d)))
             values, grads = [], []
             for rotation in (lambda a: build_rotation(a, d),
@@ -156,16 +168,15 @@ class TestRotation:
                 leaf = tape.leaf(angles)
                 r = rotation(leaf)
                 tape.backward(ad.sum_(r * weights))
-                values.append(r.data)
+                values.append(r.data.reshape(d, d))
                 grads.append(leaf.grad)
             assert np.max(np.abs(values[0] - values[1])) < 1e-12, d
             assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, d
 
     def test_records_one_tape_node(self):
-        # one plane_rotation_chain node plus one reshape, at any width and batch
-        # size: (1, d-1) angles reshape the (1, d, d) output to (d, d), and
-        # (B, 1, d-1) angles reshape to the chain's (B, d-1) input
-        for shape in ((1, D - 1), (1, 31), (5, 1, D - 1)):
+        # one plane_rotation_chain node plus the reshape of the (B, 1, d-1)
+        # angles to the chain's (B, d-1) input, at any width and batch size
+        for shape in ((1, 1, D - 1), (1, 1, 31), (5, 1, D - 1)):
             tape = Tape()
             angles = tape.leaf(np.full(shape, 0.3))
             before = len(tape)
@@ -176,40 +187,40 @@ class TestRotation:
 
 class TestAffine:
     def test_neutral_parameters_identity(self):
-        a = build_affine(neutral_params(D, 3)).data
+        a = build_affine(neutral_params(D, 3)).data[0]
         assert np.array_equal(a, np.eye(D))
 
     def test_shear_determinant_lemma(self):
         p = RNG.standard_normal((1, D))
         w = RNG.standard_normal((1, D))
         params = neutral_params(D, 1)
-        params.shear_p = constant(p)
-        params.shear_w = constant(w)
-        a = build_affine(params).data
+        params.shear_p = _one(p)
+        params.shear_w = _one(w)
+        a = build_affine(params).data[0]
         assert np.linalg.det(a) == pytest.approx(1.0 + float(w[0] @ p[0]), rel=1e-10)
 
     def test_matches_triple_product(self, model):
         gen = _gen(model)
-        params = gen(constant(RNG.standard_normal((3, D))))
-        a = build_affine(params).data
-        r = build_rotation(params.angles, D).data
-        s = np.diag(params.scales.data[0])
-        h = np.eye(D) + params.shear_p.data.T @ params.shear_w.data
+        params = gen(_one(RNG.standard_normal((3, D))), _pad(3))
+        a = build_affine(params).data[0]
+        r = build_rotation(params.angles, D).data[0]
+        s = np.diag(params.scales.data[0, 0])
+        h = np.eye(D) + params.shear_p.data[0].T @ params.shear_w.data[0]
         assert np.allclose(a, r @ s @ h, atol=1e-12)
 
 
 class TestCompensate:
     def test_neutral_is_exact_identity(self):
         t = RNG.standard_normal((5, D))
-        out = apply_compensation(constant(t), neutral_params(D, 4))
-        assert np.array_equal(out.data, t)
+        out = apply_compensation(_one(t), neutral_params(D, 4))
+        assert np.array_equal(out.data[0], t)
 
     def test_pure_translation(self):
         t = RNG.standard_normal((4, D))
         params = neutral_params(D, 2)
-        params.shift = constant(np.full((1, D), 0.7))
-        out = apply_compensation(constant(t), params)
-        assert np.allclose(out.data, t + 0.7, atol=1e-15)
+        params.shift = constant(np.full((1, 1, D), 0.7))
+        out = apply_compensation(_one(t), params)
+        assert np.allclose(out.data[0], t + 0.7, atol=1e-15)
 
     def test_matches_straight_line_recomputation(self, model):
         gen = _gen(model)
@@ -219,38 +230,39 @@ class TestCompensate:
             gen.heads[name][1].data[:] = 0.1 * RNG.standard_normal(gen.heads[name][1].shape)
         t = RNG.standard_normal((4, D))
         v_minus = RNG.standard_normal((4, D))
-        out = compensate(constant(t), constant(v_minus), gen).data
+        out = compensate(_one(t), _one(v_minus), gen, _pad(4)).data[0]
 
-        params = gen(constant(v_minus))
-        a = build_affine(params).data
+        params = gen(_one(v_minus), _pad(4))
+        a = build_affine(params).data[0]
         expect = np.empty_like(t)
         for i in range(4):
-            deform = params.amp.data[0] * np.sin(params.freq.data[0] * t[i]
-                                                 + params.phase.data[0])
-            expect[i] = a @ t[i] + params.shift.data[0] + deform
+            deform = params.amp.data[0, 0] * np.sin(params.freq.data[0, 0] * t[i]
+                                                    + params.phase.data[0, 0])
+            expect[i] = a @ t[i] + params.shift.data[0, 0] + deform
         assert np.allclose(out, expect, atol=1e-12)
 
     def test_untrained_generator_realizes_identity(self, model):
         t = RNG.standard_normal((6, D))
-        out = compensate(constant(t), constant(RNG.standard_normal((6, D))), _gen(model))
-        assert np.allclose(out.data, t, atol=1e-12)
+        out = compensate(_one(t), _one(RNG.standard_normal((6, D))), _gen(model), _pad(6))
+        assert np.allclose(out.data[0], t, atol=1e-12)
 
 
 class TestDiscrepancyLoss:
     def test_zero_distance(self):
-        v = constant(RNG.standard_normal((3, D)))
-        t = constant(RNG.standard_normal((3, D)))
-        loss = discrepancy_loss(v, constant(v.data.copy()), t, constant(t.data.copy()), 0.5)
+        v = _one(RNG.standard_normal((3, D)))
+        t = _one(RNG.standard_normal((3, D)))
+        loss = discrepancy_loss(v, constant(v.data.copy()), t, constant(t.data.copy()), 0.5,
+                                _pad(3))
         assert loss.item() == 0.0
 
     def test_lambda_zero_ignores_aux_pair(self):
-        v = constant(RNG.standard_normal((3, D)))
-        ts = constant(RNG.standard_normal((3, D)))
-        t1 = constant(RNG.standard_normal((3, D)))
-        t2 = constant(RNG.standard_normal((3, D)))
-        vp = constant(RNG.standard_normal((3, D)))
-        assert discrepancy_loss(v, ts, t1, vp, 0.0).item() == \
-               discrepancy_loss(v, ts, t2, vp, 0.0).item()
+        v = _one(RNG.standard_normal((3, D)))
+        ts = _one(RNG.standard_normal((3, D)))
+        t1 = _one(RNG.standard_normal((3, D)))
+        t2 = _one(RNG.standard_normal((3, D)))
+        vp = _one(RNG.standard_normal((3, D)))
+        assert discrepancy_loss(v, ts, t1, vp, 0.0, _pad(3)).item() == \
+               discrepancy_loss(v, ts, t2, vp, 0.0, _pad(3)).item()
 
     def test_matches_hand_sum(self):
         v = RNG.standard_normal((3, D))
@@ -263,13 +275,13 @@ class TestDiscrepancyLoss:
             return np.mean(np.where(d < 1.0, 0.5 * d * d, d - 0.5))
 
         expect = huber_mean(v, ts) + 0.5 * huber_mean(t, vp)
-        got = discrepancy_loss(constant(v), constant(ts), constant(t), constant(vp), 0.5)
+        got = discrepancy_loss(_one(v), _one(ts), _one(t), _one(vp), 0.5, _pad(3))
         assert got.item() == pytest.approx(expect, abs=1e-14)
 
     def test_negative_lambda_rejected(self):
-        z = constant(np.zeros((2, D)))
+        z = _one(np.zeros((2, D)))
         with pytest.raises(ValueError):
-            discrepancy_loss(z, z, z, z, -0.1)
+            discrepancy_loss(z, z, z, z, -0.1, _pad(2))
 
     def test_gradients_through_all_groups(self, model):
         v = RNG.standard_normal((3, D))
@@ -281,8 +293,8 @@ class TestDiscrepancyLoss:
                 lv[name] = x
                 dis = model.disentangler(lv)
                 gen = model.generator(lv)
-                v_plus, v_minus = disentangle(constant(v), constant(t), dis)
-                t_star = compensate(constant(t), v_minus, gen)
-                return discrepancy_loss(constant(v), t_star, constant(t), v_plus, 0.5)
+                v_plus, v_minus = disentangle(_one(v), _one(t), dis, _pad(3))
+                t_star = compensate(_one(t), v_minus, gen, _pad(3))
+                return discrepancy_loss(_one(v), t_star, _one(t), v_plus, 0.5, _pad(3))
 
             assert grad_check(f, model.params[name], eps=1e-5) < 1e-4, name

@@ -1,4 +1,7 @@
-"""Layout bookkeeping, matrix assembly, loss, fusion, and serialization."""
+"""Layout bookkeeping, matrix assembly, loss, fusion, and serialization.
+
+The head and its loss take packed batches; one molecule runs as a batch of one.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from molham.errors import (CorruptFile, DimensionMismatch, MolhamError, ShapeMis
 from molham.hamhead import (
     finetune_loss,
     fuse_modalities,
+    head_plan,
     layout,
     load_hamiltonian,
     predict_hamiltonian,
@@ -26,6 +30,22 @@ from molham.smiles import expand_hydrogens, parse_smiles
 
 RNG = np.random.default_rng(31)
 CFG = ModelConfig(width=8, token_layers=1, geom_rounds=1, n_rbf=4, n_shear=2, head_hidden=6)
+
+
+def _matrix(emb, lay, params):
+    """One molecule's (n_orb, n_orb) matrix from its (n, d) rows: a batch of one."""
+    emb = constant(emb) if isinstance(emb, np.ndarray) else emb
+    index = hamhead._value_index(lay)
+    plan = head_plan([index], [lay.n_atoms], emb.shape[0])
+    return ad.reshape(predict_hamiltonian(ad.reshape(emb, (1,) + emb.shape), plan, params),
+                      index.shape)
+
+
+def _loss(target, full, masked, lambda2):
+    """finetune_loss of one molecule's matrices: every entry has a masked branch."""
+    size = target.data.size
+    flat = [ad.reshape(x, (-1,)) for x in (target, full, masked)]
+    return finetune_loss(*flat, lambda2, np.zeros(size, dtype=np.intp), np.arange(size))
 
 
 @pytest.fixture()
@@ -69,7 +89,7 @@ class TestPredict:
         lay = layout(elements)
         if emb is None:
             emb = RNG.standard_normal((len(elements), CFG.width))
-        return predict_hamiltonian(constant(emb), lay, head.head(head.leaves(None))), lay, emb
+        return _matrix(emb, lay, head.head(head.leaves(None))), lay, emb
 
     def test_bit_exact_symmetry(self, head):
         for elements in (("C", "H", "H", "O", "H"), ("H",), ("S", "P", "C")):
@@ -82,7 +102,7 @@ class TestPredict:
         for b in (params.diag.b1, params.diag.b2, params.pair.b1, params.pair.b2):
             b.data[:] = 0.0
         lay = layout(("C", "O", "H"))
-        h = predict_hamiltonian(constant(np.zeros((3, CFG.width))), lay, params)
+        h = _matrix(np.zeros((3, CFG.width)), lay, params)
         assert np.all(h.data == 0.0)
 
     def test_matches_straight_line_recomputation(self, head):
@@ -144,7 +164,7 @@ class TestPredict:
                 tape = Tape()
                 lv = head.leaves(tape)
                 x = tape.leaf(emb)
-                h = predict_hamiltonian(x, lay, head.head(lv))
+                h = _matrix(x, lay, head.head(lv))
                 tape.backward(ad.sum_(h * weights))
                 head_grads = [lv[k].grad for k in sorted(lv) if k.startswith("head.")]
                 results.append((h.data, x.grad, head_grads))
@@ -160,13 +180,22 @@ class TestPredict:
         assert lay.counts == (3, 1)
         params = head.head(head.leaves(None))
         with pytest.raises(DimensionMismatch) as err:
-            predict_hamiltonian(constant(np.zeros((2, CFG.width))), lay, params)
+            _matrix(np.zeros((2, CFG.width)), lay, params)
         assert isinstance(err.value, MolhamError)
 
     def test_embedding_count_checked(self, head):
         lay = layout(("C", "O"))
-        with pytest.raises(ShapeMismatch):
-            predict_hamiltonian(constant(np.zeros((3, CFG.width))), lay,
+        index = hamhead._value_index(lay)
+        with pytest.raises(ShapeMismatch):  # more rows than the plan reads
+            predict_hamiltonian(constant(np.zeros((1, 3, CFG.width))),
+                                head_plan([index], [2], 2), head.head(head.leaves(None)))
+        with pytest.raises(ShapeMismatch):  # an index built for another atom count
+            head_plan([index], [3], 3)
+
+    def test_layout_rejected(self, head):
+        lay = layout(("C", "O"))
+        with pytest.raises(TypeError):
+            predict_hamiltonian(constant(np.zeros((1, 2, CFG.width))), lay,
                                 head.head(head.leaves(None)))
 
 
@@ -190,15 +219,15 @@ class TestFusion:
 class TestFinetuneLoss:
     def test_zero_when_exact(self):
         h = constant(RNG.standard_normal((4, 4)))
-        assert finetune_loss(h, constant(h.data.copy()), constant(h.data.copy()), 0.5).item() == 0.0
+        assert _loss(h, constant(h.data.copy()), constant(h.data.copy()), 0.5).item() == 0.0
 
     def test_lambda_one_ignores_masked_branch(self):
         target = constant(RNG.standard_normal((3, 3)))
         full = constant(RNG.standard_normal((3, 3)))
         m1 = constant(RNG.standard_normal((3, 3)))
         m2 = constant(RNG.standard_normal((3, 3)))
-        assert finetune_loss(target, full, m1, 1.0).item() == \
-               finetune_loss(target, full, m2, 1.0).item()
+        assert _loss(target, full, m1, 1.0).item() == \
+               _loss(target, full, m2, 1.0).item()
 
     def test_matches_hand_sum(self):
         target = RNG.standard_normal((3, 3))
@@ -211,20 +240,20 @@ class TestFinetuneLoss:
             return (np.abs(d) + d * d).sum() / target.size
 
         expect = lam * term(full) + (1 - lam) * term(masked)
-        got = finetune_loss(constant(target), constant(full), constant(masked), lam)
+        got = _loss(constant(target), constant(full), constant(masked), lam)
         assert got.item() == pytest.approx(expect, abs=1e-14)
 
     def test_nonnegative_and_zero_only_at_target(self):
         target = constant(RNG.standard_normal((3, 3)))
         for _ in range(10):
             full = constant(target.data + RNG.standard_normal((3, 3)) * 0.1)
-            val = finetune_loss(target, full, constant(target.data.copy()), 0.5).item()
+            val = _loss(target, full, constant(target.data.copy()), 0.5).item()
             assert val > 0.0
 
     def test_lambda_validated(self):
         z = constant(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            finetune_loss(z, z, z, 1.5)
+            _loss(z, z, z, 1.5)
 
     def test_gradient_through_head_and_loss(self, head):
         elements = ("C", "O", "H")
@@ -240,9 +269,9 @@ class TestFinetuneLoss:
                 lv = head.leaves(None)
                 lv[name] = x
                 params = head.head(lv)
-                h_full = predict_hamiltonian(constant(emb_full), lay, params)
-                h_mask = predict_hamiltonian(constant(emb_mask), lay, params)
-                return finetune_loss(target, h_full, h_mask, 0.8)
+                h_full = _matrix(emb_full, lay, params)
+                h_mask = _matrix(emb_mask, lay, params)
+                return _loss(target, h_full, h_mask, 0.8)
 
             assert grad_check(f, head.params[name], eps=1e-5) < 1e-4, name
 
@@ -251,8 +280,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path, head):
         elements = ("C", "O", "H")
         lay = layout(elements)
-        h = predict_hamiltonian(constant(RNG.standard_normal((3, CFG.width))), lay,
-                                head.head(head.leaves(None))).data
+        h = _matrix(RNG.standard_normal((3, CFG.width)), lay, head.head(head.leaves(None))).data
         path = tmp_path / "h.bin"
         save_hamiltonian(path, h, lay)
         back, lay2 = load_hamiltonian(path)

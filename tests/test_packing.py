@@ -1,9 +1,10 @@
 """Packed batches against the one-molecule-at-a-time reference.
 
-A training step runs its whole batch as one padded block. These tests check
-that the batch losses and every parameter gradient agree with
-`tests/_oracles.py`, which runs the same model one molecule at a time on
-unpadded rows, and that padding never leaks into the result.
+A training step runs its whole batch as one padded block, and prediction
+runs the same packed forward. These tests check that the batch losses, every
+parameter gradient and the predicted matrices agree with `tests/_oracles.py`,
+which runs the same model one molecule at a time on unpadded rows, and that
+padding never leaks into the result.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import finetune_loss_per_molecule, pretrain_loss_per_molecule
+from _oracles import (encode_geometry_dense, finetune_loss_per_molecule,
+                      hamiltonian_per_molecule, pretrain_loss_per_molecule,
+                      token_rows_per_molecule)
 from molham import autodiff as ad
 from molham.alignment import fragment_plan
 from molham.autodiff import Tape, constant
@@ -130,6 +133,35 @@ def test_finetune_batch_matches_reference(fusion):
     assert _close(total.data, ref_total.data)
     assert _close(terms.data, [t.item() for t in ref_terms])
     _assert_same_gradients(grads, ref_grads)
+
+
+@pytest.mark.parametrize("fusion", [False, True])
+def test_prediction_matches_reference(fusion):
+    # a one-atom, a one-fragment and a 28-atom molecule in one packed forward
+    mols = MOLECULES[:3]
+    assert [m["xmol"].n_atoms for m in mols] == [1, 9, 28] and len(mols[1]["fragments"]) == 1
+    model = _model()
+    lv = model.leaves(None)
+    structs = [m["structure"] for m in mols]
+    entries = model.predict_entries(lv, [s.tokens for s in structs], [0, 1, 2],
+                                    [s.value_index for s in structs],
+                                    [m["coords"] for m in mols] if fusion else None).data
+    parts = np.split(entries, np.cumsum([s.value_index.size for s in structs])[:-1])
+    for m, part in zip(mols, parts):
+        emb = token_rows_per_molecule(m["tokens"], m["xmol"], model.token_encoder(lv))
+        if fusion:
+            emb = emb + encode_geometry_dense(list(m["xmol"].elements), m["coords"],
+                                              model.geom_encoder(lv))
+        want = hamiltonian_per_molecule(emb, m["lay"], model.head(lv)).data
+        assert _close(part.reshape(want.shape), want)
+        if fusion:
+            alone = model.hamiltonian_fused(lv, m["tokens"], m["xmol"], m["lay"], m["coords"])
+        else:
+            alone = model.hamiltonian_from_tokens(lv, m["tokens"], m["xmol"], m["lay"])
+        # alone, a one-token molecule's products have one row, which BLAS sums
+        # in another order than the same row of a taller block
+        same = np.array_equal if len(m["tokens"]) > 1 else _close
+        assert same(alone.data, part.reshape(want.shape))
 
 
 def test_masked_ids_match_mask_tokens():

@@ -147,27 +147,22 @@ class TestFinetune:
     def test_lambda2_one_ignores_masked_branch(self):
         # with full weight on the unmasked branch, the mask draw cannot
         # influence the loss value or any gradient
-        from molham.autodiff import Tape, constant
-        from molham.hamhead import finetune_loss
-        from molham.smiles import expand_hydrogens, fragment, mask_tokens, parse_smiles, tokenize
         from molham.hamhead import layout
+        from molham.model import mol_structure
+        from molham.smiles import expand_hydrogens, fragment, parse_smiles, tokenize
 
         model = Model.init(SMALL_CFG, seed=7)
         smiles = "CCOCC"
-        tokens = tokenize(smiles)
         mol = parse_smiles(smiles)
-        frags = fragment(mol)
         xmol = expand_hydrogens(mol)
         lay = layout(xmol.elements)
-        target = constant(np.linspace(-0.5, 0.5, lay.n_orb * lay.n_orb).reshape(lay.n_orb, -1))
+        structure = mol_structure(tokenize(smiles), xmol, fragment(mol), lay)
+        target = np.linspace(-0.5, 0.5, lay.n_orb * lay.n_orb).reshape(lay.n_orb, -1)
 
         def grads_for(mask_bits):
             tape = Tape()
             lv = model.leaves(tape)
-            h_full = model.hamiltonian_from_tokens(lv, tokens, xmol, lay)
-            masked = mask_tokens(tokens, frags, mask_bits)
-            h_mask = model.hamiltonian_from_tokens(lv, masked, xmol, lay)
-            loss = finetune_loss(target, h_full, h_mask, 1.0)
+            loss = model.finetune_batch_loss(lv, [structure], [mask_bits], [target], 1.0)
             tape.backward(loss)
             return loss.item(), {k: tape.grad(v) for k, v in lv.items()}
 
@@ -223,7 +218,8 @@ class TestMemory:
         gc.disable()
         try:
             tape = Tape()
-            model.hamiltonian_from_tokens(model.leaves(tape), p.tokens, p.xmol, p.lay)
+            s = p.structure
+            model.predict_entries(model.leaves(tape), [s.tokens], [0], [s.value_index])
             del tape  # as when a non-finite loss aborts the step
             assert gc.collect() == 0
         finally:
