@@ -135,10 +135,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def requires_grad(self) -> bool:
-        return self.tape is not None
-
-    @property
     def grad(self) -> Array | None:
         """See `Tape.grad`: set for leaves only, after backward."""
         return None if self.tape is None else self.tape.grad(self)

@@ -89,6 +89,5 @@ def _default_basis() -> OrbitalBasisSpec:
 DEFAULT_BASIS = _default_basis()
 
 
-def electron_count(elements: tuple[str, ...] | list[str],
-                   basis: OrbitalBasisSpec = DEFAULT_BASIS) -> int:
-    return sum(basis.electrons_for(e) for e in elements)
+def electron_count(elements: tuple[str, ...] | list[str]) -> int:
+    return sum(DEFAULT_BASIS.electrons_for(e) for e in elements)

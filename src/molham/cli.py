@@ -15,23 +15,25 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from .alignment import LOSS_FORMS
 from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
-from .dataset import SplitConfig, gen_dataset, load_split
+from .dataset import SPLIT_MODES, SplitConfig, gen_dataset, load_split
 from .errors import AuditFailed, EmptyThresholds, MolhamError
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
 from .oracle import embed_3d, huckel_labels
-from .screening import (bench_pipelines, classify_by_gap, default_thresholds,
-                        report_to_csv, report_to_json)
+from .screening import (bench_pipelines, default_thresholds, report_to_csv, report_to_json,
+                        screen_dataset)
 from .smiles import expand_hydrogens, parse_smiles, tokenize
 from .spectral import solve_gev
-from .training import (TrainConfig, evaluate, finetune, gap_predictions,
-                       load_checkpoint, pretrain, save_checkpoint, write_trace)
+from .training import (TrainConfig, evaluate, finetune, load_checkpoint, pretrain,
+                       save_checkpoint, write_trace)
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -97,39 +99,24 @@ def _merge(defaults: dict, config_file: dict, args: argparse.Namespace,
     return out
 
 
-_MODEL_KEYS = ["width", "token_layers", "geom_rounds", "cutoff", "n_rbf", "n_shear",
-               "head_hidden", "compensation", "loss_form"]
-_MODEL_DEFAULTS = {k: getattr(ModelConfig(), k) for k in _MODEL_KEYS}
-_TRAIN_KEYS = ["epochs", "batch_size", "lr", "lambda1", "lambda2", "mask_keep_prob",
-               "seed", "fusion", "encoder_lr_scale"]
-_TRAIN_DEFAULTS = {k: getattr(TrainConfig(), k) for k in _TRAIN_KEYS}
+# pretrain/finetune take every config field as a flag and config key, except
+# the stage, which the subcommand fixes
+_MODEL_DEFAULTS = asdict(ModelConfig())
+_TRAIN_DEFAULTS = {k: v for k, v in asdict(TrainConfig()).items() if k != "stage"}
 _TRAIN_KINDS = {k: type(v) for k, v in {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}.items()}
+_SPLIT = SplitConfig()
+_GEN_DEFAULTS = {"split": _SPLIT.mode, "seed": _SPLIT.seed, "train_fraction": _SPLIT.train_fraction,
+                 "limit": None, "max_heavy_atoms": None, "corpus": None}
 _GEN_KINDS = {"split": str, "seed": int, "train_fraction": float, "limit": int,
               "max_heavy_atoms": int, "corpus": str}
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=int)
-    p.add_argument("--token-layers", type=int, dest="token_layers")
-    p.add_argument("--geom-rounds", type=int, dest="geom_rounds")
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--n-rbf", type=int, dest="n_rbf")
-    p.add_argument("--n-shear", type=int, dest="n_shear")
-    p.add_argument("--head-hidden", type=int, dest="head_hidden")
-    p.add_argument("--compensation", type=_bool_flag)
-    p.add_argument("--loss-form", dest="loss_form", choices=["log_sigmoid", "literal"])
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--mask-keep-prob", type=float, dest="mask_keep_prob")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fusion", type=_bool_flag)
-    p.add_argument("--encoder-lr-scale", type=float, dest="encoder_lr_scale")
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per config field, typed by its default."""
+    for key, kind in _TRAIN_KINDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=_bool_flag if kind is bool else kind,
+                       choices=LOSS_FORMS if key == "loss_form" else None)
 
 
 def _bool_flag(text: str) -> bool:
@@ -149,7 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--corpus", help="path to a SMILES list; default is the bundled corpus")
-    p.add_argument("--split", choices=["random-id", "size-ood", "element-ood"])
+    p.add_argument("--split", choices=SPLIT_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
     p.add_argument("--limit", type=int, help="use only the first N corpus entries")
@@ -159,16 +146,14 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset directory from gen-data")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
 
     p = sub.add_parser("finetune", help="masked weakly-supervised fine-tuning")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init", help="checkpoint to start from (omit for a fresh model)")
     p.add_argument("--config")
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
 
     p = sub.add_parser("predict", help="predict a Hamiltonian for one SMILES string")
     p.add_argument("--checkpoint", required=True)
@@ -207,9 +192,10 @@ def build_parser() -> _Parser:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg_file = _load_config_file(args.config)
-    resolved = _merge({"split": "random-id", "seed": 0, "train_fraction": 0.8,
-                       "limit": None, "max_heavy_atoms": None, "corpus": None},
-                      cfg_file, args, _GEN_KINDS)
+    resolved = _merge(_GEN_DEFAULTS, cfg_file, args, _GEN_KINDS)
+    for key in ("limit", "max_heavy_atoms"):
+        if resolved[key] is not None and resolved[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {resolved[key]}")
     inputs = {}
     if resolved["corpus"]:
         corpus = [line.strip() for line in Path(resolved["corpus"]).read_text().splitlines()
@@ -240,15 +226,15 @@ def _train_common(args: argparse.Namespace, stage: str) -> int:
     data_dir = Path(args.data)
     train_set, _, _ = load_split(data_dir)
 
-    train_cfg = TrainConfig(stage=stage, **{k: resolved[k] for k in _TRAIN_KEYS})
-    model_cfg = ModelConfig(**{k: resolved[k] for k in _MODEL_KEYS})
+    train_cfg = TrainConfig(stage=stage, **{k: resolved[k] for k in _TRAIN_DEFAULTS})
+    model_cfg = ModelConfig(**{k: resolved[k] for k in _MODEL_DEFAULTS})
 
     init_path = getattr(args, "init", None)
     if stage == "finetune" and init_path:
         model, _, _ = load_checkpoint(init_path, expect=model_cfg)
         inputs = {init_path: _sha256(Path(init_path))}
     else:
-        model = Model.init(model_cfg, resolved["seed"])
+        model = Model.init(model_cfg, train_cfg.seed)
         inputs = {}
     for name in ("train.jsonl", "test.jsonl"):
         inputs[str(data_dir / name)] = _sha256(data_dir / name)
@@ -317,8 +303,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
             raise EmptyThresholds("threshold override is empty")
     else:
         thresholds = default_thresholds()
-    pred, true = gap_predictions(model, test_set, fusion=args.fusion)
-    rows = classify_by_gap(pred, true, thresholds)
+    rows = screen_dataset(model, test_set, thresholds, fusion=args.fusion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "screen.csv", report_to_csv(rows))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .basis import DEFAULT_BASIS, OrbitalBasisSpec, electron_count
+from .basis import electron_count
 from .corpus import corpus_sha256
 from .errors import CorruptFile, EmptySplit, MolhamError
 from .hamhead import from_upper_triangle, upper_triangle
@@ -119,14 +119,13 @@ def _record_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _generate_one(idx: int, smiles: str, seed: int,
-                  basis: OrbitalBasisSpec) -> DatasetRecord | dict:
+def _generate_one(idx: int, smiles: str, seed: int) -> DatasetRecord | dict:
     try:
         mol = parse_smiles(smiles)
         xmol = expand_hydrogens(mol)
         coords = embed_3d(xmol, _record_seed(seed, idx))
-        h, s = huckel_labels(xmol, coords, basis)
-        n_elec = electron_count(xmol.elements, basis)
+        h, s = huckel_labels(xmol, coords)
+        n_elec = electron_count(xmol.elements)
         result = solve_gev(h, s, n_elec)
         return DatasetRecord(
             smiles=smiles,
@@ -143,15 +142,14 @@ def _generate_one(idx: int, smiles: str, seed: int,
                 "error": type(err).__name__, "detail": str(err)}
 
 
-def generate_records(corpus: list[str], seed: int,
-                     basis: OrbitalBasisSpec = DEFAULT_BASIS) -> GenReport:
+def generate_records(corpus: list[str], seed: int) -> GenReport:
     """Embed, label, and solve every corpus entry in order; failures are recorded.
 
     Per-record work is deterministic given (corpus index, seed).
     """
     report = GenReport()
     for idx, smiles in enumerate(corpus):
-        res = _generate_one(idx, smiles, seed, basis)
+        res = _generate_one(idx, smiles, seed)
         if isinstance(res, DatasetRecord):
             report.records.append(res)
         else:
@@ -180,12 +178,11 @@ def assign_split(records: list[DatasetRecord], config: SplitConfig) -> tuple[lis
     return train, test
 
 
-def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path,
-                basis: OrbitalBasisSpec = DEFAULT_BASIS) -> dict:
+def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path) -> dict:
     """Write train.jsonl, test.jsonl, and manifest.json atomically; returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = generate_records(corpus, config.seed, basis)
+    report = generate_records(corpus, config.seed)
     train_idx, test_idx = assign_split(report.records, config)
 
     for name, idxs in (("train", train_idx), ("test", test_idx)):

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import Tensor, constant
-from .basis import DEFAULT_BASIS, OrbitalBasisSpec
+from .basis import DEFAULT_BASIS
 from .errors import CorruptFile, DimensionMismatch, ShapeMismatch
 from .nn import Mlp
 
@@ -59,9 +59,8 @@ class BlockLayout:
         return np.repeat(np.arange(self.n_atoms), self.counts)
 
 
-def layout(elements: list[str] | tuple[str, ...],
-           basis: OrbitalBasisSpec = DEFAULT_BASIS) -> BlockLayout:
-    counts = tuple(len(basis.orbitals_for(e)) for e in elements)
+def layout(elements: list[str] | tuple[str, ...]) -> BlockLayout:
+    counts = tuple(len(DEFAULT_BASIS.orbitals_for(e)) for e in elements)
     offsets = []
     total = 0
     for c in counts:
@@ -89,10 +88,6 @@ class PairNet:
 class HeadParams:
     diag: Mlp      # d -> 3 block values per atom
     pair: PairNet  # per unordered atom pair
-
-    @property
-    def width(self) -> int:
-        return self.diag.w1.data.shape[0]
 
 
 def _value_index(lay: BlockLayout) -> np.ndarray:

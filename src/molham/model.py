@@ -64,7 +64,7 @@ class MolStructure:
     token_fragment: np.ndarray  # (L,) fragment of each atom token, -1 on other tokens
     fragment_of: np.ndarray     # (n,) fragment of each expanded atom
     n_fragments: int
-    value_index: np.ndarray | None  # hamhead._value_index of the layout, if one was given
+    value_index: np.ndarray     # hamhead._value_index of the molecule's layout
 
     @property
     def elem_ids(self) -> np.ndarray:
@@ -83,8 +83,8 @@ class MolStructure:
 
 
 def mol_structure(tokens: list[Token], xmol: ExpandedMol, fragments: list[Fragment],
-                  lay: hh.BlockLayout | None = None) -> MolStructure:
-    """Structures of a molecule; the head's value index needs its layout."""
+                  lay: hh.BlockLayout) -> MolStructure:
+    """Structures of a molecule, with the head's value index for its layout."""
     token_fragment = np.full(len(tokens), -1, dtype=np.intp)
     for f in fragments:
         for t in f.token_indices:
@@ -94,8 +94,7 @@ def mol_structure(tokens: list[Token], xmol: ExpandedMol, fragments: list[Fragme
     for fid, members in enumerate(expanded_fragments(xmol, fragments)):
         fragment_of[list(members)] = fid
     return MolStructure(enc.token_sequence(tokens, xmol.token_sets, xmol.elements),
-                        token_fragment, fragment_of, len(fragments),
-                        None if lay is None else hh._value_index(lay))
+                        token_fragment, fragment_of, len(fragments), hh._value_index(lay))
 
 
 def padding(n_atoms: Sequence[int]) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import DEFAULT_BASIS, OrbitalBasisSpec
+from .basis import DEFAULT_BASIS
 from .errors import EmbedFailure
 from .smiles import ExpandedMol
 from .spectral import toy_overlap
@@ -111,11 +111,10 @@ def _spring_gradient(coords: np.ndarray, unbonded: np.ndarray, floor: np.ndarray
     return lap @ coords
 
 
-def huckel_labels(xmol: ExpandedMol, coords: np.ndarray,
-                  basis: OrbitalBasisSpec = DEFAULT_BASIS) -> tuple[np.ndarray, np.ndarray]:
+def huckel_labels(xmol: ExpandedMol, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H, S) label pair for an expanded molecule at the given coordinates."""
-    s = toy_overlap(xmol.elements, coords, basis)
-    onsite = np.asarray([orb.onsite for e in xmol.elements for orb in basis.orbitals_for(e)])
+    s = toy_overlap(xmol.elements, coords)
+    onsite = np.asarray([orb.onsite for e in xmol.elements for orb in DEFAULT_BASIS.orbitals_for(e)])
     esum = 0.5 * (onsite[:, None] + onsite[None, :])
     h = WOLFSBERG_HELMHOLZ_K * s * esum
     np.fill_diagonal(h, onsite)

@@ -18,6 +18,7 @@ from .model import Model
 from .oracle import embed_3d, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles, tokenize
 from .spectral import solve_gev
+from .training import gap_predictions
 
 
 def default_thresholds() -> list[float]:
@@ -96,16 +97,20 @@ class BenchReport:
 
 
 def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
-                    limit: int | None = None, seed: int = 0) -> BenchReport:
+                    limit: int | None = None) -> BenchReport:
     """Median wall-clock per 1000 molecules for the three inference routes.
 
     The string path runs tokenizer + token encoder + prediction head and, by
     construction, never generates coordinates (audited via the embed-call
     counter). The geometry path regenerates coordinates and runs the fused
     inference; the reference path regenerates coordinates and recomputes the
-    semi-empirical labels plus the spectral solve.
+    semi-empirical labels plus the spectral solve. Molecule i embeds with seed i.
     """
-    records = dataset.records[:limit] if limit else dataset.records
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    records = dataset.records[:limit]
     smiles = [r.smiles for r in records]
     n = len(smiles)
     scale = 1000.0 / max(1, n)
@@ -130,13 +135,13 @@ def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
         for i, s in enumerate(smiles):
             tokens = tokenize(s)
             xmol = expand_hydrogens(parse_smiles(s))
-            coords = embed_3d(xmol, seed + i)
+            coords = embed_3d(xmol, i)
             model.hamiltonian_fused(leaves, tokens, xmol, layout(xmol.elements), coords)
 
     def reference_path() -> None:
         for i, s in enumerate(smiles):
             xmol = expand_hydrogens(parse_smiles(s))
-            coords = embed_3d(xmol, seed + i)
+            coords = embed_3d(xmol, i)
             h, s_mat = huckel_labels(xmol, coords)
             solve_gev(h, s_mat, electron_count(xmol.elements))
 
@@ -157,6 +162,5 @@ def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
 
 def screen_dataset(model: Model, dataset: Dataset, thresholds: list[float],
                    fusion: bool = False) -> list[ThresholdRow]:
-    from .training import gap_predictions
     pred, true = gap_predictions(model, dataset, fusion)
     return classify_by_gap(pred, true, thresholds)

@@ -485,7 +485,6 @@ class ExpandedMol:
 
     elements: tuple[str, ...]
     parent: tuple[int, ...]
-    is_fill_hydrogen: tuple[bool, ...]
     bonds: tuple[tuple[int, int], ...]
     token_sets: tuple[tuple[int, ...], ...]
 
@@ -497,7 +496,6 @@ class ExpandedMol:
 def expand_hydrogens(mol: MolGraph) -> ExpandedMol:
     elements = [a.element for a in mol.atoms]
     parent = list(range(mol.n_atoms))
-    fill = [False] * mol.n_atoms
     bonds = [(b.i, b.j) for b in mol.bonds]
     token_sets = [mol.atom_token_sets[i] for i in range(mol.n_atoms)]
     for idx, a in enumerate(mol.atoms):
@@ -505,11 +503,9 @@ def expand_hydrogens(mol: MolGraph) -> ExpandedMol:
             h = len(elements)
             elements.append("H")
             parent.append(idx)
-            fill.append(True)
             bonds.append((idx, h))
             token_sets.append(mol.atom_token_sets[idx])
-    return ExpandedMol(tuple(elements), tuple(parent), tuple(fill),
-                       tuple(bonds), tuple(token_sets))
+    return ExpandedMol(tuple(elements), tuple(parent), tuple(bonds), tuple(token_sets))
 
 
 def expanded_fragments(xmol: ExpandedMol, fragments: list[Fragment]) -> list[tuple[int, ...]]:

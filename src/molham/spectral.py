@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ANGSTROM_TO_BOHR, DEFAULT_BASIS, HARTREE_TO_EV, OrbitalBasisSpec
+from .basis import ANGSTROM_TO_BOHR, DEFAULT_BASIS, HARTREE_TO_EV
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -208,8 +208,7 @@ def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
 
 # --- overlap model ---
 
-def toy_overlap(elements: list[str] | tuple[str, ...], coords: np.ndarray,
-                basis: OrbitalBasisSpec = DEFAULT_BASIS) -> np.ndarray:
+def toy_overlap(elements: list[str] | tuple[str, ...], coords: np.ndarray) -> np.ndarray:
     """Gram matrix of one normalized Gaussian per orbital.
 
     S_uv = (2 sqrt(a_u a_v) / (a_u + a_v))^(3/2) * exp(-(a_u a_v/(a_u + a_v)) r_uv^2)
@@ -226,7 +225,7 @@ def toy_overlap(elements: list[str] | tuple[str, ...], coords: np.ndarray,
     alphas: list[float] = []
     centers: list[int] = []
     for i, elem in enumerate(elements):
-        for orb in basis.orbitals_for(elem):
+        for orb in DEFAULT_BASIS.orbitals_for(elem):
             alphas.append(orb.exponent)
             centers.append(i)
     al = np.asarray(alphas)

@@ -28,6 +28,11 @@ from .spectral import mae_blocks, mae_energies, orbital_similarity, solve_gev
 CHECKPOINT_VERSION = 1
 _CKPT_MAGIC = b"MHCK0001"
 
+# Adam's moment decay rates and denominator guard, fixed for every stage
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -35,9 +40,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lambda1: float = 0.5               # weight of the auxiliary discrepancy term
     lambda2: float = 0.8               # weight of the full-string prediction term
     mask_keep_prob: float = 0.85       # per-fragment keep probability
@@ -70,9 +72,8 @@ class Adam:
     encoder groups).
     """
 
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float,
-                 rate_scales: dict[str, float] | None = None):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float, rate_scales: dict[str, float] | None = None):
+        self.lr = lr
         self.rate_scales = rate_scales or {}
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
@@ -86,7 +87,7 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray | None]) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, arr in params.items():
@@ -98,7 +99,7 @@ class Adam:
                 self.v[name] = np.zeros_like(arr)
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -162,7 +163,7 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     prepared = prepare(dataset)
     coords = [dataset.get_coords(i) for i in range(len(dataset))]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11])))
-    opt = Adam(config.lr, config.beta1, config.beta2, config.adam_eps)
+    opt = Adam(config.lr)
     rows: list[TraceRow] = []
     step = 0
     for epoch in range(config.epochs):
@@ -204,7 +205,7 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     scales = None
     if config.encoder_lr_scale != 1.0:
         scales = {"token.": config.encoder_lr_scale, "geom.": config.encoder_lr_scale}
-    opt = Adam(config.lr, config.beta1, config.beta2, config.adam_eps, rate_scales=scales)
+    opt = Adam(config.lr, rate_scales=scales)
     frozen = ("token.",) if config.fusion else ()
     rows: list[TraceRow] = []
     step = 0

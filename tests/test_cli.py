@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -91,6 +92,58 @@ class TestDefaults:
         defaults = {**asdict(ModelConfig()), **asdict(TrainConfig())}
         assert set(resolved) >= set(asdict(ModelConfig()))
         assert resolved == {k: defaults[k] for k in resolved}
+
+
+class TestConfigFlags:
+    """pretrain and finetune take exactly the config fields as flags."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_flags_are_the_config_fields(self, command, tmp_path):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a.option_strings for a in sub.choices[command]._actions}
+        for own in ("help", "data", "out", "config", "init"):
+            flags.pop(own, None)
+        names = {f.name for f in fields(ModelConfig) + fields(TrainConfig)} - {"stage"}
+        assert set(flags) == names
+        assert all(flags[k] == ["--" + k.replace("_", "-")] for k in names)
+        # Adam's settings are constants, not flags
+        assert main([command, "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                     "--beta1", "0.5"]) == 1
+        assert not (tmp_path / "run").exists()
+
+
+class TestCounts:
+    """A count below 1, from a flag or a config file, exits 2 with one error
+    line naming its key and writes nothing."""
+
+    def _rejected(self, capsys, argv, out, key):
+        code = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert key in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("limit", 0), ("limit", -2), ("max_heavy_atoms", 0)])
+    def test_gen_data_flag(self, tmp_path, corpus_file, capsys, key, value):
+        out = tmp_path / "ds"
+        self._rejected(capsys, ["gen-data", "--out", str(out), "--corpus", str(corpus_file),
+                                "--" + key.replace("_", "-"), str(value)], out, key)
+
+    @pytest.mark.parametrize("key, value", [("limit", 0), ("limit", -2), ("max_heavy_atoms", 0)])
+    def test_gen_data_config_key(self, tmp_path, corpus_file, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "ds"
+        self._rejected(capsys, ["gen-data", "--out", str(out), "--corpus", str(corpus_file),
+                                "--config", str(cfg)], out, key)
+
+    @pytest.mark.parametrize("key, value", [("limit", -1), ("limit", 0), ("repeat", 0)])
+    def test_bench_flag(self, tmp_path, pipeline, capsys, key, value):
+        data, ckpt = pipeline
+        out = tmp_path / "bench"
+        self._rejected(capsys, ["bench", "--checkpoint", str(ckpt), "--data", str(data),
+                                "--out", str(out), "--" + key, str(value)], out, key)
 
 
 class TestGenData:
@@ -285,6 +338,22 @@ class TestCorruptInputs:
                          "--init", str(bad), "--epochs", "1", "--seed", "1"] + MODEL_FLAGS)
         assert code == 2
         assert "non-finite fine-tuning loss at record" in capsys.readouterr().err
+
+
+class TestOlderCheckpoint:
+    def test_adam_keys_in_train_config_still_load(self, tmp_path, pipeline):
+        """Checkpoints from before the Adam settings became constants carry
+        beta1, beta2 and adam_eps in their train_config."""
+        data, ckpt = pipeline
+        old = _edited_checkpoint(ckpt, tmp_path / "old.mh", lambda m: m["train_config"].update(
+            beta1=0.9, beta2=0.999, adam_eps=1e-8))
+        _, train_cfg, _ = load_checkpoint(old)
+        assert (train_cfg["beta1"], train_cfg["beta2"], train_cfg["adam_eps"]) == (0.9, 0.999, 1e-8)
+        run = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(run), "--init", str(old),
+                     "--epochs", "1", "--seed", "1"] + MODEL_FLAGS) == 0
+        _, train_cfg, _ = load_checkpoint(run / "checkpoint.mh")
+        assert TrainConfig(**train_cfg) == TrainConfig(stage="finetune", epochs=1, seed=1)
 
 
 class TestCoordinateAudit:

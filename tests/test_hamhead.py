@@ -12,10 +12,10 @@ from _oracles import value_index_loops
 from molham import autodiff as ad
 from molham import hamhead
 from molham.autodiff import Tape, constant, grad_check
-from molham.basis import DEFAULT_BASIS, Orbital, OrbitalBasisSpec
 from molham.errors import (CorruptFile, DimensionMismatch, MolhamError, ShapeMismatch,
                            UnsupportedElement)
 from molham.hamhead import (
+    BlockLayout,
     finetune_loss,
     fuse_modalities,
     head_plan,
@@ -174,10 +174,7 @@ class TestPredict:
             assert all(np.array_equal(a, b) for a, b in zip(gp_new, gp_ref)), smiles
 
     def test_more_than_two_orbitals_on_an_atom_rejected(self, head):
-        carbon = DEFAULT_BASIS.orbitals["C"] + (Orbital("p", 0.25, -0.4),)
-        basis = OrbitalBasisSpec({**DEFAULT_BASIS.orbitals, "C": carbon}, dict(DEFAULT_BASIS.electrons))
-        lay = layout(("C", "H"), basis)
-        assert lay.counts == (3, 1)
+        lay = BlockLayout(("C", "H"), (0, 3), (3, 1))  # a carbon with three orbitals
         params = head.head(head.leaves(None))
         with pytest.raises(DimensionMismatch) as err:
             _matrix(np.zeros((2, CFG.width)), lay, params)

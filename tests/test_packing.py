@@ -21,7 +21,7 @@ from molham.autodiff import Tape, constant
 from molham.dataset import Dataset, generate_records
 from molham.encoders import token_vocab_id
 from molham.errors import IndexOutOfRange, TrainingAborted, ZeroNormRow
-from molham.hamhead import layout
+from molham.hamhead import BlockLayout, layout
 from molham.model import Model, ModelConfig, mol_structure
 from molham.nn import normalize_rows
 from molham.oracle import embed_3d
@@ -170,7 +170,10 @@ def test_masked_ids_match_mask_tokens():
         tokens = tokenize(smiles)
         mol = parse_smiles(smiles)
         frags = fragment(mol)
-        structure = mol_structure(tokens, expand_hydrogens(mol), frags)
+        xmol = expand_hydrogens(mol)
+        # masking reads no orbitals, and the basis has none for the Cl atom
+        lay = BlockLayout(xmol.elements, tuple(range(xmol.n_atoms)), (1,) * xmol.n_atoms)
+        structure = mol_structure(tokens, xmol, frags, lay)
         for _ in range(4):
             keep = [int(b) for b in rng.random(len(frags)) < 0.5]
             want = [token_vocab_id(t) for t in mask_tokens(tokens, frags, keep)]

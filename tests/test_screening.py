@@ -121,6 +121,12 @@ class TestBench:
                     "reference_path_s_per_1000", "repeat", "embed_calls_string_path"):
             assert key in payload
 
+    @pytest.mark.parametrize("key, value", [("repeat", 0), ("limit", 0), ("limit", -1)])
+    def test_count_below_one_rejected(self, setup, key, value):
+        model, ds = setup
+        with pytest.raises(ValueError, match=key):
+            bench_pipelines(model, ds, **{key: value})
+
     def test_screen_dataset_rows(self, setup):
         model, ds = setup
         rows = screen_dataset(model, ds, [0.3, 10.0])
