@@ -30,7 +30,7 @@ from .model import Model, ModelConfig
 from .oracle import embed_3d, huckel_labels
 from .screening import (bench_pipelines, default_thresholds, report_to_csv, report_to_json,
                         screen_dataset)
-from .smiles import expand_hydrogens, parse_smiles, tokenize
+from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
 from .spectral import solve_gev
 from .training import (TrainConfig, evaluate, finetune, load_checkpoint, pretrain,
                        save_checkpoint, write_trace)
@@ -256,7 +256,7 @@ def _train_common(args: argparse.Namespace, stage: str) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     tokens = tokenize(args.smiles)
-    xmol = expand_hydrogens(parse_smiles(args.smiles))
+    xmol = expand_hydrogens(parse(tokens))
     lay = layout(xmol.elements)
     leaves = model.leaves(None)
     coords = embed_3d(xmol, args.seed)  # evaluation-time overlap geometry

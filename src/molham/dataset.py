@@ -66,8 +66,9 @@ class DatasetRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "DatasetRecord":
-        raw = json.loads(line)
+        """Parse one stored line; a malformed one raises CorruptFile."""
         try:
+            raw = json.loads(line)
             n_orb = _dim_from_upper(len(raw["h_upper"]))
             return cls(
                 smiles=raw["smiles"],
@@ -81,12 +82,14 @@ class DatasetRecord:
             )
         except KeyError as err:
             raise CorruptFile(f"dataset record lacks field {err}") from None
+        except (TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+            raise CorruptFile(f"malformed dataset record: {err}") from None
 
 
 def _dim_from_upper(n_vals: int) -> int:
     n = int((np.sqrt(8 * n_vals + 1) - 1) / 2)
     if n * (n + 1) // 2 != n_vals:
-        raise MolhamError(f"{n_vals} values is not an upper triangle")
+        raise CorruptFile(f"{n_vals} values is not an upper triangle")
     return n
 
 
@@ -213,7 +216,16 @@ def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
     out = Path(out_dir)
     sets = []
     for name in ("train", "test"):
-        with open(out / f"{name}.jsonl") as fh:
-            sets.append(Dataset([DatasetRecord.from_json(line) for line in fh if line.strip()]))
+        path = out / f"{name}.jsonl"
+        records = []
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(DatasetRecord.from_json(line))
+                except CorruptFile as err:
+                    raise CorruptFile(f"{path} line {number}: {err}") from None
+        sets.append(Dataset(records))
     manifest = json.loads((out / "manifest.json").read_text())
     return sets[0], sets[1], manifest

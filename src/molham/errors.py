@@ -132,7 +132,8 @@ class AuditFailed(MolhamError):
 
 
 class TrainingAborted(MolhamError):
-    """Non-finite loss or gradient; carries the offending record index."""
+    """Non-finite loss or gradient; carries the offending record index, or None
+    when a gradient shared by the whole batch is to blame."""
 
     def __init__(self, message: str, record_index: int | None = None):
         super().__init__(message)

@@ -4,13 +4,14 @@ The model owns plain float64 arrays; every forward pass wraps them as tape
 leaves (or constants, for frozen groups) so training steps stay functional:
 run forward, backward, update arrays, discard the tape.
 
-Every forward pass runs a packed batch. Each molecule's integer structures
-(`MolStructure`) are built once; a pass packs them into padded (B, n, d)
-atom rows (`pad` marks rows past each molecule's atoms) with concatenated
-pair lists, and every loss comes out per molecule. Fine-tuning and
-inference share one prediction forward, `predict_entries`; predicting one
-molecule (`hamiltonian_from_tokens`, `hamiltonian_fused`) runs it as a
-batch of one.
+Every forward pass runs a packed batch. Training builds each molecule's
+integer structures (`MolStructure`) once; a pass packs them into padded
+(B, n, d) atom rows (`pad` marks rows past each molecule's atoms) with
+concatenated pair lists, and every loss comes out per molecule. Fine-tuning
+and inference share one prediction forward, `predict_entries`. Every
+one-molecule prediction (`predict`, `bench`, evaluation and screening) goes
+through `hamiltonian_from_tokens` or `hamiltonian_fused`, which run it as a
+batch of one from the tokens, the expanded molecule and the layout.
 """
 
 from __future__ import annotations

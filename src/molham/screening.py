@@ -16,7 +16,7 @@ from .errors import EmptyThresholds, LengthMismatch
 from .hamhead import layout
 from .model import Model
 from .oracle import embed_3d, huckel_labels
-from .smiles import expand_hydrogens, parse_smiles, tokenize
+from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
 from .spectral import solve_gev
 from .training import gap_predictions
 
@@ -128,13 +128,13 @@ def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
     def string_path() -> None:
         for s in smiles:
             tokens = tokenize(s)
-            xmol = expand_hydrogens(parse_smiles(s))
+            xmol = expand_hydrogens(parse(tokens))
             model.hamiltonian_from_tokens(leaves, tokens, xmol, layout(xmol.elements))
 
     def geometry_path() -> None:
         for i, s in enumerate(smiles):
             tokens = tokenize(s)
-            xmol = expand_hydrogens(parse_smiles(s))
+            xmol = expand_hydrogens(parse(tokens))
             coords = embed_3d(xmol, i)
             model.hamiltonian_fused(leaves, tokens, xmol, layout(xmol.elements), coords)
 

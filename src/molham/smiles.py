@@ -325,71 +325,57 @@ def parse(tokens: list[Token]) -> MolGraph:
     if not atoms:
         raise SmilesError("no atoms in string")
 
-    ring_flags = _ring_bond_flags(len(atoms), [(d.i, d.j) for d in drafts])
-    bonds = [Bond(d.i, d.j, d.order, d.aromatic, ring_flags[k]) for k, d in enumerate(drafts)]
+    n = len(atoms)
+    edges = [(d.i, d.j) for d in drafts]
+    bonds = []
+    for k, d in enumerate(drafts):
+        # a ring bond's endpoints stay connected without it
+        label = _components(n, edges[:k] + edges[k + 1:])
+        bonds.append(Bond(d.i, d.j, d.order, d.aromatic, label[d.i] == label[d.j]))
 
+    order_sum = [0.0] * n
+    for b in bonds:
+        for idx in (b.i, b.j):
+            order_sum[idx] += 1.5 if b.aromatic else b.order
     final_atoms: list[Atom] = []
     for idx, a in enumerate(atoms):
-        order_sum = 0.0
-        for b in bonds:
-            if idx in (b.i, b.j):
-                order_sum += 1.5 if b.aromatic else b.order
         if a.bracket_h is not None:
             hydrogens = a.bracket_h
         else:
             valence = VALENCE[a.element]
-            used = math.ceil(order_sum)
+            used = math.ceil(order_sum[idx])
             if used > valence and not a.aromatic:
                 raise ValenceExceeded(
-                    f"atom {idx} ({a.element}) uses {order_sum} bonds, valence is {valence}")
+                    f"atom {idx} ({a.element}) uses {order_sum[idx]} bonds, valence is {valence}")
             hydrogens = max(0, valence - used)
         final_atoms.append(Atom(a.element, a.aromatic, a.charge, hydrogens, a.token_index))
 
-    _check_connected(len(final_atoms), bonds)
+    if any(_components(n, edges)):
+        raise SmilesError("molecule graph is not connected")
     return MolGraph(final_atoms, bonds, [tuple(s) for s in token_sets])
 
 
-def _ring_bond_flags(n_atoms: int, edges: list[tuple[int, int]]) -> list[bool]:
-    """A bond is a ring bond iff its endpoints stay connected without it."""
+def _components(n_atoms: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Connected-component label of each atom, components numbered in order
+    of their lowest atom."""
     adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for k, (i, j) in enumerate(edges):
-        adj[i].append(k)
-        adj[j].append(k)
-    flags = []
-    for k, (i, j) in enumerate(edges):
-        seen = {i}
-        stack = [i]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    label = [-1] * n_atoms
+    count = 0
+    for start in range(n_atoms):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
         while stack:
-            cur = stack.pop()
-            for ek in adj[cur]:
-                if ek == k:
-                    continue
-                a, b = edges[ek]
-                nxt = b if a == cur else a
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in adj[stack.pop()]:
+                if label[nxt] < 0:
+                    label[nxt] = count
                     stack.append(nxt)
-        flags.append(j in seen)
-    return flags
-
-
-def _check_connected(n_atoms: int, bonds: list[Bond]) -> None:
-    if n_atoms == 0:
-        return
-    seen = {0}
-    stack = [0]
-    adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for b in bonds:
-        adj[b.i].append(b.j)
-        adj[b.j].append(b.i)
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != n_atoms:
-        raise SmilesError("molecule graph is not connected")
+        count += 1
+    return label
 
 
 def parse_smiles(smiles: str) -> MolGraph:
@@ -408,49 +394,31 @@ def fragment(mol: MolGraph) -> list[Fragment]:
     non-hydrogen atoms. Molecules with no cleavable bond yield one fragment.
     """
     n = mol.n_atoms
+    heavy = [a.element != "H" for a in mol.atoms]
     active = [True] * len(mol.bonds)
 
-    def component(start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for k, b in enumerate(mol.bonds):
-                if not active[k]:
-                    continue
-                if b.i == cur and b.j not in seen:
-                    seen.add(b.j)
-                    stack.append(b.j)
-                elif b.j == cur and b.i not in seen:
-                    seen.add(b.i)
-                    stack.append(b.i)
-        return seen
-
-    def heavy_count(atom_ids: set[int]) -> int:
-        return sum(1 for a in atom_ids if mol.atoms[a].element != "H")
+    def labels(skip: int = -1) -> list[int]:
+        return _components(n, [(b.i, b.j) for k, b in enumerate(mol.bonds)
+                               if active[k] and k != skip])
 
     for k, b in enumerate(mol.bonds):
-        if b.in_ring or b.aromatic or b.order != 1:
+        if b.in_ring or b.aromatic or b.order != 1 or not (heavy[b.i] and heavy[b.j]):
             continue
-        if mol.atoms[b.i].element == "H" or mol.atoms[b.j].element == "H":
-            continue
-        active[k] = False
-        side_i = component(b.i)
-        if heavy_count(side_i) < 2 or heavy_count(component(b.j)) < 2:
-            active[k] = True  # cut rejected, restore
+        label = labels(skip=k)
+        heavy_count = [0] * (max(label) + 1)
+        for a, lab in enumerate(label):
+            heavy_count[lab] += heavy[a]
+        if heavy_count[label[b.i]] >= 2 and heavy_count[label[b.j]] >= 2:
+            active[k] = False
 
-    assigned = [-1] * n
-    fragments: list[Fragment] = []
-    for start in range(n):
-        if assigned[start] >= 0:
-            continue
-        members = sorted(component(start))
-        fid = len(fragments)
-        for a in members:
-            assigned[a] = fid
-        token_indices = sorted(t for a in members for t in mol.atom_token_sets[a])
-        fragments.append(Fragment(fid, tuple(members), tuple(token_indices)))
-    return fragments
+    members: list[list[int]] = []
+    for a, lab in enumerate(labels()):
+        if lab == len(members):
+            members.append([])
+        members[lab].append(a)
+    return [Fragment(fid, tuple(atoms),
+                     tuple(sorted(t for a in atoms for t in mol.atom_token_sets[a])))
+            for fid, atoms in enumerate(members)]
 
 
 def mask_tokens(tokens: list[Token], fragments: list[Fragment], keep: list[int]) -> list[Token]:

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteCoordinate,
+    NonFiniteValue,
     NotPositiveDefinite,
     NotSymmetric,
     NoVirtualOrbital,
@@ -56,6 +57,8 @@ def _check_square_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{name} has a non-finite entry")
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > _SYMMETRY_TOL:
         raise NotSymmetric(f"{name} asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.0e}")

@@ -18,11 +18,11 @@ import numpy as np
 from .atomic import atomic_open, atomic_write_text
 from . import autodiff as ad
 from .autodiff import Tape
-from .dataset import Dataset, DatasetRecord
+from .dataset import Dataset
 from .errors import CorruptFile, TrainingAborted, VersionMismatch
-from .hamhead import BlockLayout, layout
+from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
-from .smiles import expand_hydrogens, fragment, parse_smiles, tokenize
+from .smiles import expand_hydrogens, fragment, parse, tokenize
 from .spectral import mae_blocks, mae_energies, orbital_similarity, solve_gev
 
 CHECKPOINT_VERSION = 1
@@ -102,24 +102,15 @@ class Adam:
             arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-@dataclass
-class Prepared:
-    """Per-record structures computed once and reused across epochs."""
-
-    record: DatasetRecord
-    lay: BlockLayout
-    structure: MolStructure
-
-
-def prepare(dataset: Dataset) -> list[Prepared]:
+def prepare(dataset: Dataset) -> list[MolStructure]:
+    """Each record's training structures, fragments included: built once from
+    its tokens and reused across epochs. Evaluation builds none of them."""
     out = []
     for rec in dataset.records:
         tokens = tokenize(rec.smiles)
-        mol = parse_smiles(rec.smiles)
+        mol = parse(tokens)
         xmol = expand_hydrogens(mol)
-        fragments = fragment(mol)
-        lay = layout(xmol.elements)
-        out.append(Prepared(rec, lay, mol_structure(tokens, xmol, fragments, lay)))
+        out.append(mol_structure(tokens, xmol, fragment(mol), layout(xmol.elements)))
     return out
 
 
@@ -158,25 +149,35 @@ def _check_finite(terms: np.ndarray, what: str, batch: list[int]) -> None:
     raise TrainingAborted(f"non-finite {what} at record {index}", index)
 
 
+def _check_grads(grads: dict[str, np.ndarray | None], stage: str, step: int) -> None:
+    """Raise TrainingAborted naming the first parameter whose gradient is not
+    finite, before the optimizer writes any of them."""
+    for name, g in grads.items():
+        if g is not None and not np.isfinite(g).all():
+            raise TrainingAborted(f"non-finite {stage} gradient of {name} at step {step}")
+
+
 def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
     """Both-modality pre-training; returns the loss trace and final RNG state."""
-    prepared = prepare(dataset)
+    structs = prepare(dataset)
     coords = [dataset.get_coords(i) for i in range(len(dataset))]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11])))
     opt = Adam(config.lr)
     rows: list[TraceRow] = []
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(structs))
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape)
-            molecules = [{"structure": prepared[i].structure, "coords": coords[i]} for i in batch]
+            molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
             total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
             _check_finite(d_terms.data, "pre-training loss", batch)
             _check_finite(total.data, "pre-training loss", batch)
             tape.backward(total)
-            opt.step(model.params, model.grads(tape, leaves))
+            grads = model.grads(tape, leaves)
+            _check_grads(grads, "pre-training", step)
+            opt.step(model.params, grads)
             rows.append(TraceRow(step, epoch, {
                 "loss_total": total.item(),
                 "loss_discrepancy": float(d_terms.data.mean()),
@@ -186,10 +187,10 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     return rows, rng.bit_generator.state
 
 
-def _mask_vectors(prepared: list[Prepared], rng: np.random.Generator,
+def _mask_vectors(structs: list[MolStructure], rng: np.random.Generator,
                   keep_prob: float) -> list[list[int]]:
-    return [[1 if rng.random() < keep_prob else 0 for _ in range(p.structure.n_fragments)]
-            for p in prepared]
+    return [[1 if rng.random() < keep_prob else 0 for _ in range(s.n_fragments)]
+            for s in structs]
 
 
 def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
@@ -198,9 +199,9 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     The string-only path never touches coordinates; with fusion enabled the
     token encoder group is frozen and the geometry encoder keeps training.
     """
-    prepared = prepare(dataset)
+    structs = prepare(dataset)
     coords = [dataset.get_coords(i) for i in range(len(dataset))] if config.fusion else None
-    targets = [p.record.h for p in prepared]
+    targets = [rec.h for rec in dataset.records]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 13])))
     scales = None
     if config.encoder_lr_scale != 1.0:
@@ -210,19 +211,21 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     rows: list[TraceRow] = []
     step = 0
     for epoch in range(config.epochs):
-        masks = _mask_vectors(prepared, rng, config.mask_keep_prob)
-        order = rng.permutation(len(prepared))
+        masks = _mask_vectors(structs, rng, config.mask_keep_prob)
+        order = rng.permutation(len(structs))
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape, frozen_prefixes=frozen)
             terms = model.finetune_batch_loss(
-                leaves, [prepared[i].structure for i in batch], [masks[i] for i in batch],
+                leaves, [structs[i] for i in batch], [masks[i] for i in batch],
                 [targets[i] for i in batch], config.lambda2,
                 [coords[i] for i in batch] if config.fusion else None)
             _check_finite(terms.data, "fine-tuning loss", batch)
             total = ad.mean(terms)
             tape.backward(total)
-            opt.step(model.params, model.grads(tape, leaves))
+            grads = model.grads(tape, leaves)
+            _check_grads(grads, "fine-tuning", step)
+            opt.step(model.params, grads)
             rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))
             step += 1
     return rows, rng.bit_generator.state
@@ -310,14 +313,19 @@ def load_checkpoint(path: str | Path,
 # --- evaluation ---
 
 def _predictions(model: Model, dataset: Dataset, fusion: bool):
-    """Each record with its predicted matrix, one molecule at a time, from
-    the string path or, with `fusion`, the string+geometry path."""
+    """Each record with its layout and predicted matrix, one molecule at a
+    time through the per-molecule entry: the string path or, with `fusion`,
+    the string+geometry path."""
     leaves = model.leaves(None)
-    for i, p in enumerate(prepare(dataset)):
-        s = p.structure
-        coords = [dataset.get_coords(i)] if fusion else None
-        entries = model.predict_entries(leaves, [s.tokens], [0], [s.value_index], coords)
-        yield p, entries.data.reshape(s.value_index.shape)
+    for i, rec in enumerate(dataset.records):
+        tokens = tokenize(rec.smiles)
+        xmol = expand_hydrogens(parse(tokens))
+        lay = layout(xmol.elements)
+        if fusion:
+            h = model.hamiltonian_fused(leaves, tokens, xmol, lay, dataset.get_coords(i))
+        else:
+            h = model.hamiltonian_from_tokens(leaves, tokens, xmol, lay)
+        yield rec, lay, h.data
 
 
 def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
@@ -329,11 +337,10 @@ def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
     sums = {"mae_diag": 0.0, "mae_offdiag": 0.0, "mae_all": 0.0,
             "mae_eps_occ": 0.0, "psi_occ": 0.0}
     count = 0
-    for p, h_pred in _predictions(model, dataset, fusion):
-        rec = p.record
+    for rec, lay, h_pred in _predictions(model, dataset, fusion):
         res_pred = solve_gev(h_pred, rec.s, rec.n_electrons)
         res_true = solve_gev(rec.h, rec.s, rec.n_electrons)
-        d, o, a = mae_blocks(h_pred, rec.h, p.lay)
+        d, o, a = mae_blocks(h_pred, rec.h, lay)
         sums["mae_diag"] += d
         sums["mae_offdiag"] += o
         sums["mae_all"] += a
@@ -351,8 +358,7 @@ def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
 def gap_predictions(model: Model, dataset: Dataset, fusion: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(predicted, true) gap vectors in eV for a dataset."""
     pred, true = [], []
-    for p, h_pred in _predictions(model, dataset, fusion):
-        rec = p.record
+    for rec, _, h_pred in _predictions(model, dataset, fusion):
         pred.append(solve_gev(h_pred, rec.s, rec.n_electrons).gap_ev)
         true.append(rec.gap_ev)
     return np.asarray(pred), np.asarray(true)

@@ -315,6 +315,19 @@ class TestCorruptInputs:
                      "--out", str(tmp_path / "p")]) == 2
         assert "model_config" in capsys.readouterr().err
 
+    def test_record_with_wrong_field_type_exits_two(self, tmp_path, pipeline, capsys):
+        data, ckpt = pipeline
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "elements": 5})
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad),
+                     "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "test.jsonl line 2" in err[0]
+
     def test_record_without_hamiltonian_exits_two(self, tmp_path, pipeline, capsys):
         data, _ = pipeline
         bad = tmp_path / "data"

@@ -291,6 +291,26 @@ class TestGenDataset:
         with pytest.raises(CorruptFile, match="h_upper"):
             DatasetRecord.from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("edit", [
+        lambda raw: "{not json",
+        lambda raw: json.dumps([raw]),
+        lambda raw: json.dumps({**raw, "elements": 5}),
+        lambda raw: json.dumps({**raw, "n_electrons": None}),
+        lambda raw: json.dumps({**raw, "coords": [[0.0, 0.0, 0.0], [1.0]]}),
+        lambda raw: json.dumps({**raw, "h_upper": "0.5"}),
+        lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:-1]}),
+    ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
+            "string-h", "short-triangle"])
+    def test_malformed_record_rejected(self, tmp_path, edit):
+        rec = generate_records(build_corpus()[:1], seed=1).records[0]
+        line = edit(json.loads(rec.to_json()))
+        with pytest.raises(CorruptFile):
+            DatasetRecord.from_json(line)
+        for name in ("train", "test"):
+            (tmp_path / f"{name}.jsonl").write_text(rec.to_json() + "\n\n" + line + "\n")
+        with pytest.raises(CorruptFile, match=r"train\.jsonl line 3: "):
+            load_split(tmp_path)
+
     def test_coords_reads_counter(self):
         recs = generate_records(build_corpus()[:3], seed=1).records
         ds = Dataset(recs)

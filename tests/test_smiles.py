@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,24 @@ class TestFragment:
         a = fragment(parse_smiles("CCOCCOCC"))
         b = fragment(parse_smiles("CCOCCOCC"))
         assert [f.atoms for f in a] == [f.atoms for f in b]
+
+
+class TestFrontEndPinned:
+    def test_corpus_parse_and_fragments_digest(self):
+        """Atoms, bonds with ring flags, atom token sets and fragments of every
+        bundled-corpus entry, hashed; a rewrite of the graph walks must keep it."""
+        digest = hashlib.sha256()
+        for smiles in build_corpus():
+            mol = parse_smiles(smiles)
+            row = (smiles,
+                   [(a.element, a.aromatic, a.charge, a.hydrogens, a.token_index)
+                    for a in mol.atoms],
+                   [(b.i, b.j, b.order, b.aromatic, b.in_ring) for b in mol.bonds],
+                   mol.atom_token_sets,
+                   [(f.fragment_id, f.atoms, f.token_indices) for f in fragment(mol)])
+            digest.update(repr(row).encode() + b"\n")
+        assert digest.hexdigest() == ("279751886c4a1e1854942be5f93faac2"
+                                      "f7843005cdadf0db20c2fbed9a43b481")
 
 
 def _connected(mol, atoms: set[int]) -> bool:

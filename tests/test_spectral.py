@@ -15,6 +15,7 @@ from molham.errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteCoordinate,
+    NonFiniteValue,
     NotPositiveDefinite,
     NotSymmetric,
     NoVirtualOrbital,
@@ -285,6 +286,37 @@ class TestCholeskyReduction:
         h, s, n_electrons = next(_oracle_pairs())
         solve_gev(h, s, n_electrons)
         assert calls == {"jacobi": 1, "lowdin": 0}
+
+
+class TestNonFinite:
+    """A NaN or infinite entry is rejected up front, with no numpy warning."""
+
+    @staticmethod
+    def _poisoned(a, value, entry):
+        a = a.copy()
+        a[entry] = a[entry[::-1]] = value
+        return a
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(3, 3), (2, 7)])
+    @pytest.mark.parametrize("target", ["h", "s", "jacobi", "lowdin"])
+    def test_rejected(self, target, entry, value):
+        rng = np.random.default_rng(5)
+        h, s = random_symmetric(rng, 12), random_spd(rng, 12)
+        calls = {
+            "h": lambda: solve_gev(self._poisoned(h, value, entry), s, 4),
+            "s": lambda: solve_gev(h, self._poisoned(s, value, entry), 4),
+            "jacobi": lambda: jacobi_eigh(self._poisoned(h, value, entry)),
+            "lowdin": lambda: lowdin_inv_sqrt(self._poisoned(s, value, entry)),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                calls[target]()
+
+    def test_all_infinite_matrix_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            jacobi_eigh(np.full((40, 40), np.inf))
 
 
 class TestToyOverlap:

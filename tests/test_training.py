@@ -11,7 +11,7 @@ import pytest
 
 from molham.corpus import build_corpus
 from molham.dataset import Dataset, SplitConfig, assign_split, generate_records
-from molham.errors import CorruptFile, VersionMismatch
+from molham.errors import CorruptFile, TrainingAborted, VersionMismatch
 from molham.model import Model, ModelConfig
 from molham.smiles import parse_smiles
 from molham.autodiff import Tape
@@ -196,6 +196,72 @@ class TestFinetune:
             assert np.array_equal(pa[k], pb[k])
 
 
+class TestFrontEnd:
+    def test_each_record_tokenized_once(self, monkeypatch):
+        import molham.smiles as smiles
+        import molham.training as training
+
+        calls = []
+
+        def counting(text, _real=smiles.tokenize):
+            calls.append(text)
+            return _real(text)
+
+        monkeypatch.setattr(smiles, "tokenize", counting)
+        monkeypatch.setattr(training, "tokenize", counting)
+        prepare(TEST)
+        evaluate(Model.init(SMALL_CFG, seed=1), TEST)
+        assert calls == [r.smiles for r in TEST.records] * 2
+
+    def test_evaluation_predicts_through_the_per_molecule_entry(self, monkeypatch):
+        import molham.training as training
+
+        def no_fragments(mol):
+            raise AssertionError("evaluation fragmented a molecule")
+
+        calls = []
+        for name in ("hamiltonian_from_tokens", "hamiltonian_fused"):
+            def counted(self, *args, _real=getattr(Model, name), _name=name):
+                calls.append(_name)
+                return _real(self, *args)
+            monkeypatch.setattr(Model, name, counted)
+        monkeypatch.setattr(training, "fragment", no_fragments)
+        model = Model.init(SMALL_CFG, seed=1)
+        evaluate(model, TEST)
+        training.gap_predictions(model, TEST, fusion=True)
+        n = len(TEST.records)
+        assert calls == ["hamiltonian_from_tokens"] * n + ["hamiltonian_fused"] * n
+
+
+class TestGradientGuard:
+    """A non-finite gradient aborts the step before Adam writes any parameter."""
+
+    @pytest.mark.parametrize("run, stage", [(pretrain, "pre-training"),
+                                            (finetune, "fine-tuning")])
+    def test_nan_gradient_aborts_without_update(self, monkeypatch, run, stage):
+        model = Model.init(SMALL_CFG, seed=5)
+        real_grads = Model.grads
+        seen = {}
+
+        def poisoned(self, tape, leaves):
+            grads = real_grads(self, tape, leaves)
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == 2:  # the second step
+                seen["before"] = {k: v.copy() for k, v in self.params.items()}
+                for name in ("token.refine", "token.embed"):  # embed comes first
+                    grads[name] = grads[name].copy()
+                    grads[name][0, 1] = np.nan
+            return grads
+
+        monkeypatch.setattr(Model, "grads", poisoned)
+        cfg = TrainConfig(run.__name__, epochs=1, seed=1, batch_size=4)
+        with pytest.raises(TrainingAborted) as info:
+            run(model, Dataset(TRAIN.records[:12]), cfg)
+        assert str(info.value) == f"non-finite {stage} gradient of token.embed at step 1"
+        for name, before in seen["before"].items():
+            assert np.array_equal(model.params[name], before), name
+
+
 class TestMemory:
     """Tapes are freed by reference counting: the cyclic collector finds nothing."""
 
@@ -213,12 +279,11 @@ class TestMemory:
 
     def test_forward_dropped_before_backward_leaves_no_cyclic_garbage(self):
         model = Model.init(SMALL_CFG, seed=4)
-        p = prepare(Dataset(TRAIN.records[:1]))[0]
+        s = prepare(Dataset(TRAIN.records[:1]))[0]
         gc.collect()
         gc.disable()
         try:
             tape = Tape()
-            s = p.structure
             model.predict_entries(model.leaves(tape), [s.tokens], [0], [s.value_index])
             del tape  # as when a non-finite loss aborts the step
             assert gc.collect() == 0
