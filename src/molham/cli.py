@@ -24,7 +24,7 @@ from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
 from .dataset import SPLIT_MODES, SplitConfig, gen_dataset, load_split
-from .errors import AuditFailed, EmptyThresholds, MolhamError
+from .errors import AuditFailed, EmptyThresholds, MolhamError, json_object
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
 from .oracle import embed_3d, huckel_labels
@@ -66,13 +66,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, inputs: dict[st
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"config file {path} is not JSON: {err}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} holds a JSON {type(config).__name__}, not an object")
-    return config
+    return json_object(Path(path).read_bytes(), f"config file {path}")
 
 
 def _check_kind(key: str, value, kind: type) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .atomic import atomic_open
 from .basis import electron_count
 from .corpus import corpus_sha256
-from .errors import CorruptFile, EmptySplit, MolhamError
+from .errors import CorruptFile, EmptySplit, MolhamError, json_object
 from .hamhead import from_upper_triangle, upper_triangle
 from .oracle import embed_3d, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
@@ -70,9 +70,14 @@ class DatasetRecord:
         try:
             raw = json.loads(line)
             n_orb = _dim_from_upper(len(raw["h_upper"]))
+            if not all(isinstance(raw[k], str) for k in ("smiles", "split")):
+                raise TypeError("smiles and split must be strings")
+            elements = raw["elements"]
+            if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+                raise TypeError(f"elements must be a list of strings, got {elements!r}")
             return cls(
                 smiles=raw["smiles"],
-                elements=list(raw["elements"]),
+                elements=elements,
                 coords=np.asarray(raw["coords"], dtype=np.float64),
                 h=from_upper_triangle(np.asarray(raw["h_upper"]), n_orb),
                 s=from_upper_triangle(np.asarray(raw["s_upper"]), n_orb),
@@ -227,5 +232,5 @@ def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
                 except CorruptFile as err:
                     raise CorruptFile(f"{path} line {number}: {err}") from None
         sets.append(Dataset(records))
-    manifest = json.loads((out / "manifest.json").read_text())
-    return sets[0], sets[1], manifest
+    path = out / "manifest.json"
+    return sets[0], sets[1], json_object(path.read_bytes(), path)

@@ -1,10 +1,14 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by library code derives from MolhamError so the CLI can
-map library failures to a single exit code.
+map library failures to a single exit code. Every stored JSON object (dataset
+and checkpoint manifests, layout sidecars, config files) is read through
+`json_object`, so a damaged one raises CorruptFile naming its source.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class MolhamError(Exception):
@@ -125,6 +129,18 @@ class VersionMismatch(MolhamError):
 
 class CorruptFile(MolhamError):
     pass
+
+
+def json_object(raw: bytes, source: object) -> dict:
+    """Stored bytes parsed as one JSON object; anything else raises
+    CorruptFile naming `source`."""
+    try:
+        value = json.loads(raw)
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise CorruptFile(f"{source} is not UTF-8 JSON: {err}") from None
+    if not isinstance(value, dict):
+        raise CorruptFile(f"{source} is not a JSON object")
+    return value
 
 
 class AuditFailed(MolhamError):

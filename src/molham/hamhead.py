@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .atomic import atomic_open
 from .autodiff import Tensor, constant
 from .basis import DEFAULT_BASIS
-from .errors import CorruptFile, DimensionMismatch, ShapeMismatch
+from .errors import CorruptFile, DimensionMismatch, ShapeMismatch, json_object
 from .nn import Mlp
 
 # value-column layout of the 3-wide head outputs for a 2-orbital block: the
@@ -162,37 +162,28 @@ def fuse_modalities(t: Tensor, v: Tensor) -> Tensor:
     return t + v
 
 
-def finetune_loss(h_star: Tensor, h: Tensor, h_masked: Tensor, lambda2: float,
-                  molecule: np.ndarray, masked_at: np.ndarray) -> Tensor:
-    """Entry-mean MAE+MSE against the target, for full and masked predictions,
-    one loss per molecule.
+def finetune_loss(h_star: Tensor, h: Tensor, molecule: np.ndarray, masked: np.ndarray,
+                  lambda2: float) -> Tensor:
+    """Entry-mean MAE+MSE of every predicted entry h against its target
+    h_star, reduced to one loss per molecule in one stream.
 
-    lambda2 weights the full-string branch; (1 - lambda2) weights the branch
-    predicted from the fragment-masked string. h_star and h hold the entries
-    of B molecules and `molecule` names each entry's molecule. h_masked holds
-    masked-branch entries only for the molecules whose masked string differs
-    from the full one, and `masked_at` gives the position in h of the entry
-    each one predicts. A molecule without a masked branch puts weight 1 on
-    its full branch, so its loss does not depend on lambda2.
+    `molecule` names each entry's molecule and `masked` marks the entries
+    predicted from a fragment-masked string. lambda2 weights the full-string
+    branch and (1 - lambda2) the masked one; a molecule without masked
+    entries puts weight 1 on its full branch.
     """
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 must lie in [0, 1], got {lambda2}")
-    if not h_star.shape == h.shape == molecule.shape or h_masked.shape != masked_at.shape:
-        raise ShapeMismatch(f"entry counts differ: target {h_star.shape}, full {h.shape}, "
-                            f"molecule ids {molecule.shape}, masked {h_masked.shape} "
-                            f"at {masked_at.shape} positions")
-    counts = np.bincount(molecule)
+    if not h_star.shape == h.shape == molecule.shape == masked.shape:
+        raise ShapeMismatch(f"entry counts differ: target {h_star.shape}, predicted {h.shape}, "
+                            f"molecule ids {molecule.shape}, masked flags {masked.shape}")
+    counts = np.bincount(molecule[~masked])
     full_weight = np.ones(counts.size)
-    full_weight[molecule[masked_at]] = lambda2
-
-    def term(pred: Tensor, target: Tensor, seg: np.ndarray, weight: np.ndarray) -> Tensor:
-        diff = pred - target
-        return ad.segment_sum((ad.abs_(diff) + ad.square(diff)) * constant(weight[seg]),
-                              seg, counts.size)
-
-    target_masked = ad.reshape(ad.gather_rows(ad.reshape(h_star, (-1, 1)), masked_at), (-1,))
-    return (term(h, h_star, molecule, full_weight / counts)
-            + term(h_masked, target_masked, molecule[masked_at], (1.0 - lambda2) / counts))
+    full_weight[molecule[masked]] = lambda2
+    weight = np.where(masked, 1.0 - lambda2, full_weight[molecule]) / counts[molecule]
+    diff = h - h_star
+    return ad.segment_sum((ad.abs_(diff) + ad.square(diff)) * constant(weight),
+                          molecule, counts.size)
 
 
 # --- serialization: dimension + upper triangle, little-endian float64 ---
@@ -250,14 +241,12 @@ def _load_sidecar(side_path: Path, n: int, matrix_sha256: str) -> BlockLayout:
     matrix file's digest, so a matrix beside another matrix's sidecar is
     rejected even when the sizes agree."""
     try:
-        side = json.loads(side_path.read_text())
+        side = json_object(side_path.read_bytes(), side_path)
         lay = BlockLayout(tuple(side["elements"]), tuple(side["offsets"]), tuple(side["counts"]))
         dimension = side["dimension"]
         digest = side["matrix_sha256"]
     except FileNotFoundError:
         raise CorruptFile(f"{side_path} is missing") from None
-    except json.JSONDecodeError as err:
-        raise CorruptFile(f"{side_path} is not JSON: {err}") from None
     except (KeyError, TypeError) as err:
         raise CorruptFile(f"{side_path} has a missing or malformed field: {err}") from None
     starts = [sum(lay.counts[:k]) for k in range(len(lay.counts))]

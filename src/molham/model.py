@@ -282,30 +282,21 @@ class Model:
                             lambda2: float, coords: Sequence[np.ndarray] | None = None) -> Tensor:
         """Per-molecule fine-tuning losses (B,).
 
-        The B full strings and the masked strings that differ from them run
-        as one stack of sequences; a molecule whose mask keeps every atom
-        token has no masked branch (see `hamhead.finetune_loss`). With
-        `coords` (fusion) each molecule's geometry rows are added to all of
-        its branches.
+        The B full strings and the masked strings of the molecules whose keep
+        bits drop a fragment run as one stack of sequences, and all their
+        entries reach `hamhead.finetune_loss` as one stream. With `coords`
+        (fusion) each molecule's geometry rows are added to all its branches.
         """
-        masked = [s.masked(k) for s, k in zip(structs, keeps)]
-        branch = [b for b, (s, m) in enumerate(zip(structs, masked))
-                  if not np.array_equal(m[0], s.tokens[0])]
+        # every fragment owns an atom token, so a dropped fragment changes the ids
+        branch = [b for b, keep in enumerate(keeps) if 0 in keep]
         rows = list(range(len(structs))) + branch  # the molecule of each sequence
-        entries = ad.reshape(self.predict_entries(
-            lv, [s.tokens for s in structs] + [masked[b] for b in branch], rows,
-            [s.value_index for s in structs], coords), (-1, 1))
-
+        entries = self.predict_entries(
+            lv, [s.tokens for s in structs] + [structs[b].masked(keeps[b]) for b in branch],
+            rows, [s.value_index for s in structs], coords)
         sizes = [structs[b].value_index.size for b in rows]
-        starts = np.cumsum([0] + sizes)
-        n_full = starts[len(structs)]
-        full, rest = (ad.reshape(ad.gather_rows(entries, idx), (-1,))
-                      for idx in (np.arange(n_full), np.arange(n_full, starts[-1])))
-        positions = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in branch]
-                                   + [np.zeros(0, dtype=np.intp)])
-        h_star = constant(np.concatenate([np.asarray(h).reshape(-1) for h in targets]))
-        return hh.finetune_loss(h_star, full, rest, lambda2,
-                                np.repeat(np.arange(len(structs)), sizes[:len(structs)]), positions)
+        h_star = constant(np.concatenate([np.asarray(targets[b]).reshape(-1) for b in rows]))
+        masked = np.repeat(np.arange(len(rows)) >= len(structs), sizes)
+        return hh.finetune_loss(h_star, entries, np.repeat(rows, sizes), masked, lambda2)
 
     def hamiltonian_from_tokens(self, lv: dict[str, Tensor], tokens: list[Token],
                                 xmol: ExpandedMol, lay: hh.BlockLayout) -> Tensor:

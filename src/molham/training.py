@@ -19,7 +19,7 @@ from .atomic import atomic_open, atomic_write_text
 from . import autodiff as ad
 from .autodiff import Tape
 from .dataset import Dataset
-from .errors import CorruptFile, TrainingAborted, VersionMismatch
+from .errors import CorruptFile, TrainingAborted, VersionMismatch, json_object
 from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
@@ -278,12 +278,7 @@ def load_checkpoint(path: str | Path,
     head_end = len(_CKPT_MAGIC) + 8 + n
     if len(raw) < head_end:
         raise CorruptFile(f"{path} is truncated inside the manifest")
-    try:
-        manifest = json.loads(raw[len(_CKPT_MAGIC) + 8:head_end])
-    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
-        raise CorruptFile(f"{path} manifest is not UTF-8 JSON: {err}") from None
-    if not isinstance(manifest, dict):
-        raise CorruptFile(f"{path} manifest is not a JSON object")
+    manifest = json_object(raw[len(_CKPT_MAGIC) + 8:head_end], f"{path} manifest")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {manifest.get('format_version')} != {CHECKPOINT_VERSION}")
@@ -298,15 +293,18 @@ def load_checkpoint(path: str | Path,
     except (TypeError, ValueError) as err:
         raise CorruptFile(f"{path} has an invalid model_config: {err}") from None
     params: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob[start:start + size * 8], dtype="<f8").reshape(shape).copy()
-        params[entry["name"]] = arr
+    try:
+        for entry in manifest["params"]:
+            shape = tuple(entry["shape"])
+            start = entry["offset"]
+            end = start + 8 * int(np.prod(shape, dtype=np.int64))
+            if not 0 <= start <= end <= len(blob):
+                raise ValueError(f"{entry['name']} lies outside the parameter blob")
+            params[entry["name"]] = np.frombuffer(blob[start:end], "<f8").reshape(shape).copy()
+    except (KeyError, TypeError, ValueError) as err:
+        raise CorruptFile(f"{path} has a malformed params list: {err}") from None
     if expect is not None:
-        shapes = {e["name"]: tuple(e["shape"]) for e in manifest["params"]}
-        check_compatible(expect, config, shapes)
+        check_compatible(expect, config, {name: a.shape for name, a in params.items()})
     return Model(config, params), manifest.get("train_config"), manifest.get("rng_state")
 
 

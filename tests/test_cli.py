@@ -191,7 +191,7 @@ class TestConfigFile:
     def _pretrain(self, tmp_path, pipeline, capsys, config):
         data, _ = pipeline
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "run"),
                      "--config", str(cfg)] + MODEL_FLAGS)
         err = capsys.readouterr().err.strip().splitlines()
@@ -201,6 +201,10 @@ class TestConfigFile:
 
     def test_json_that_is_not_an_object(self, tmp_path, pipeline, capsys):
         assert "bad.json" in self._pretrain(tmp_path, pipeline, capsys, ["epochs"])
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf8"])
+    def test_bytes_that_are_not_utf8_json(self, tmp_path, pipeline, capsys, raw):
+        assert "bad.json is not UTF-8 JSON" in self._pretrain(tmp_path, pipeline, capsys, raw)
 
     def test_value_of_the_wrong_type(self, tmp_path, pipeline, capsys):
         assert "'epochs'" in self._pretrain(tmp_path, pipeline, capsys, {"epochs": "3"})
@@ -314,6 +318,16 @@ class TestCorruptInputs:
         assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
                      "--out", str(tmp_path / "p")]) == 2
         assert "model_config" in capsys.readouterr().err
+
+    def test_checkpoint_with_malformed_params_exits_two(self, tmp_path, pipeline, capsys):
+        _, ckpt = pipeline
+        bad = _edited_checkpoint(ckpt, tmp_path / "bad.mh",
+                                 lambda m: [e.pop("shape") for e in m["params"]])
+        assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
+                     "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad.mh" in err[0]
 
     def test_record_with_wrong_field_type_exits_two(self, tmp_path, pipeline, capsys):
         data, ckpt = pipeline

@@ -44,8 +44,9 @@ def _matrix(emb, lay, params):
 def _loss(target, full, masked, lambda2):
     """finetune_loss of one molecule's matrices: every entry has a masked branch."""
     size = target.data.size
-    flat = [ad.reshape(x, (-1,)) for x in (target, full, masked)]
-    return finetune_loss(*flat, lambda2, np.zeros(size, dtype=np.intp), np.arange(size))
+    stream = ad.concat_rows([ad.reshape(x, (-1, 1)) for x in (full, masked)])
+    return finetune_loss(constant(np.tile(target.data.reshape(-1), 2)), ad.reshape(stream, (-1,)),
+                         np.zeros(2 * size, dtype=np.intp), np.arange(2 * size) >= size, lambda2)
 
 
 @pytest.fixture()
@@ -240,6 +241,34 @@ class TestFinetuneLoss:
         got = _loss(constant(target), constant(full), constant(masked), lam)
         assert got.item() == pytest.approx(expect, abs=1e-14)
 
+    def test_matches_hand_sum_over_molecules(self):
+        # molecules 0 and 2 have a masked branch, molecule 1 has none; the
+        # stream interleaves them as a packed batch does: full entries first
+        sizes = [4, 9, 1]
+        target = [RNG.standard_normal(n) for n in sizes]
+        full = [RNG.standard_normal(n) for n in sizes]
+        masked = {0: RNG.standard_normal(4), 2: RNG.standard_normal(1)}
+        lam = 0.8
+
+        def term(pred, b):
+            d = pred - target[b]
+            return (np.abs(d) + d * d).sum() / sizes[b]
+
+        expect = [lam * term(full[0], 0) + (1 - lam) * term(masked[0], 0), term(full[1], 1),
+                  lam * term(full[2], 2) + (1 - lam) * term(masked[2], 2)]
+        rows = [0, 1, 2, 0, 2]
+        got = finetune_loss(constant(np.concatenate([target[b] for b in rows])),
+                            constant(np.concatenate(full + [masked[0], masked[2]])),
+                            np.repeat(rows, [sizes[b] for b in rows]),
+                            np.repeat([False] * 3 + [True] * 2, [sizes[b] for b in rows]), lam)
+        assert got.shape == (3,)
+        assert got.data == pytest.approx(expect, abs=1e-14)
+
+    def test_entry_counts_checked(self):
+        z = constant(np.zeros(4))
+        with pytest.raises(ShapeMismatch):
+            finetune_loss(z, z, np.zeros(4, dtype=np.intp), np.zeros(3, dtype=bool), 0.5)
+
     def test_nonnegative_and_zero_only_at_target(self):
         target = constant(RNG.standard_normal((3, 3)))
         for _ in range(10):
@@ -324,6 +353,16 @@ class TestSerialization:
                 side["counts"][-1] += 1
             side_path.write_text(json.dumps(side))
         with pytest.raises(CorruptFile):
+            load_hamiltonian(path)
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1]", b"\xff"],
+                             ids=["not-json", "array", "not-utf8"])
+    def test_unreadable_sidecar_rejected(self, tmp_path, raw):
+        lay = layout(("O", "H", "H"))
+        path = tmp_path / "h.bin"
+        save_hamiltonian(path, np.eye(lay.n_orb), lay)
+        (tmp_path / "h.bin.layout.json").write_bytes(raw)
+        with pytest.raises(CorruptFile, match="layout.json"):
             load_hamiltonian(path)
 
     def test_matrix_beside_a_stale_same_size_sidecar_rejected(self, tmp_path):

@@ -299,8 +299,13 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "coords": [[0.0, 0.0, 0.0], [1.0]]}),
         lambda raw: json.dumps({**raw, "h_upper": "0.5"}),
         lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:-1]}),
+        lambda raw: json.dumps({**raw, "smiles": 5}),
+        lambda raw: json.dumps({**raw, "split": ["x"]}),
+        lambda raw: json.dumps({**raw, "elements": "".join(raw["elements"])}),
+        lambda raw: json.dumps({**raw, "elements": raw["elements"][:-1] + [1]}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
-            "string-h", "short-triangle"])
+            "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
+            "element-int"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))
@@ -309,6 +314,14 @@ class TestGenDataset:
         for name in ("train", "test"):
             (tmp_path / f"{name}.jsonl").write_text(rec.to_json() + "\n\n" + line + "\n")
         with pytest.raises(CorruptFile, match=r"train\.jsonl line 3: "):
+            load_split(tmp_path)
+
+    @pytest.mark.parametrize("raw", [b'{"n_train": 3', b"[1, 2]", b"\xff{}"],
+                             ids=["truncated", "array", "not-utf8"])
+    def test_malformed_manifest_rejected(self, tmp_path, raw):
+        gen_dataset(build_corpus()[:6], SplitConfig("random-id", seed=1), tmp_path)
+        (tmp_path / "manifest.json").write_bytes(raw)
+        with pytest.raises(CorruptFile, match="manifest.json"):
             load_split(tmp_path)
 
     def test_coords_reads_counter(self):

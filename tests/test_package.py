@@ -24,7 +24,7 @@ def test_layers_take_only_the_packed_batch():
     bookkeeping never defaults to None."""
     from molham import alignment, compensation, hamhead, nn
 
-    guarded = ("pad", "plan", "molecule", "masked_at")
+    guarded = ("pad", "plan", "molecule", "masked")
     layers = [compensation.attention_matrix, compensation.disentangle, compensation.compensate,
               compensation.ParamGenerator.__call__, compensation.mean_smooth_l1,
               compensation.discrepancy_loss, nn.row_weights, alignment.contextual_pool,

@@ -18,6 +18,7 @@ from _oracles import (encode_geometry_dense, finetune_loss_per_molecule,
 from molham import autodiff as ad
 from molham.alignment import fragment_plan
 from molham.autodiff import Tape, constant
+from molham.corpus import build_corpus
 from molham.dataset import Dataset, generate_records
 from molham.encoders import token_vocab_id
 from molham.errors import IndexOutOfRange, TrainingAborted, ZeroNormRow
@@ -25,7 +26,8 @@ from molham.hamhead import BlockLayout, layout
 from molham.model import Model, ModelConfig, mol_structure
 from molham.nn import normalize_rows
 from molham.oracle import embed_3d
-from molham.smiles import expand_hydrogens, fragment, mask_tokens, parse_smiles, tokenize
+from molham.smiles import (expand_hydrogens, fragment, mask_tokens, parse, parse_smiles,
+                           tokenize)
 from molham.training import TrainConfig, finetune, pretrain
 
 # one atom, one fragment, the largest size the train benchmark draws (28
@@ -178,6 +180,23 @@ def test_masked_ids_match_mask_tokens():
             keep = [int(b) for b in rng.random(len(frags)) < 0.5]
             want = [token_vocab_id(t) for t in mask_tokens(tokens, frags, keep)]
             assert structure.masked(keep)[0].tolist() == want, (smiles, keep)
+
+
+def test_dropping_any_fragment_changes_the_masked_ids():
+    """Every fragment owns an atom token, so a molecule has a masked branch
+    exactly when its keep bits hold a 0 (`Model.finetune_batch_loss`)."""
+    drops = 0
+    for smiles in build_corpus():
+        tokens = tokenize(smiles)
+        mol = parse(tokens)
+        xmol = expand_hydrogens(mol)
+        structure = mol_structure(tokens, xmol, fragment(mol), layout(xmol.elements))
+        for f in range(structure.n_fragments):
+            keep = [int(g != f) for g in range(structure.n_fragments)]
+            assert not np.array_equal(structure.masked(keep)[0], structure.tokens[0]), \
+                (smiles, keep)
+            drops += 1
+    assert drops > len(build_corpus())
 
 
 def test_padding_rows_are_exempt_from_the_zero_norm_check():

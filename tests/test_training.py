@@ -341,11 +341,25 @@ class TestCheckpoints:
                 return json.dumps(manifest).encode()
             return edit
 
+        def set_params(change):
+            def edit(manifest):
+                manifest["params"] = change(manifest["params"])
+                return json.dumps(manifest).encode()
+            return edit
+
+        bad_params = "m.mh has a malformed params list"
         cases = [(lambda m: b"{not json", "not UTF-8 JSON"),
                  (lambda m: b'{"format_version": "\xff"}', "not UTF-8 JSON"),
                  (lambda m: b"[1]", "not a JSON object"),
                  (set_model_config("bogus", 1), "invalid model_config.*bogus"),
-                 (set_model_config("width", 7), "invalid model_config.*even")]
+                 (set_model_config("width", 7), "invalid model_config.*even"),
+                 (set_params(lambda p: [{k: v for k, v in e.items() if k != "shape"}
+                                        for e in p]), bad_params),
+                 (set_params(lambda p: 5), bad_params),
+                 (set_params(lambda p: {"name": "x"}), bad_params),
+                 (set_params(lambda p: p[:-1] + [{**p[-1], "offset": p[-1]["offset"] + 8}]),
+                  bad_params),
+                 (set_params(lambda p: [{**p[0], "offset": -8}] + p[1:]), bad_params)]
         for edit, what in cases:
             path = tmp_path / "m.mh"
             save_checkpoint(path, Model.init(SMALL_CFG, seed=2), None, None)
