@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .basis import DEFAULT_BASIS, HARTREE_TO_EV
 from .model import Model, ModelConfig
 from .smiles import MolGraph, fragment, parse_smiles, tokenize
-from .spectral import jacobi_eigh, lowdin_inv_sqrt, solve_gev
+from .spectral import eigh, frontier, jacobi_eigh, lowdin_inv_sqrt, solve_gev
 from .training import TrainConfig, evaluate, finetune, pretrain
 
 __all__ = [
@@ -22,9 +22,11 @@ __all__ = [
     "ModelConfig",
     "MolGraph",
     "TrainConfig",
+    "eigh",
     "evaluate",
     "finetune",
     "fragment",
+    "frontier",
     "jacobi_eigh",
     "lowdin_inv_sqrt",
     "parse_smiles",

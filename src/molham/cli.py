@@ -31,7 +31,7 @@ from .oracle import embed_3d, huckel_labels
 from .screening import (bench_pipelines, default_thresholds, report_to_csv, report_to_json,
                         screen_dataset)
 from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
-from .spectral import solve_gev
+from .spectral import frontier
 from .training import (TrainConfig, evaluate, finetune, load_checkpoint, pretrain,
                        save_checkpoint, write_trace)
 
@@ -259,13 +259,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         h = model.hamiltonian_from_tokens(leaves, tokens, xmol, lay).data
     _, s = huckel_labels(xmol, coords)
-    result = solve_gev(h, s, electron_count(xmol.elements))
+    homo, lumo, gap_ev = frontier(h, s, electron_count(xmol.elements))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_hamiltonian(out / "hamiltonian.bin", h, lay)
     summary = {"smiles": args.smiles, "n_orbitals": lay.n_orb,
-               "homo_hartree": result.homo, "lumo_hartree": result.lumo,
-               "gap_ev": result.gap_ev}
+               "homo_hartree": homo, "lumo_hartree": lumo, "gap_ev": gap_ev}
     atomic_write_text(out / "prediction.json", json.dumps(summary, indent=1) + "\n")
     _write_manifest(out, "predict",
                     {"smiles": args.smiles, "fusion": args.fusion, "seed": args.seed},

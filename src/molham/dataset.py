@@ -16,11 +16,11 @@ import numpy as np
 from .atomic import atomic_open
 from .basis import electron_count
 from .corpus import corpus_sha256
-from .errors import CorruptFile, EmptySplit, MolhamError, json_object
-from .hamhead import from_upper_triangle, upper_triangle
+from .errors import CorruptFile, EmptySplit, MolhamError, UnsupportedElement, json_object
+from .hamhead import from_upper_triangle, layout, upper_triangle
 from .oracle import embed_3d, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
-from .spectral import solve_gev
+from .spectral import frontier
 
 SPLIT_MODES = ("random-id", "size-ood", "element-ood")
 SIZE_TRAIN_BELOW = 20   # train molecules have fewer atoms than this
@@ -69,12 +69,16 @@ class DatasetRecord:
         """Parse one stored line; a malformed one raises CorruptFile."""
         try:
             raw = json.loads(line)
-            n_orb = _dim_from_upper(len(raw["h_upper"]))
             if not all(isinstance(raw[k], str) for k in ("smiles", "split")):
                 raise TypeError("smiles and split must be strings")
             elements = raw["elements"]
             if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
                 raise TypeError(f"elements must be a list of strings, got {elements!r}")
+            n_orb = layout(elements).n_orb
+            for key in ("h_upper", "s_upper"):
+                if len(raw[key]) != n_orb * (n_orb + 1) // 2:
+                    raise ValueError(f"{key} holds {len(raw[key])} values, not the upper "
+                                     f"triangle of the {n_orb} orbitals of its elements")
             return cls(
                 smiles=raw["smiles"],
                 elements=elements,
@@ -87,15 +91,8 @@ class DatasetRecord:
             )
         except KeyError as err:
             raise CorruptFile(f"dataset record lacks field {err}") from None
-        except (TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+        except (TypeError, ValueError, UnsupportedElement) as err:  # JSONDecodeError is a ValueError
             raise CorruptFile(f"malformed dataset record: {err}") from None
-
-
-def _dim_from_upper(n_vals: int) -> int:
-    n = int((np.sqrt(8 * n_vals + 1) - 1) / 2)
-    if n * (n + 1) // 2 != n_vals:
-        raise CorruptFile(f"{n_vals} values is not an upper triangle")
-    return n
 
 
 class Dataset:
@@ -134,7 +131,7 @@ def _generate_one(idx: int, smiles: str, seed: int) -> DatasetRecord | dict:
         coords = embed_3d(xmol, _record_seed(seed, idx))
         h, s = huckel_labels(xmol, coords)
         n_elec = electron_count(xmol.elements)
-        result = solve_gev(h, s, n_elec)
+        _, _, gap_ev = frontier(h, s, n_elec)
         return DatasetRecord(
             smiles=smiles,
             elements=list(xmol.elements),
@@ -142,7 +139,7 @@ def _generate_one(idx: int, smiles: str, seed: int) -> DatasetRecord | dict:
             h=h,
             s=s,
             n_electrons=n_elec,
-            gap_ev=result.gap_ev,
+            gap_ev=gap_ev,
             split="",
         )
     except MolhamError as err:

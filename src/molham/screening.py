@@ -17,7 +17,7 @@ from .hamhead import layout
 from .model import Model
 from .oracle import embed_3d, huckel_labels
 from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
-from .spectral import solve_gev
+from .spectral import frontier
 from .training import gap_predictions
 
 
@@ -143,7 +143,7 @@ def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
             xmol = expand_hydrogens(parse_smiles(s))
             coords = embed_3d(xmol, i)
             h, s_mat = huckel_labels(xmol, coords)
-            solve_gev(h, s_mat, electron_count(xmol.elements))
+            frontier(h, s_mat, electron_count(xmol.elements))
 
     calls_before = oracle.EMBED_CALLS
     t_string = timed(string_path)

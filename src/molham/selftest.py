@@ -16,7 +16,7 @@ from .hamhead import layout
 from .oracle import embed_3d, huckel_labels
 from .screening import classify_by_gap, default_thresholds
 from .smiles import detokenize, expand_hydrogens, parse_smiles, tokenize
-from .spectral import jacobi_eigh, lowdin_inv_sqrt, solve_gev
+from .spectral import eigh, jacobi_eigh, lowdin_inv_sqrt, solve_gev
 
 
 def _check(name: str, ok: bool, results: list[bool]) -> None:
@@ -35,7 +35,7 @@ def run_selftest() -> bool:
             break
     _check("tokenizer round-trip on corpus sample", ok, results)
 
-    ok = True
+    ok = agree = True
     for _ in range(25):
         n = int(rng.integers(2, 30))
         a = rng.standard_normal((n, n))
@@ -44,7 +44,9 @@ def run_selftest() -> bool:
         scale = np.abs(a).max()
         ok &= np.max(np.abs(a @ v - v * w)) < 1e-10 * scale
         ok &= np.max(np.abs(v.T @ v - np.eye(n))) < 1e-10
+        agree &= np.max(np.abs(eigh(a)[0] - w)) <= 1e-10 * scale
     _check("eigensolver residual and orthogonality", ok, results)
+    _check("LAPACK eigh eigenvalues match Jacobi", agree, results)
 
     ok = True
     for _ in range(10):

@@ -23,7 +23,7 @@ from .errors import CorruptFile, TrainingAborted, VersionMismatch, json_object
 from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
-from .spectral import mae_blocks, mae_energies, orbital_similarity, solve_gev
+from .spectral import frontier, mae_blocks, mae_energies, orbital_similarity, solve_gev
 
 CHECKPOINT_VERSION = 1
 _CKPT_MAGIC = b"MHCK0001"
@@ -303,8 +303,13 @@ def load_checkpoint(path: str | Path,
             params[entry["name"]] = np.frombuffer(blob[start:end], "<f8").reshape(shape).copy()
     except (KeyError, TypeError, ValueError) as err:
         raise CorruptFile(f"{path} has a malformed params list: {err}") from None
+    shapes = {name: a.shape for name, a in params.items()}
     if expect is not None:
-        check_compatible(expect, config, {name: a.shape for name, a in params.items()})
+        check_compatible(expect, config, shapes)
+    built = {name: a.shape for name, a in Model.init(config, 0).params.items()}
+    if shapes != built:
+        wrong = sorted(n for n in built.keys() | shapes.keys() if built.get(n) != shapes.get(n))
+        raise CorruptFile(f"{path} params do not match its model_config at {', '.join(wrong[:4])}")
     return Model(config, params), manifest.get("train_config"), manifest.get("rng_state")
 
 
@@ -357,6 +362,6 @@ def gap_predictions(model: Model, dataset: Dataset, fusion: bool = False) -> tup
     """(predicted, true) gap vectors in eV for a dataset."""
     pred, true = [], []
     for rec, _, h_pred in _predictions(model, dataset, fusion):
-        pred.append(solve_gev(h_pred, rec.s, rec.n_electrons).gap_ev)
+        pred.append(frontier(h_pred, rec.s, rec.n_electrons)[2])
         true.append(rec.gap_ev)
     return np.asarray(pred), np.asarray(true)

@@ -342,6 +342,31 @@ class TestCorruptInputs:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "test.jsonl line 2" in err[0]
 
+    @pytest.mark.parametrize("command", ["eval", "screen"])
+    def test_record_with_short_triangles_exits_two(self, tmp_path, pipeline, capsys, command):
+        data, ckpt = pipeline
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        raw = json.loads(lines[1])
+        lines[1] = json.dumps({**raw, "h_upper": raw["h_upper"][:3], "s_upper": raw["s_upper"][:3]})
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "test.jsonl line 2" in err[0] and "h_upper" in err[0]
+
+    def test_checkpoint_without_a_parameter_exits_two(self, tmp_path, pipeline, capsys):
+        _, ckpt = pipeline
+        bad = _edited_checkpoint(ckpt, tmp_path / "bad.mh", lambda m: m.update(
+            params=[e for e in m["params"] if e["name"] != "token.embed"]))
+        assert main(["predict", "--checkpoint", str(bad), "--smiles", "CCO",
+                     "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad.mh" in err[0] and "token.embed" in err[0]
+
     def test_record_without_hamiltonian_exits_two(self, tmp_path, pipeline, capsys):
         data, _ = pipeline
         bad = tmp_path / "data"

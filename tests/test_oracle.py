@@ -303,9 +303,12 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "split": ["x"]}),
         lambda raw: json.dumps({**raw, "elements": "".join(raw["elements"])}),
         lambda raw: json.dumps({**raw, "elements": raw["elements"][:-1] + [1]}),
+        lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1]}),
+        lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:3], "s_upper": raw["s_upper"][:3]}),
+        lambda raw: json.dumps({**raw, "elements": raw["elements"] + ["Xx"]}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
             "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
-            "element-int"])
+            "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))

@@ -25,6 +25,8 @@ from molham.hamhead import layout
 from molham.oracle import embed_3d, huckel_labels
 from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import (
+    eigh,
+    frontier,
     jacobi_eigh,
     lowdin_inv_sqrt,
     mae_blocks,
@@ -74,8 +76,9 @@ class TestJacobi:
     def test_not_symmetric_rejected(self):
         a = np.eye(3)
         a[0, 1] = 1e-9
-        with pytest.raises(NotSymmetric):
-            jacobi_eigh(a)
+        for solve in (jacobi_eigh, eigh):
+            with pytest.raises(NotSymmetric):
+                solve(a)
 
     def test_single_element(self):
         w, v = jacobi_eigh(np.array([[5.0]]))
@@ -154,6 +157,37 @@ class TestPairAdjacentJacobi:
             jacobi_eigh(random_symmetric(self.rng, 30), max_sweeps=1)
 
 
+class TestEighSeam:
+    """The LAPACK seam against both Jacobi solvers."""
+
+    rng = np.random.default_rng(1414)  # own stream: the shared RNG feeds the other classes
+
+    def _assert_matches_jacobi(self, a):
+        w, v = eigh(a)
+        scale = np.abs(a).max()
+        assert np.max(np.abs(w - jacobi_eigh(a)[0])) <= 1e-12 * scale
+        assert np.max(np.abs(w - dense_jacobi_eigh(a)[0])) <= 1e-12 * scale
+        assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(a.shape[0]))) <= 1e-12
+        assert np.all(np.diff(w) >= 0.0)
+
+    def test_random_symmetric(self):
+        for n in range(1, 41):
+            self._assert_matches_jacobi(random_symmetric(self.rng, n))
+
+    def test_oracle_matrices(self):
+        for smiles in ("O", "CCO", "c1ccccc1O", "CC(=O)NCCS", "CCCCCCCCP"):
+            self._assert_matches_jacobi(_oracle_reduced(smiles))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            eigh(np.eye(3))
+
+
 class TestLowdin:
     def test_identity(self):
         assert np.allclose(lowdin_inv_sqrt(np.eye(5)), np.eye(5))
@@ -212,16 +246,19 @@ class TestSolveGev:
         assert res.gap_ev == pytest.approx(1.0 * HARTREE_TO_EV)
 
     def test_odd_electrons_rejected(self):
-        with pytest.raises(OddElectronCount):
-            solve_gev(np.eye(3), np.eye(3), 3)
+        for solve in (solve_gev, frontier):
+            with pytest.raises(OddElectronCount):
+                solve(np.eye(3), np.eye(3), 3)
 
     def test_full_occupation_rejected(self):
-        with pytest.raises(NoVirtualOrbital):
-            solve_gev(np.eye(2), np.eye(2), 4)
+        for solve in (solve_gev, frontier):
+            with pytest.raises(NoVirtualOrbital):
+                solve(np.eye(2), np.eye(2), 4)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_gev(np.eye(3), np.eye(4), 2)
+        for solve in (solve_gev, frontier):
+            with pytest.raises(DimensionMismatch):
+                solve(np.eye(3), np.eye(4), 2)
 
 
 def _lowdin_reference(h, s):
@@ -262,12 +299,14 @@ class TestCholeskyReduction:
             self._assert_matches_lowdin(h, s, n_electrons)
 
     def test_non_spd_overlap_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_gev(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+        for solve in (solve_gev, frontier):
+            with pytest.raises(NotPositiveDefinite):
+                solve(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
     def test_pivot_at_ridge_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_gev(np.eye(2), np.diag([1.0, 1e-12]), 2)
+        for solve in (solve_gev, frontier):
+            with pytest.raises(NotPositiveDefinite):
+                solve(np.eye(2), np.diag([1.0, 1e-12]), 2)
 
     def test_one_eigensolve_per_call(self, monkeypatch):
         calls = {"jacobi": 0, "lowdin": 0}
@@ -288,6 +327,32 @@ class TestCholeskyReduction:
         assert calls == {"jacobi": 1, "lowdin": 0}
 
 
+class TestFrontier:
+    """`frontier` gives `solve_gev`'s frontier levels without coefficients."""
+
+    def test_matches_solve_gev_on_oracle_labels(self):
+        for h, s, n_electrons in _oracle_pairs():
+            res = solve_gev(h, s, n_electrons)
+            homo, lumo, gap_ev = frontier(h, s, n_electrons)
+            assert abs(homo - res.homo) <= 1e-10
+            assert abs(lumo - res.lumo) <= 1e-10
+            assert abs(gap_ev - res.gap_ev) <= 1e-10
+
+    def test_bookkeeping(self):
+        homo, lumo, gap_ev = frontier(np.diag([-2.0, -1.0, 0.0, 1.0]), np.eye(4), 4)
+        assert (homo, lumo) == (-1.0, 0.0)
+        assert gap_ev == 1.0 * HARTREE_TO_EV
+
+    def test_runs_no_jacobi(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("frontier ran Jacobi")
+
+        monkeypatch.setattr(spectral, "jacobi_eigh", forbidden)
+        monkeypatch.setattr(spectral, "lowdin_inv_sqrt", forbidden)
+        h, s, n_electrons = next(_oracle_pairs())
+        frontier(h, s, n_electrons)
+
+
 class TestNonFinite:
     """A NaN or infinite entry is rejected up front, with no numpy warning."""
 
@@ -299,7 +364,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(3, 3), (2, 7)])
-    @pytest.mark.parametrize("target", ["h", "s", "jacobi", "lowdin"])
+    @pytest.mark.parametrize("target", ["h", "s", "jacobi", "lowdin", "eigh", "frontier"])
     def test_rejected(self, target, entry, value):
         rng = np.random.default_rng(5)
         h, s = random_symmetric(rng, 12), random_spd(rng, 12)
@@ -308,6 +373,8 @@ class TestNonFinite:
             "s": lambda: solve_gev(h, self._poisoned(s, value, entry), 4),
             "jacobi": lambda: jacobi_eigh(self._poisoned(h, value, entry)),
             "lowdin": lambda: lowdin_inv_sqrt(self._poisoned(s, value, entry)),
+            "eigh": lambda: eigh(self._poisoned(h, value, entry)),
+            "frontier": lambda: frontier(h, self._poisoned(s, value, entry), 4),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")

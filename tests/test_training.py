@@ -233,6 +233,39 @@ class TestFrontEnd:
         assert calls == ["hamiltonian_from_tokens"] * n + ["hamiltonian_fused"] * n
 
 
+class TestEigensolverRoutes:
+    """Only evaluation, which compares orbital coefficients, runs Jacobi."""
+
+    @staticmethod
+    def _count_jacobi(monkeypatch) -> list[int]:
+        import molham.spectral as spectral
+
+        calls = []
+
+        def counting(a, *args, _real=spectral.jacobi_eigh):
+            calls.append(len(a))
+            return _real(a, *args)
+
+        monkeypatch.setattr(spectral, "jacobi_eigh", counting)
+        return calls
+
+    def test_generation_and_gap_screening_run_no_jacobi(self, monkeypatch):
+        import molham.training as training
+
+        calls = self._count_jacobi(monkeypatch)
+        report = generate_records([r.smiles for r in TEST.records], seed=3)
+        assert len(report.records) == len(TEST.records)
+        model = Model.init(SMALL_CFG, seed=1)
+        for fusion in (False, True):
+            training.gap_predictions(model, TEST, fusion=fusion)
+        assert calls == []
+
+    def test_evaluation_runs_two_jacobi_solves_per_record(self, monkeypatch):
+        calls = self._count_jacobi(monkeypatch)
+        evaluate(Model.init(SMALL_CFG, seed=1), TEST)
+        assert calls == [len(r.h) for r in TEST.records for _ in range(2)]
+
+
 class TestGradientGuard:
     """A non-finite gradient aborts the step before Adam writes any parameter."""
 
@@ -359,7 +392,14 @@ class TestCheckpoints:
                  (set_params(lambda p: {"name": "x"}), bad_params),
                  (set_params(lambda p: p[:-1] + [{**p[-1], "offset": p[-1]["offset"] + 8}]),
                   bad_params),
-                 (set_params(lambda p: [{**p[0], "offset": -8}] + p[1:]), bad_params)]
+                 (set_params(lambda p: [{**p[0], "offset": -8}] + p[1:]), bad_params),
+                 (set_params(lambda p: [e for e in p if e["name"] != "token.embed"]),
+                  r"m\.mh params do not match its model_config at token\.embed"),
+                 (set_params(lambda p: [{**e, "shape": e["shape"][::-1]}
+                                        if e["name"] == "token.embed" else e for e in p]),
+                  r"params do not match its model_config at token\.embed"),
+                 (set_params(lambda p: p + [{**p[0], "name": "token.extra"}]),
+                  r"params do not match its model_config at token\.extra")]
         for edit, what in cases:
             path = tmp_path / "m.mh"
             save_checkpoint(path, Model.init(SMALL_CFG, seed=2), None, None)
