@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .basis import DEFAULT_BASIS, HARTREE_TO_EV
 from .model import Model, ModelConfig
 from .smiles import MolGraph, fragment, parse_smiles, tokenize
-from .spectral import eigh, frontier, jacobi_eigh, lowdin_inv_sqrt, solve_gev
+from .spectral import eigh, frontier, jacobi_eigh, lowdin_inv_sqrt, orbitals, solve_gev
 from .training import TrainConfig, evaluate, finetune, pretrain
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "frontier",
     "jacobi_eigh",
     "lowdin_inv_sqrt",
+    "orbitals",
     "parse_smiles",
     "pretrain",
     "solve_gev",

@@ -16,7 +16,7 @@ from .hamhead import layout
 from .oracle import embed_3d, huckel_labels
 from .screening import classify_by_gap, default_thresholds
 from .smiles import detokenize, expand_hydrogens, parse_smiles, tokenize
-from .spectral import eigh, jacobi_eigh, lowdin_inv_sqrt, solve_gev
+from .spectral import eigh, jacobi_eigh, lowdin_inv_sqrt, orbitals, solve_gev
 
 
 def _check(name: str, ok: bool, results: list[bool]) -> None:
@@ -89,6 +89,12 @@ def run_selftest() -> bool:
     _check("water orbitals: C^T S C = I and H C = S C eps",
            bool(np.max(np.abs(c.T @ s @ c - np.eye(len(c)))) < 1e-10
                 and np.max(np.abs(h @ c - s @ c * res.eigenvalues)) < 1e-10), results)
+    lapack = orbitals(h, s, 4)
+    c = lapack.coefficients
+    _check("water orbitals by LAPACK: C^T S C = I, H C = S C eps, Jacobi's eps",
+           bool(np.max(np.abs(c.T @ s @ c - np.eye(len(c)))) < 1e-10
+                and np.max(np.abs(h @ c - s @ c * lapack.eigenvalues)) < 1e-10
+                and np.max(np.abs(lapack.eigenvalues - res.eigenvalues)) < 1e-10), results)
 
     lay = layout(xmol.elements)
     _check("water layout has 4 orbitals", lay.n_orb == 4, results)

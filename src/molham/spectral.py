@@ -7,13 +7,13 @@ but no generalized solve uses it, since it costs an eigendecomposition of
 its own.
 
 Two eigensolvers sit behind the reduction. `eigh` is the LAPACK seam
-(`numpy.linalg.eigh`); `frontier`, which returns only the HOMO, LUMO and gap,
-uses it, so dataset generation, gap screening and single-molecule prediction
-run no Jacobi. `solve_gev`, which also returns the orbital coefficients that
-evaluation compares, and `lowdin_inv_sqrt` still run the in-house
-`jacobi_eigh`; the benchmark's traced run times that solver by name, so
-moving them waits until it can time the seam. `jacobi_eigh` stays the
-cross-check for `eigh`.
+(`numpy.linalg.eigh`). `frontier`, which returns only the HOMO, LUMO and gap,
+and `orbitals`, which also returns the orbital coefficients that evaluation
+compares, use it, so no workflow runs Jacobi. `solve_gev` is `orbitals` on
+the in-house `jacobi_eigh`, and `lowdin_inv_sqrt` runs Jacobi too: they stay
+the reference the tests and `selftest` check the seam against, and the
+benchmark's traced run times `jacobi_eigh` by name under `solve_gev`, so
+`solve_gev` keeps Jacobi until that run can time the seam.
 
 Jacobi sweeps follow the round-robin ordering of Brent and Luk (Golub & Van
 Loan, section 8.5): each round rotates m/2 disjoint planes and a sweep of m-1
@@ -30,6 +30,7 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -225,17 +226,18 @@ def _levels(eigenvalues: np.ndarray, n_occ: int) -> tuple[float, float, float]:
 def frontier(h: np.ndarray, s: np.ndarray, n_electrons: int) -> tuple[float, float, float]:
     """(HOMO, LUMO in Hartree, gap in eV) of H C = S C diag(eps).
 
-    The same reduction and checks as `solve_gev`, diagonalized by `eigh`;
-    no coefficients are formed.
+    The same reduction, checks and `eigh` call as `orbitals`; no
+    coefficients are formed.
     """
     _, h_ortho, n_occ = _reduce(h, s, n_electrons)
     return _levels(eigh(h_ortho)[0], n_occ)
 
 
-def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
-    """Solve H C = S C diag(eps) by Cholesky reduction and one Jacobi solve."""
+def _solve(h: np.ndarray, s: np.ndarray, n_electrons: int,
+           eigensolver: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> SpectralResult:
+    """H C = S C diag(eps) by Cholesky reduction and one call of `eigensolver`."""
     l_inv, h_ortho, n_occ = _reduce(h, s, n_electrons)
-    eigenvalues, v = jacobi_eigh(h_ortho)
+    eigenvalues, v = eigensolver(h_ortho)
     homo, lumo, gap_ev = _levels(eigenvalues, n_occ)
     return SpectralResult(
         eigenvalues=eigenvalues,
@@ -247,6 +249,17 @@ def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
         lumo=lumo,
         gap_ev=gap_ev,
     )
+
+
+def orbitals(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
+    """Solve H C = S C diag(eps) by Cholesky reduction and one LAPACK solve."""
+    return _solve(h, s, n_electrons, eigh)
+
+
+def solve_gev(h: np.ndarray, s: np.ndarray, n_electrons: int) -> SpectralResult:
+    """`orbitals` with one Jacobi solve in place of LAPACK: the reference route."""
+    # the global is read per call, so a wrapper set on the module sees the solve
+    return _solve(h, s, n_electrons, jacobi_eigh)
 
 
 # --- overlap model ---

@@ -23,7 +23,7 @@ from .errors import CorruptFile, TrainingAborted, VersionMismatch, json_object
 from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
-from .spectral import frontier, mae_blocks, mae_energies, orbital_similarity, solve_gev
+from .spectral import frontier, mae_blocks, mae_energies, orbital_similarity, orbitals
 
 CHECKPOINT_VERSION = 1
 _CKPT_MAGIC = b"MHCK0001"
@@ -335,14 +335,16 @@ def evaluate(model: Model, dataset: Dataset, fusion: bool = False) -> dict:
     """Block MAEs, occupied-energy MAE, and orbital similarity over a dataset.
 
     Predictions use the string path (optionally fused with geometry); the
-    overlap matrix comes from each record's stored oracle geometry.
+    overlap matrix comes from each record's stored oracle geometry. Both the
+    predicted and the stored Hamiltonian are solved with `orbitals`, the
+    LAPACK route, on every call.
     """
     sums = {"mae_diag": 0.0, "mae_offdiag": 0.0, "mae_all": 0.0,
             "mae_eps_occ": 0.0, "psi_occ": 0.0}
     count = 0
     for rec, lay, h_pred in _predictions(model, dataset, fusion):
-        res_pred = solve_gev(h_pred, rec.s, rec.n_electrons)
-        res_true = solve_gev(rec.h, rec.s, rec.n_electrons)
+        res_pred = orbitals(h_pred, rec.s, rec.n_electrons)
+        res_true = orbitals(rec.h, rec.s, rec.n_electrons)
         d, o, a = mae_blocks(h_pred, rec.h, lay)
         sums["mae_diag"] += d
         sums["mae_offdiag"] += o

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import molham
 
@@ -36,3 +38,21 @@ def test_layers_take_only_the_packed_batch():
         forks += [f"{fn.__qualname__}({name})" for name in guarded
                   if name in params and params[name].default is None]
     assert forks == []
+
+
+def test_workflows_stay_on_the_lapack_seam():
+    """Only the spectral module, the self-test and the package exports name
+    the Jacobi reference route; every workflow diagonalises through the seam."""
+    reference = {"jacobi_eigh", "solve_gev", "lowdin_inv_sqrt"}
+    allowed = {"spectral", "selftest", "__init__"}
+    found = []
+    for path in sorted(Path(molham.__path__[0]).glob("*.py")):
+        if path.stem in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {a.name for a in node.names} if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else set())
+            found += [f"{path.stem}:{node.lineno} {name}" for name in names & reference]
+    assert found == []

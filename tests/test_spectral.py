@@ -32,6 +32,7 @@ from molham.spectral import (
     mae_blocks,
     mae_energies,
     orbital_similarity,
+    orbitals,
     solve_gev,
     toy_overlap,
 )
@@ -246,17 +247,17 @@ class TestSolveGev:
         assert res.gap_ev == pytest.approx(1.0 * HARTREE_TO_EV)
 
     def test_odd_electrons_rejected(self):
-        for solve in (solve_gev, frontier):
+        for solve in (solve_gev, orbitals, frontier):
             with pytest.raises(OddElectronCount):
                 solve(np.eye(3), np.eye(3), 3)
 
     def test_full_occupation_rejected(self):
-        for solve in (solve_gev, frontier):
+        for solve in (solve_gev, orbitals, frontier):
             with pytest.raises(NoVirtualOrbital):
                 solve(np.eye(2), np.eye(2), 4)
 
     def test_dimension_mismatch(self):
-        for solve in (solve_gev, frontier):
+        for solve in (solve_gev, orbitals, frontier):
             with pytest.raises(DimensionMismatch):
                 solve(np.eye(3), np.eye(4), 2)
 
@@ -277,17 +278,21 @@ def _oracle_pairs():
 
 
 class TestCholeskyReduction:
+    """Both coefficient routes, Jacobi (`solve_gev`) and LAPACK (`orbitals`),
+    against the Loewdin reduction."""
+
     def _assert_matches_lowdin(self, h, s, n_electrons):
-        res = solve_gev(h, s, n_electrons)
         w, c = _lowdin_reference(h, s)
-        assert np.max(np.abs(res.eigenvalues - w)) < 1e-10 * max(1.0, np.abs(w).max())
         gaps = np.diff(w)
         simple = np.ones(len(w), dtype=bool)
         simple[:-1] &= gaps > 1e-6
         simple[1:] &= gaps > 1e-6
-        # S-inner product of S-normalized columns is +-1 for a simple eigenvalue
-        cos = np.abs(np.sum(c * (s @ res.coefficients), axis=0))
-        assert np.max(np.abs(cos[simple] - 1.0)) < 1e-8
+        for solve in (solve_gev, orbitals):
+            res = solve(h, s, n_electrons)
+            assert np.max(np.abs(res.eigenvalues - w)) < 1e-10 * max(1.0, np.abs(w).max())
+            # S-inner product of S-normalized columns is +-1 for a simple eigenvalue
+            cos = np.abs(np.sum(c * (s @ res.coefficients), axis=0))
+            assert np.max(np.abs(cos[simple] - 1.0)) < 1e-8
 
     def test_matches_lowdin_on_random_spd_pairs(self):
         for _ in range(30):
@@ -299,12 +304,12 @@ class TestCholeskyReduction:
             self._assert_matches_lowdin(h, s, n_electrons)
 
     def test_non_spd_overlap_rejected(self):
-        for solve in (solve_gev, frontier):
+        for solve in (solve_gev, orbitals, frontier):
             with pytest.raises(NotPositiveDefinite):
                 solve(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
     def test_pivot_at_ridge_rejected(self):
-        for solve in (solve_gev, frontier):
+        for solve in (solve_gev, orbitals, frontier):
             with pytest.raises(NotPositiveDefinite):
                 solve(np.eye(2), np.diag([1.0, 1e-12]), 2)
 
@@ -327,8 +332,20 @@ class TestCholeskyReduction:
         assert calls == {"jacobi": 1, "lowdin": 0}
 
 
+class TestOrbitals:
+    """`orbitals` is the LAPACK coefficient route evaluation runs."""
+
+    def test_orthonormal_eigenpairs_on_oracle_labels(self):
+        for h, s, n_electrons in _oracle_pairs():
+            res = orbitals(h, s, n_electrons)
+            c = res.coefficients
+            assert np.max(np.abs(c.T @ s @ c - np.eye(len(c)))) <= 1e-10
+            assert np.max(np.abs(h @ c - s @ c * res.eigenvalues)) <= 1e-10
+
+
 class TestFrontier:
-    """`frontier` gives `solve_gev`'s frontier levels without coefficients."""
+    """`frontier` gives `solve_gev`'s frontier levels without coefficients,
+    and `orbitals`' bit for bit, since it is the same `eigh` call."""
 
     def test_matches_solve_gev_on_oracle_labels(self):
         for h, s, n_electrons in _oracle_pairs():
@@ -337,6 +354,8 @@ class TestFrontier:
             assert abs(homo - res.homo) <= 1e-10
             assert abs(lumo - res.lumo) <= 1e-10
             assert abs(gap_ev - res.gap_ev) <= 1e-10
+            lapack = orbitals(h, s, n_electrons)
+            assert (homo, lumo, gap_ev) == (lapack.homo, lapack.lumo, lapack.gap_ev)
 
     def test_bookkeeping(self):
         homo, lumo, gap_ev = frontier(np.diag([-2.0, -1.0, 0.0, 1.0]), np.eye(4), 4)
@@ -345,12 +364,13 @@ class TestFrontier:
 
     def test_runs_no_jacobi(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("frontier ran Jacobi")
+            raise AssertionError("the LAPACK route ran Jacobi")
 
         monkeypatch.setattr(spectral, "jacobi_eigh", forbidden)
         monkeypatch.setattr(spectral, "lowdin_inv_sqrt", forbidden)
         h, s, n_electrons = next(_oracle_pairs())
-        frontier(h, s, n_electrons)
+        for solve in (frontier, orbitals):
+            solve(h, s, n_electrons)
 
 
 class TestNonFinite:
@@ -364,7 +384,8 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(3, 3), (2, 7)])
-    @pytest.mark.parametrize("target", ["h", "s", "jacobi", "lowdin", "eigh", "frontier"])
+    @pytest.mark.parametrize("target", ["h", "s", "jacobi", "lowdin", "eigh", "frontier",
+                                        "orbitals"])
     def test_rejected(self, target, entry, value):
         rng = np.random.default_rng(5)
         h, s = random_symmetric(rng, 12), random_spd(rng, 12)
@@ -375,6 +396,7 @@ class TestNonFinite:
             "lowdin": lambda: lowdin_inv_sqrt(self._poisoned(s, value, entry)),
             "eigh": lambda: eigh(self._poisoned(h, value, entry)),
             "frontier": lambda: frontier(h, self._poisoned(s, value, entry), 4),
+            "orbitals": lambda: orbitals(self._poisoned(h, value, entry), s, 4),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")

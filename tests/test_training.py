@@ -234,25 +234,26 @@ class TestFrontEnd:
 
 
 class TestEigensolverRoutes:
-    """Only evaluation, which compares orbital coefficients, runs Jacobi."""
+    """No workflow runs Jacobi: generation, gap screening and evaluation all
+    diagonalise through the LAPACK seam."""
 
     @staticmethod
-    def _count_jacobi(monkeypatch) -> list[int]:
+    def _count(monkeypatch, name) -> list[int]:
         import molham.spectral as spectral
 
         calls = []
 
-        def counting(a, *args, _real=spectral.jacobi_eigh):
+        def counting(a, *args, _real=getattr(spectral, name)):
             calls.append(len(a))
             return _real(a, *args)
 
-        monkeypatch.setattr(spectral, "jacobi_eigh", counting)
+        monkeypatch.setattr(spectral, name, counting)
         return calls
 
     def test_generation_and_gap_screening_run_no_jacobi(self, monkeypatch):
         import molham.training as training
 
-        calls = self._count_jacobi(monkeypatch)
+        calls = self._count(monkeypatch, "jacobi_eigh")
         report = generate_records([r.smiles for r in TEST.records], seed=3)
         assert len(report.records) == len(TEST.records)
         model = Model.init(SMALL_CFG, seed=1)
@@ -260,10 +261,26 @@ class TestEigensolverRoutes:
             training.gap_predictions(model, TEST, fusion=fusion)
         assert calls == []
 
-    def test_evaluation_runs_two_jacobi_solves_per_record(self, monkeypatch):
-        calls = self._count_jacobi(monkeypatch)
+    def test_evaluation_runs_two_lapack_solves_per_record(self, monkeypatch):
+        jacobi = self._count(monkeypatch, "jacobi_eigh")
+        lapack = self._count(monkeypatch, "eigh")
         evaluate(Model.init(SMALL_CFG, seed=1), TEST)
-        assert calls == [len(r.h) for r in TEST.records for _ in range(2)]
+        assert jacobi == []
+        assert lapack == [len(r.h) for r in TEST.records for _ in range(2)]
+
+    def test_evaluation_matches_the_jacobi_route(self, monkeypatch):
+        import molham.spectral as spectral
+        import molham.training as training
+
+        model = Model.init(SMALL_CFG, seed=1)
+        lapack = evaluate(model, TEST)
+        monkeypatch.setattr(training, "orbitals", spectral.solve_gev)
+        jacobi = evaluate(model, TEST)
+        for key in ("mae_diag", "mae_offdiag", "mae_all", "count"):
+            assert lapack[key] == jacobi[key], key
+        assert abs(lapack["mae_eps_occ"] - jacobi["mae_eps_occ"]) <= 1e-10
+        # a degenerate occupied eigenspace may be spanned by other vectors
+        assert abs(lapack["psi_occ"] - jacobi["psi_occ"]) <= 1e-8
 
 
 class TestGradientGuard:
