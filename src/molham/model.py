@@ -1,8 +1,8 @@
 """Parameter registry and forward passes wiring the pipeline together.
 
-The model owns plain float64 arrays; every forward pass wraps them as tape
+The model owns one float64 vector; every forward pass wraps its groups as tape
 leaves (or constants, for frozen groups) so training steps stay functional:
-run forward, backward, update arrays, discard the tape.
+run forward, backward, update the vector in place, discard the tape.
 
 Every forward pass runs a packed batch. Training builds each molecule's
 integer structures (`MolStructure`) once; a pass packs them into padded
@@ -17,6 +17,7 @@ batch of one from the tokens, the expanded molecule and the layout.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -113,11 +114,17 @@ def _head_width(name: str, d: int, n_shear: int) -> int:
 
 
 class Model:
-    """All trainable arrays of the pipeline, keyed by dotted names."""
+    """All trainable values in one float64 `vector`. `params` maps dotted group
+    names, in vector order, to views of it (read-only: updates write in place),
+    and `slices` maps them to their spans."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
-        self.params = params
+        self.vector = np.concatenate([np.ravel(a) for a in params.values()], dtype=np.float64)
+        ends = np.cumsum([np.size(a) for a in params.values()]).tolist()
+        self.slices = {n: slice(e - np.size(a), e) for (n, a), e in zip(params.items(), ends)}
+        self.params = MappingProxyType({name: self.vector[s].reshape(np.shape(params[name]))
+                                        for name, s in self.slices.items()})
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "Model":
@@ -188,8 +195,16 @@ class Model:
                 out[name] = tape.leaf(arr)
         return out
 
-    def grads(self, tape: Tape, leaves: dict[str, Tensor]) -> dict[str, np.ndarray | None]:
-        return {name: tape.grad(leaf) for name, leaf in leaves.items()}
+    def grads(self, tape: Tape, leaves: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+        """A `vector`-shaped gradient, zero outside the groups that got one, and
+        `live`, the mask of those groups."""
+        grad, live = np.zeros_like(self.vector), np.zeros(self.vector.shape, dtype=bool)
+        for name, leaf in leaves.items():
+            g = tape.grad(leaf)
+            if g is not None:
+                grad[self.slices[name]] = g.ravel()
+                live[self.slices[name]] = True
+        return grad, live
 
     # --- parameter views ---
 

@@ -65,41 +65,29 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with deterministic parameter iteration order.
+    """Adam over a parameter vector, with one learning rate per value. A step
+    updates only the contiguous runs of `live` values: a group without a
+    gradient keeps its values and moments rather than moving through `m`."""
 
-    `rate_scales` maps name prefixes to learning-rate multipliers, applied to
-    the first matching prefix (used for slower fine-tuning of pretrained
-    encoder groups).
-    """
-
-    def __init__(self, lr: float, rate_scales: dict[str, float] | None = None):
-        self.lr = lr
-        self.rate_scales = rate_scales or {}
+    def __init__(self, rates: np.ndarray):
+        self.rates = rates
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros_like(rates)
+        self.v = np.zeros_like(rates)
 
-    def _rate(self, name: str) -> float:
-        for prefix, scale in self.rate_scales.items():
-            if name.startswith(prefix):
-                return self.lr * scale
-        return self.lr
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray | None]) -> None:
+    def step(self, vector: np.ndarray, grad: np.ndarray, live: np.ndarray) -> None:
         self.step_count += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        for name, arr in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+        for run in map(slice, edges[::2], edges[1::2]):
+            m, v, g = self.m[run], self.v[run], grad[run]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            vector[run] -= self.rates[run] * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def prepare(dataset: Dataset) -> list[MolStructure]:
@@ -149,12 +137,14 @@ def _check_finite(terms: np.ndarray, what: str, batch: list[int]) -> None:
     raise TrainingAborted(f"non-finite {what} at record {index}", index)
 
 
-def _check_grads(grads: dict[str, np.ndarray | None], stage: str, step: int) -> None:
+def _check_grads(model: Model, grad: np.ndarray, stage: str, step: int) -> None:
     """Raise TrainingAborted naming the first parameter whose gradient is not
     finite, before the optimizer writes any of them."""
-    for name, g in grads.items():
-        if g is not None and not np.isfinite(g).all():
-            raise TrainingAborted(f"non-finite {stage} gradient of {name} at step {step}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        ends = [s.stop for s in model.slices.values()]
+        name = list(model.slices)[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise TrainingAborted(f"non-finite {stage} gradient of {name} at step {step}")
 
 
 def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
@@ -162,7 +152,7 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     structs = prepare(dataset)
     coords = [dataset.get_coords(i) for i in range(len(dataset))]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11])))
-    opt = Adam(config.lr)
+    opt = Adam(np.full(model.vector.shape, config.lr))
     rows: list[TraceRow] = []
     step = 0
     for epoch in range(config.epochs):
@@ -175,9 +165,9 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
             _check_finite(d_terms.data, "pre-training loss", batch)
             _check_finite(total.data, "pre-training loss", batch)
             tape.backward(total)
-            grads = model.grads(tape, leaves)
-            _check_grads(grads, "pre-training", step)
-            opt.step(model.params, grads)
+            grad, live = model.grads(tape, leaves)
+            _check_grads(model, grad, "pre-training", step)
+            opt.step(model.vector, grad, live)
             rows.append(TraceRow(step, epoch, {
                 "loss_total": total.item(),
                 "loss_discrepancy": float(d_terms.data.mean()),
@@ -203,10 +193,9 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     coords = [dataset.get_coords(i) for i in range(len(dataset))] if config.fusion else None
     targets = [rec.h for rec in dataset.records]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 13])))
-    scales = None
-    if config.encoder_lr_scale != 1.0:
-        scales = {"token.": config.encoder_lr_scale, "geom.": config.encoder_lr_scale}
-    opt = Adam(config.lr, rate_scales=scales)
+    scales = [config.encoder_lr_scale if name.startswith(("token.", "geom.")) else 1.0
+              for name in model.params]
+    opt = Adam(config.lr * np.repeat(scales, [a.size for a in model.params.values()]))
     frozen = ("token.",) if config.fusion else ()
     rows: list[TraceRow] = []
     step = 0
@@ -223,9 +212,9 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
             _check_finite(terms.data, "fine-tuning loss", batch)
             total = ad.mean(terms)
             tape.backward(total)
-            grads = model.grads(tape, leaves)
-            _check_grads(grads, "fine-tuning", step)
-            opt.step(model.params, grads)
+            grad, live = model.grads(tape, leaves)
+            _check_grads(model, grad, "fine-tuning", step)
+            opt.step(model.vector, grad, live)
             rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))
             step += 1
     return rows, rng.bit_generator.state
@@ -233,21 +222,20 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
 
 # --- checkpoints ---
 
+def _param_entries(model: Model) -> list[dict]:
+    """The manifest's `params` list: each group's name, shape and blob offset."""
+    return [{"name": name, "shape": list(a.shape), "offset": 8 * model.slices[name].start}
+            for name, a in model.params.items()]
+
+
 def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | None,
                     rng_state: dict | None) -> None:
-    names = list(model.params)
-    blob = b"".join(np.ascontiguousarray(model.params[n], dtype="<f8").tobytes() for n in names)
-    entries = []
-    offset = 0
-    for n in names:
-        size = model.params[n].size * 8
-        entries.append({"name": n, "shape": list(model.params[n].shape), "offset": offset})
-        offset += size
+    blob = np.ascontiguousarray(model.vector, dtype="<f8").tobytes()
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": model.config_dict(),
         "train_config": None if train_config is None else asdict(train_config),
-        "params": entries,
+        "params": _param_entries(model),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "rng_state": _jsonable_rng(rng_state),
     }
@@ -292,25 +280,21 @@ def load_checkpoint(path: str | Path,
         config = ModelConfig(**manifest["model_config"])
     except (TypeError, ValueError) as err:
         raise CorruptFile(f"{path} has an invalid model_config: {err}") from None
-    params: dict[str, np.ndarray] = {}
     try:
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            start = entry["offset"]
-            end = start + 8 * int(np.prod(shape, dtype=np.int64))
-            if not 0 <= start <= end <= len(blob):
-                raise ValueError(f"{entry['name']} lies outside the parameter blob")
-            params[entry["name"]] = np.frombuffer(blob[start:end], "<f8").reshape(shape).copy()
-    except (KeyError, TypeError, ValueError) as err:
+        shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest["params"]}
+    except (KeyError, TypeError) as err:
         raise CorruptFile(f"{path} has a malformed params list: {err}") from None
-    shapes = {name: a.shape for name, a in params.items()}
     if expect is not None:
         check_compatible(expect, config, shapes)
-    built = {name: a.shape for name, a in Model.init(config, 0).params.items()}
+    model = Model.init(config, 0)
+    built = {name: a.shape for name, a in model.params.items()}
     if shapes != built:
         wrong = sorted(n for n in built.keys() | shapes.keys() if built.get(n) != shapes.get(n))
         raise CorruptFile(f"{path} params do not match its model_config at {', '.join(wrong[:4])}")
-    return Model(config, params), manifest.get("train_config"), manifest.get("rng_state")
+    if manifest["params"] != _param_entries(model) or len(blob) != model.vector.nbytes:
+        raise CorruptFile(f"{path} has a malformed params list: not its model_config's layout")
+    model.vector[:] = np.frombuffer(blob, "<f8")
+    return model, manifest.get("train_config"), manifest.get("rng_state")
 
 
 # --- evaluation ---

@@ -9,7 +9,9 @@ dense plane matrix per angle, a geometry encoder that tiles and pools pair
 messages with dense n^2 x n matrices, a Hamiltonian value index built
 entry by entry, and both training losses run one molecule at a time
 (`pretrain_loss_per_molecule`, `finetune_loss_per_molecule`), with the
-model's forward arithmetic written out on unpadded rank-2 rows.
+model's forward arithmetic written out on unpadded rank-2 rows. `GroupAdam`
+is the optimizer as it was before the parameters became one vector: a dict
+of arrays updated group by group, with a prefix lookup for each group's rate.
 """
 
 from __future__ import annotations
@@ -454,3 +456,43 @@ def finetune_loss_per_molecule(model, lv, molecules, lambda2):
     for term in terms[1:]:
         total = total + term
     return total * (1.0 / len(terms)), terms
+
+
+class GroupAdam:
+    """Adam with deterministic parameter iteration order.
+
+    `rate_scales` maps name prefixes to learning-rate multipliers, applied to
+    the first matching prefix (used for slower fine-tuning of pretrained
+    encoder groups).
+    """
+
+    def __init__(self, lr: float, rate_scales: dict[str, float] | None = None):
+        self.lr = lr
+        self.rate_scales = rate_scales or {}
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def _rate(self, name: str) -> float:
+        for prefix, scale in self.rate_scales.items():
+            if name.startswith(prefix):
+                return self.lr * scale
+        return self.lr
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray | None]) -> None:
+        from molham.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+        self.step_count += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        bias1 = 1.0 - b1 ** self.step_count
+        bias2 = 1.0 - b2 ** self.step_count
+        for name, arr in params.items():
+            g = grads.get(name)
+            if g is None:
+                continue
+            if name not in self.m:
+                self.m[name] = np.zeros_like(arr)
+                self.v[name] = np.zeros_like(arr)
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)

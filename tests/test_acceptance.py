@@ -152,8 +152,7 @@ def test_criterion_03_differentiation():
     base = Model.init(cfg, seed=3)
     for name in base.params:  # move structural zeros so every path carries gradient
         if name.startswith(("gen.", "head.")):
-            base.params[name] = base.params[name] + 0.1 * rng.standard_normal(
-                base.params[name].shape)
+            base.params[name][...] += 0.1 * rng.standard_normal(base.params[name].shape)
 
     smiles = "CCOCC"  # two fragments
     tokens = tokenize(smiles)

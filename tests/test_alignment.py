@@ -217,8 +217,7 @@ class TestPretrainLossComposition:
         rng = np.random.default_rng(8)
         for name in model.params:
             if name.startswith("gen."):
-                model.params[name] = model.params[name] + 0.1 * rng.standard_normal(
-                    model.params[name].shape)
+                model.params[name][...] += 0.1 * rng.standard_normal(model.params[name].shape)
         mol = self._molecule("CCOCC", 5)
         for name in ("align.wq", "align.log_tau", "comp.u.w1", "gen.angles.w",
                      "token.embed", "geom.round0.wmsg"):

@@ -218,6 +218,11 @@ class TestConfigFile:
     def test_negative_epochs(self, tmp_path, pipeline, capsys):
         assert "epochs" in self._pretrain(tmp_path, pipeline, capsys, {"epochs": -1})
 
+    def test_unknown_key(self, tmp_path, pipeline, capsys):
+        # a misspelt setting and a retired Adam setting, rather than other training
+        err = self._pretrain(tmp_path, pipeline, capsys, {"beta1": 0.5, "epoch": 3})
+        assert "config keys that are not settings: 'beta1', 'epoch'" in err
+
 
 class TestTrainEvalScreenBench:
     def test_eval_writes_metrics(self, tmp_path, pipeline):

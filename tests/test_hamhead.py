@@ -55,8 +55,7 @@ def head():
     rng = np.random.default_rng(3)
     for name in model.params:  # free the zero-initialized output layers
         if name.startswith("head."):
-            model.params[name] = model.params[name] + 0.2 * rng.standard_normal(
-                model.params[name].shape)
+            model.params[name][...] += 0.2 * rng.standard_normal(model.params[name].shape)
     return model
 
 

@@ -42,8 +42,7 @@ def _model(config=CFG, seed=4):
     rng = np.random.default_rng(seed)
     for name in model.params:  # free the zero-initialized heads so every path carries gradient
         if name.startswith(("gen.", "head.")):
-            model.params[name] = model.params[name] + 0.1 * rng.standard_normal(
-                model.params[name].shape)
+            model.params[name][...] += 0.1 * rng.standard_normal(model.params[name].shape)
     return model
 
 

@@ -8,14 +8,16 @@ import struct
 
 import numpy as np
 import pytest
+from _oracles import GroupAdam
 
 from molham.corpus import build_corpus
-from molham.dataset import Dataset, SplitConfig, assign_split, generate_records
+from molham.dataset import Dataset, DatasetRecord, SplitConfig, assign_split, generate_records
 from molham.errors import CorruptFile, TrainingAborted, VersionMismatch
 from molham.model import Model, ModelConfig
 from molham.smiles import parse_smiles
 from molham.autodiff import Tape
 from molham.training import (
+    Adam,
     TraceRow,
     TrainConfig,
     evaluate,
@@ -294,14 +296,13 @@ class TestGradientGuard:
         seen = {}
 
         def poisoned(self, tape, leaves):
-            grads = real_grads(self, tape, leaves)
+            grad, live = real_grads(self, tape, leaves)
             seen["calls"] = seen.get("calls", 0) + 1
             if seen["calls"] == 2:  # the second step
                 seen["before"] = {k: v.copy() for k, v in self.params.items()}
                 for name in ("token.refine", "token.embed"):  # embed comes first
-                    grads[name] = grads[name].copy()
-                    grads[name][0, 1] = np.nan
-            return grads
+                    grad[self.slices[name].start] = np.nan
+            return grad, live
 
         monkeypatch.setattr(Model, "grads", poisoned)
         cfg = TrainConfig(run.__name__, epochs=1, seed=1, batch_size=4)
@@ -310,6 +311,74 @@ class TestGradientGuard:
         assert str(info.value) == f"non-finite {stage} gradient of token.embed at step 1"
         for name, before in seen["before"].items():
             assert np.array_equal(model.params[name], before), name
+
+
+class TestOptimizer:
+    """Adam updates the parameter vector in its live runs only."""
+
+    def test_matches_the_group_by_group_update(self):
+        rng = np.random.default_rng(2)
+        shapes = {"token.a": (2, 3), "head.b": (4,), "geom.c": (1, 2), "head.d": (3, 1)}
+        params = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        model = Model(SMALL_CFG, params)
+        reference = GroupAdam(1e-2, {"token.": 0.3, "geom.": 0.3})
+        rates = np.full(model.vector.shape, 1e-2)
+        for name, s in model.slices.items():
+            if name.startswith(("token.", "geom.")):
+                rates[s] = 1e-2 * 0.3
+        opt = Adam(rates)
+        # head.b (alone, then with geom.c) is a dead run between two live runs
+        for dead in [("head.b",), (), ("head.b", "geom.c"), ("token.a", "head.d"), ()]:
+            grads = {n: None if n in dead else rng.standard_normal(s) for n, s in shapes.items()}
+            reference.step(params, grads)
+            grad = np.zeros_like(model.vector)
+            live = np.zeros(model.vector.shape, dtype=bool)
+            for name, g in grads.items():
+                if g is not None:
+                    grad[model.slices[name]], live[model.slices[name]] = g.ravel(), True
+            opt.step(model.vector, grad, live)
+            for name in shapes:
+                assert np.array_equal(model.params[name], params[name]), name
+                if name in reference.m:
+                    assert np.array_equal(opt.m[model.slices[name]], reference.m[name].ravel())
+                    assert np.array_equal(opt.v[model.slices[name]], reference.v[name].ravel())
+                else:
+                    assert not opt.m[model.slices[name]].any()
+
+    def test_group_without_gradient_keeps_its_values(self, monkeypatch):
+        """A batch of one-atom molecules has no atom pairs, so the pair network
+        gets no gradient on that step and must not move through its moments."""
+        def atom(smiles, element, h):
+            return DatasetRecord(smiles, [element], np.zeros((1, 3)), np.array(h), np.eye(2),
+                                 4, 1.0, "train")
+
+        records = [atom("[C]", "C", [[-0.5, 0.1], [0.1, -0.3]]),
+                   atom("[N]", "N", [[-0.6, 0.2], [0.2, -0.4]])]
+        records += generate_records(["CCO", "CCN"], seed=1).records
+        model = Model.init(SMALL_CFG, seed=1)
+        pair = np.zeros(model.vector.shape, dtype=bool)
+        for name, s in model.slices.items():
+            pair[s] = name.startswith("head.pair.")
+        real_loss, real_step = Model.finetune_batch_loss, Adam.step
+        one_atom, dead = [], []
+
+        def loss(self, lv, structs, *args):
+            one_atom.append(all(s.n_atoms == 1 for s in structs))
+            return real_loss(self, lv, structs, *args)
+
+        def step(self, vector, grad, live):
+            before = vector.copy()
+            real_step(self, vector, grad, live)
+            if one_atom[-1]:
+                dead.append(self.step_count)
+                assert np.array_equal(vector[pair], before[pair])
+                assert not live[pair].any()
+                assert not np.array_equal(vector[live], before[live])
+
+        monkeypatch.setattr(Model, "finetune_batch_loss", loss)
+        monkeypatch.setattr(Adam, "step", step)
+        finetune(model, Dataset(records), TrainConfig("finetune", epochs=4, seed=3, batch_size=2))
+        assert dead and dead[0] > 1  # the pair groups already hold moments
 
 
 class TestMemory:
@@ -397,6 +466,13 @@ class TestCheckpoints:
                 return json.dumps(manifest).encode()
             return edit
 
+        def swap_offsets(a, b):
+            def change(params):
+                at = {e["name"]: e["offset"] for e in params}
+                swap = {a: at[b], b: at[a]}
+                return [{**e, "offset": swap.get(e["name"], e["offset"])} for e in params]
+            return change
+
         bad_params = "m.mh has a malformed params list"
         cases = [(lambda m: b"{not json", "not UTF-8 JSON"),
                  (lambda m: b'{"format_version": "\xff"}', "not UTF-8 JSON"),
@@ -410,6 +486,7 @@ class TestCheckpoints:
                  (set_params(lambda p: p[:-1] + [{**p[-1], "offset": p[-1]["offset"] + 8}]),
                   bad_params),
                  (set_params(lambda p: [{**p[0], "offset": -8}] + p[1:]), bad_params),
+                 (set_params(swap_offsets("token.block0.wq", "token.block0.wk")), bad_params),
                  (set_params(lambda p: [e for e in p if e["name"] != "token.embed"]),
                   r"m\.mh params do not match its model_config at token\.embed"),
                  (set_params(lambda p: [{**e, "shape": e["shape"][::-1]}
