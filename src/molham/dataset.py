@@ -79,10 +79,14 @@ class DatasetRecord:
                 if len(raw[key]) != n_orb * (n_orb + 1) // 2:
                     raise ValueError(f"{key} holds {len(raw[key])} values, not the upper "
                                      f"triangle of the {n_orb} orbitals of its elements")
+            coords = np.asarray(raw["coords"], dtype=np.float64)
+            if coords.shape != (len(elements), 3) or not np.isfinite(coords).all():
+                raise ValueError(f"coords must be {len(elements)} finite rows of 3 values, "
+                                 f"one per element, got shape {coords.shape}")
             return cls(
                 smiles=raw["smiles"],
                 elements=elements,
-                coords=np.asarray(raw["coords"], dtype=np.float64),
+                coords=coords,
                 h=from_upper_triangle(np.asarray(raw["h_upper"]), n_orb),
                 s=from_upper_triangle(np.asarray(raw["s_upper"]), n_orb),
                 n_electrons=int(raw["n_electrons"]),

@@ -49,6 +49,13 @@ class ModelConfig:
     loss_form: str = "log_sigmoid"
 
     def __post_init__(self):
+        # `not` around each bound so that a NaN fails it too
+        for key, least in (("width", 2), ("n_rbf", 2), ("n_shear", 1), ("head_hidden", 1),
+                           ("token_layers", 0), ("geom_rounds", 0)):
+            if not getattr(self, key) >= least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if not 0.0 < self.cutoff < np.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.width % 2 != 0:
             raise ValueError("embedding width must be even for the positional table")
         if self.loss_form not in al.LOSS_FORMS:

@@ -1,4 +1,4 @@
-"""Training loops, optimizer, checkpoints, and evaluation.
+"""The training step loop of both stages, optimizer, checkpoints, and evaluation.
 
 Both stages are deterministic for a given seed: batch order, fragment-mask
 draws, and gradient accumulation all derive from seeded generators and a
@@ -12,6 +12,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,14 +55,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be non-negative")
         if not 0.0 <= self.lambda2 <= 1.0:
             raise ValueError("lambda2 must lie in [0, 1]")
         if not 0.0 <= self.mask_keep_prob <= 1.0:
             raise ValueError("mask keep probability must lie in [0, 1]")
-        if self.encoder_lr_scale < 0:
-            raise ValueError("encoder lr scale must be non-negative")
+        for key in ("lr", "lambda1", "encoder_lr_scale"):  # `not` so that NaN fails too
+            if not 0.0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
 
 
 class Adam:
@@ -123,10 +123,6 @@ def write_trace(path: str | Path, rows: list[TraceRow]) -> None:
             fh.write(f"{r.step},{r.epoch}," + ",".join(repr(r.parts[c]) for c in cols) + "\n")
 
 
-def _batches(order: np.ndarray, size: int) -> list[list[int]]:
-    return [list(map(int, order[i:i + size])) for i in range(0, len(order), size)]
-
-
 def _check_finite(terms: np.ndarray, what: str, batch: list[int]) -> None:
     """Raise TrainingAborted naming the first record whose loss term is not
     finite; a non-finite term shared by the whole batch names its first record."""
@@ -147,40 +143,48 @@ def _check_grads(model: Model, grad: np.ndarray, stage: str, step: int) -> None:
         raise TrainingAborted(f"non-finite {stage} gradient of {name} at step {step}")
 
 
-def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
-    """Both-modality pre-training; returns the loss trace and final RNG state."""
-    structs = prepare(dataset)
-    coords = [dataset.get_coords(i) for i in range(len(dataset))]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11])))
-    opt = Adam(np.full(model.vector.shape, config.lr))
+def _fit(model: Model, config: TrainConfig, n: int, rates: np.ndarray, salt: int,
+         batch_loss: Callable, frozen: tuple[str, ...] = (),
+         draw: Callable | None = None) -> tuple[list[TraceRow], dict]:
+    """Both stages' step loop over n records. An epoch runs `draw(rng)`, if given,
+    before its batch order; `batch_loss(leaves, batch, drawn)` gives (total, other parts)."""
+    stage = {"pretrain": "pre-training", "finetune": "fine-tuning"}[config.stage]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, salt])))
+    opt = Adam(rates)
     rows: list[TraceRow] = []
-    step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(structs))
-        for batch in _batches(order, config.batch_size):
+        drawn = draw(rng) if draw else None
+        order = rng.permutation(n).tolist()
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
             tape = Tape()
-            leaves = model.leaves(tape)
-            molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
-            total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
-            _check_finite(d_terms.data, "pre-training loss", batch)
-            _check_finite(total.data, "pre-training loss", batch)
+            leaves = model.leaves(tape, frozen_prefixes=frozen)
+            total, parts = batch_loss(leaves, batch, drawn)
             tape.backward(total)
             grad, live = model.grads(tape, leaves)
-            _check_grads(model, grad, "pre-training", step)
+            _check_grads(model, grad, stage, len(rows))
             opt.step(model.vector, grad, live)
-            rows.append(TraceRow(step, epoch, {
-                "loss_total": total.item(),
-                "loss_discrepancy": float(d_terms.data.mean()),
-                "loss_contrastive": part_l.item(),
-            }))
-            step += 1
+            rows.append(TraceRow(len(rows), epoch, {"loss_total": total.item(), **parts}))
     return rows, rng.bit_generator.state
 
 
-def _mask_vectors(structs: list[MolStructure], rng: np.random.Generator,
-                  keep_prob: float) -> list[list[int]]:
-    return [[1 if rng.random() < keep_prob else 0 for _ in range(s.n_fragments)]
-            for s in structs]
+def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
+    """Both-modality pre-training; returns the loss trace and final RNG state."""
+    if config.stage != "pretrain":
+        raise ValueError(f"pretrain needs a pretrain config, got stage {config.stage!r}")
+    structs = prepare(dataset)
+    coords = [dataset.get_coords(i) for i in range(len(dataset))]
+
+    def batch_loss(leaves, batch, _):
+        molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
+        total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
+        _check_finite(d_terms.data, "pre-training loss", batch)
+        _check_finite(total.data, "pre-training loss", batch)
+        return total, {"loss_discrepancy": float(d_terms.data.mean()),
+                       "loss_contrastive": part_l.item()}
+
+    return _fit(model, config, len(structs), np.full(model.vector.shape, config.lr), 11,
+                batch_loss)
 
 
 def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[TraceRow], dict]:
@@ -189,35 +193,28 @@ def finetune(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     The string-only path never touches coordinates; with fusion enabled the
     token encoder group is frozen and the geometry encoder keeps training.
     """
+    if config.stage != "finetune":
+        raise ValueError(f"finetune needs a finetune config, got stage {config.stage!r}")
     structs = prepare(dataset)
     coords = [dataset.get_coords(i) for i in range(len(dataset))] if config.fusion else None
-    targets = [rec.h for rec in dataset.records]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 13])))
     scales = [config.encoder_lr_scale if name.startswith(("token.", "geom.")) else 1.0
               for name in model.params]
-    opt = Adam(config.lr * np.repeat(scales, [a.size for a in model.params.values()]))
-    frozen = ("token.",) if config.fusion else ()
-    rows: list[TraceRow] = []
-    step = 0
-    for epoch in range(config.epochs):
-        masks = _mask_vectors(structs, rng, config.mask_keep_prob)
-        order = rng.permutation(len(structs))
-        for batch in _batches(order, config.batch_size):
-            tape = Tape()
-            leaves = model.leaves(tape, frozen_prefixes=frozen)
-            terms = model.finetune_batch_loss(
-                leaves, [structs[i] for i in batch], [masks[i] for i in batch],
-                [targets[i] for i in batch], config.lambda2,
-                [coords[i] for i in batch] if config.fusion else None)
-            _check_finite(terms.data, "fine-tuning loss", batch)
-            total = ad.mean(terms)
-            tape.backward(total)
-            grad, live = model.grads(tape, leaves)
-            _check_grads(model, grad, "fine-tuning", step)
-            opt.step(model.vector, grad, live)
-            rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))
-            step += 1
-    return rows, rng.bit_generator.state
+    rates = config.lr * np.repeat(scales, [a.size for a in model.params.values()])
+
+    def draw(rng):
+        return [[1 if rng.random() < config.mask_keep_prob else 0 for _ in range(s.n_fragments)]
+                for s in structs]
+
+    def batch_loss(leaves, batch, masks):
+        terms = model.finetune_batch_loss(
+            leaves, [structs[i] for i in batch], [masks[i] for i in batch],
+            [dataset.records[i].h for i in batch], config.lambda2,
+            [coords[i] for i in batch] if config.fusion else None)
+        _check_finite(terms.data, "fine-tuning loss", batch)
+        return ad.mean(terms), {}
+
+    return _fit(model, config, len(structs), rates, 13, batch_loss,
+                ("token.",) if config.fusion else (), draw)
 
 
 # --- checkpoints ---

@@ -12,6 +12,9 @@ entry by entry, and both training losses run one molecule at a time
 model's forward arithmetic written out on unpadded rank-2 rows. `GroupAdam`
 is the optimizer as it was before the parameters became one vector: a dict
 of arrays updated group by group, with a prefix lookup for each group's rate.
+`pretrain_reference` and `finetune_reference` are the two training loops as
+they were before the stages shared one step loop, each with its own copy of
+the seeded schedule, the step, the gradient guard and the trace.
 """
 
 from __future__ import annotations
@@ -496,3 +499,86 @@ class GroupAdam:
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             arr -= self._rate(name) * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def _batches(order: np.ndarray, size: int) -> list[list[int]]:
+    return [list(map(int, order[i:i + size])) for i in range(0, len(order), size)]
+
+
+def pretrain_reference(model, dataset, config):
+    """Both-modality pre-training; returns the loss trace and final RNG state."""
+    from molham.autodiff import Tape
+    from molham.training import Adam, TraceRow, _check_finite, _check_grads, prepare
+
+    structs = prepare(dataset)
+    coords = [dataset.get_coords(i) for i in range(len(dataset))]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 11])))
+    opt = Adam(np.full(model.vector.shape, config.lr))
+    rows: list[TraceRow] = []
+    step = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(structs))
+        for batch in _batches(order, config.batch_size):
+            tape = Tape()
+            leaves = model.leaves(tape)
+            molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
+            total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
+            _check_finite(d_terms.data, "pre-training loss", batch)
+            _check_finite(total.data, "pre-training loss", batch)
+            tape.backward(total)
+            grad, live = model.grads(tape, leaves)
+            _check_grads(model, grad, "pre-training", step)
+            opt.step(model.vector, grad, live)
+            rows.append(TraceRow(step, epoch, {
+                "loss_total": total.item(),
+                "loss_discrepancy": float(d_terms.data.mean()),
+                "loss_contrastive": part_l.item(),
+            }))
+            step += 1
+    return rows, rng.bit_generator.state
+
+
+def _mask_vectors(structs, rng: np.random.Generator, keep_prob: float) -> list[list[int]]:
+    return [[1 if rng.random() < keep_prob else 0 for _ in range(s.n_fragments)]
+            for s in structs]
+
+
+def finetune_reference(model, dataset, config):
+    """Masked weakly-supervised fine-tuning on strings (plus geometry if fused).
+
+    The string-only path never touches coordinates; with fusion enabled the
+    token encoder group is frozen and the geometry encoder keeps training.
+    """
+    from molham import autodiff as ad
+    from molham.autodiff import Tape
+    from molham.training import Adam, TraceRow, _check_finite, _check_grads, prepare
+
+    structs = prepare(dataset)
+    coords = [dataset.get_coords(i) for i in range(len(dataset))] if config.fusion else None
+    targets = [rec.h for rec in dataset.records]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 13])))
+    scales = [config.encoder_lr_scale if name.startswith(("token.", "geom.")) else 1.0
+              for name in model.params]
+    opt = Adam(config.lr * np.repeat(scales, [a.size for a in model.params.values()]))
+    frozen = ("token.",) if config.fusion else ()
+    rows: list[TraceRow] = []
+    step = 0
+    for epoch in range(config.epochs):
+        masks = _mask_vectors(structs, rng, config.mask_keep_prob)
+        order = rng.permutation(len(structs))
+        for batch in _batches(order, config.batch_size):
+            tape = Tape()
+            leaves = model.leaves(tape, frozen_prefixes=frozen)
+            terms = model.finetune_batch_loss(
+                leaves, [structs[i] for i in batch], [masks[i] for i in batch],
+                [targets[i] for i in batch], config.lambda2,
+                [coords[i] for i in batch] if config.fusion else None)
+            _check_finite(terms.data, "fine-tuning loss", batch)
+            total = ad.mean(terms)
+            tape.backward(total)
+            grad, live = model.grads(tape, leaves)
+            _check_grads(model, grad, "fine-tuning", step)
+            opt.step(model.vector, grad, live)
+            rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))
+            step += 1
+    return rows, rng.bit_generator.state

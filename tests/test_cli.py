@@ -145,6 +145,14 @@ class TestCounts:
         self._rejected(capsys, ["bench", "--checkpoint", str(ckpt), "--data", str(data),
                                 "--out", str(out), "--" + key, str(value)], out, key)
 
+    @pytest.mark.parametrize("flag, key", [("--n-rbf=1", "n_rbf"), ("--cutoff=0", "cutoff"),
+                                           ("--lr=-1e-3", "lr")])
+    def test_training_setting_that_cannot_train(self, tmp_path, pipeline, capsys, flag, key):
+        data, _ = pipeline
+        out = tmp_path / "run"
+        self._rejected(capsys, ["pretrain", "--data", str(data), "--out", str(out), flag],
+                       out, key)
+
 
 class TestGenData:
     def test_writes_outputs_and_manifest(self, tmp_path, corpus_file):

@@ -306,9 +306,14 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1]}),
         lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:3], "s_upper": raw["s_upper"][:3]}),
         lambda raw: json.dumps({**raw, "elements": raw["elements"] + ["Xx"]}),
+        lambda raw: json.dumps({**raw, "coords": raw["coords"][:-1]}),
+        lambda raw: json.dumps({**raw, "coords": [row[:2] for row in raw["coords"]]}),
+        lambda raw: json.dumps({**raw, "coords": [[float("nan"), *raw["coords"][0][1:]]]
+                                + raw["coords"][1:]}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
             "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
-            "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element"])
+            "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element",
+            "coords-short-row", "coords-two-columns", "coords-nan"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))

@@ -56,3 +56,18 @@ def test_workflows_stay_on_the_lapack_seam():
                      else set())
             found += [f"{path.stem}:{node.lineno} {name}" for name in names & reference]
     assert found == []
+
+
+def test_one_training_step_loop():
+    """Both training stages run one step loop: a single function of the
+    training module builds a `Tape` or an `Adam`."""
+    path = Path(molham.__path__[0]) / "training.py"
+    builders = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        functions = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in functions:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                builders |= {fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", getattr(node.func, "attr", None))
+                             in ("Tape", "Adam")}
+    assert len(builders) == 1, sorted(builders)

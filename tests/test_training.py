@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from _oracles import GroupAdam
+from _oracles import GroupAdam, finetune_reference, pretrain_reference
 
 from molham.corpus import build_corpus
 from molham.dataset import Dataset, DatasetRecord, SplitConfig, assign_split, generate_records
@@ -381,6 +381,34 @@ class TestOptimizer:
         assert dead and dead[0] > 1  # the pair groups already hold moments
 
 
+class TestStepLoop:
+    """Both stages run one step loop; it trains exactly as the two loops it replaced."""
+
+    def test_matches_the_two_stage_loops(self):
+        ragged = dict(batch_size=5, seed=3)
+        assert len(TRAIN) % ragged["batch_size"], "the last batch must be short"
+        stages = [(pretrain, pretrain_reference, TrainConfig("pretrain", epochs=2, **ragged))]
+        stages += [(finetune, finetune_reference,
+                    TrainConfig("finetune", epochs=2, encoder_lr_scale=0.3, mask_keep_prob=0.5,
+                                fusion=fusion, **ragged)) for fusion in (False, True)]
+        model, reference = Model.init(SMALL_CFG, seed=1), Model.init(SMALL_CFG, seed=1)
+        for run, run_reference, cfg in stages:
+            data, data_reference = _fresh_train(), _fresh_train()
+            rows, state = run(model, data, cfg)
+            rows_ref, state_ref = run_reference(reference, data_reference, cfg)
+            assert model.vector.tobytes() == reference.vector.tobytes(), cfg
+            assert rows == rows_ref and state == state_ref, cfg
+            assert data.coords_reads == data_reference.coords_reads, cfg
+
+    @pytest.mark.parametrize("run, other", [(pretrain, "finetune"), (finetune, "pretrain")])
+    def test_config_of_the_other_stage_rejected(self, run, other):
+        model = Model.init(SMALL_CFG, seed=1)
+        before = model.vector.copy()
+        with pytest.raises(ValueError, match=f"got stage '{other}'"):
+            run(model, _fresh_train(), TrainConfig(other, epochs=1))
+        assert np.array_equal(model.vector, before)
+
+
 class TestMemory:
     """Tapes are freed by reference counting: the cyclic collector finds nothing."""
 
@@ -479,6 +507,7 @@ class TestCheckpoints:
                  (lambda m: b"[1]", "not a JSON object"),
                  (set_model_config("bogus", 1), "invalid model_config.*bogus"),
                  (set_model_config("width", 7), "invalid model_config.*even"),
+                 (set_model_config("n_rbf", 1), "invalid model_config.*n_rbf"),
                  (set_params(lambda p: [{k: v for k, v in e.items() if k != "shape"}
                                         for e in p]), bad_params),
                  (set_params(lambda p: 5), bad_params),
@@ -545,3 +574,24 @@ class TestConfigValidation:
     def test_bad_keep_prob(self):
         with pytest.raises(ValueError):
             TrainConfig(mask_keep_prob=-0.1)
+
+    @pytest.mark.parametrize("key", ["lr", "lambda1", "encoder_lr_scale"])
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+    def test_rate_or_weight_negative_or_not_finite(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_zero_rate_and_weights_allowed(self):
+        TrainConfig(lr=0.0, lambda1=0.0, encoder_lr_scale=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("width", 0), ("width", -2), ("n_rbf", 1), ("n_rbf", 0), ("n_shear", 0),
+        ("head_hidden", 0), ("token_layers", -1), ("geom_rounds", -1), ("cutoff", 0.0),
+        ("cutoff", -1.0), ("cutoff", float("nan")), ("cutoff", float("inf"))])
+    def test_model_setting_that_cannot_train(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(**{key: value})
+
+    def test_smallest_model_settings_allowed(self):
+        ModelConfig(width=2, n_rbf=2, n_shear=1, head_hidden=1, token_layers=0, geom_rounds=0,
+                    cutoff=1e-3)
