@@ -18,7 +18,7 @@ from .basis import electron_count
 from .corpus import corpus_sha256
 from .errors import CorruptFile, EmptySplit, MolhamError, UnsupportedElement, json_object
 from .hamhead import from_upper_triangle, layout, upper_triangle
-from .oracle import embed_3d, huckel_labels
+from .oracle import embed_3d, embed_batch, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
 from .spectral import frontier
 
@@ -26,6 +26,8 @@ SPLIT_MODES = ("random-id", "size-ood", "element-ood")
 SIZE_TRAIN_BELOW = 20   # train molecules have fewer atoms than this
 SIZE_TEST_ABOVE = 23    # test molecules have more atoms than this
 OOD_ELEMENTS = ("S", "P")
+BLOCK_SIZE = 16         # molecules per stacked descent
+BLOCK_SPREAD = 1.5      # most atoms in a block, as a multiple of the fewest
 
 
 @dataclass(frozen=True)
@@ -75,22 +77,32 @@ class DatasetRecord:
             if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
                 raise TypeError(f"elements must be a list of strings, got {elements!r}")
             n_orb = layout(elements).n_orb
+            triangles = {}
             for key in ("h_upper", "s_upper"):
-                if len(raw[key]) != n_orb * (n_orb + 1) // 2:
-                    raise ValueError(f"{key} holds {len(raw[key])} values, not the upper "
-                                     f"triangle of the {n_orb} orbitals of its elements")
+                if not isinstance(raw[key], list) or len(raw[key]) != n_orb * (n_orb + 1) // 2:
+                    raise ValueError(f"{key} is not a list of the upper triangle of the "
+                                     f"{n_orb} orbitals of its elements")
+                triangles[key] = np.asarray(raw[key], dtype=np.float64)
+                if triangles[key].ndim != 1 or not np.isfinite(triangles[key]).all():
+                    raise ValueError(f"{key} must hold finite numbers only")
             coords = np.asarray(raw["coords"], dtype=np.float64)
             if coords.shape != (len(elements), 3) or not np.isfinite(coords).all():
                 raise ValueError(f"coords must be {len(elements)} finite rows of 3 values, "
                                  f"one per element, got shape {coords.shape}")
+            n_electrons = raw["n_electrons"]
+            if isinstance(n_electrons, bool) or not isinstance(n_electrons, int) or n_electrons < 0:
+                raise ValueError(f"n_electrons must be a whole number >= 0, got {n_electrons!r}")
+            gap_ev = float(raw["gap_ev"])
+            if not np.isfinite(gap_ev):
+                raise ValueError(f"gap_ev must be finite, got {gap_ev}")
             return cls(
                 smiles=raw["smiles"],
                 elements=elements,
                 coords=coords,
-                h=from_upper_triangle(np.asarray(raw["h_upper"]), n_orb),
-                s=from_upper_triangle(np.asarray(raw["s_upper"]), n_orb),
-                n_electrons=int(raw["n_electrons"]),
-                gap_ev=float(raw["gap_ev"]),
+                h=from_upper_triangle(triangles["h_upper"], n_orb),
+                s=from_upper_triangle(triangles["s_upper"], n_orb),
+                n_electrons=n_electrons,
+                gap_ev=gap_ev,
                 split=raw["split"],
             )
         except KeyError as err:
@@ -128,41 +140,62 @@ def _record_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _generate_one(idx: int, smiles: str, seed: int) -> DatasetRecord | dict:
-    try:
-        mol = parse_smiles(smiles)
-        xmol = expand_hydrogens(mol)
-        coords = embed_3d(xmol, _record_seed(seed, idx))
-        h, s = huckel_labels(xmol, coords)
-        n_elec = electron_count(xmol.elements)
-        _, _, gap_ev = frontier(h, s, n_elec)
-        return DatasetRecord(
-            smiles=smiles,
-            elements=list(xmol.elements),
-            coords=coords,
-            h=h,
-            s=s,
-            n_electrons=n_elec,
-            gap_ev=gap_ev,
-            split="",
-        )
-    except MolhamError as err:
-        return {"index": idx, "smiles": smiles,
-                "error": type(err).__name__, "detail": str(err)}
+def _skip(idx: int, smiles: str, err: MolhamError) -> dict:
+    return {"index": idx, "smiles": smiles, "error": type(err).__name__, "detail": str(err)}
+
+
+def _size_blocks(sizes: dict[int, int]) -> list[list[int]]:
+    """Entry ids in (size, id) order, cut into runs of at most BLOCK_SIZE entries.
+
+    A run also ends before an entry of more than BLOCK_SPREAD times the size
+    of the run's first entry.
+    """
+    blocks: list[list[int]] = []
+    for i in sorted(sizes, key=lambda i: (sizes[i], i)):
+        if (not blocks or len(blocks[-1]) == BLOCK_SIZE
+                or sizes[i] > BLOCK_SPREAD * sizes[blocks[-1][0]]):
+            blocks.append([])
+        blocks[-1].append(i)
+    return blocks
 
 
 def generate_records(corpus: list[str], seed: int) -> GenReport:
-    """Embed, label, and solve every corpus entry in order; failures are recorded.
+    """Embed, label, and solve every corpus entry; failures are recorded, both in corpus order.
 
-    Per-record work is deterministic given (corpus index, seed).
+    Entries are parsed first, then embedded by blocks of similar size, each
+    block with one stacked descent (`embed_batch`); an entry that misses the
+    distance floor there gets its reseeds from `embed_3d`. Per-record work is
+    deterministic given (corpus index, seed) and the corpus list.
     """
-    report = GenReport()
+    results: list = [None] * len(corpus)
+    xmols = {}
     for idx, smiles in enumerate(corpus):
-        res = _generate_one(idx, smiles, seed)
-        if isinstance(res, DatasetRecord):
-            report.records.append(res)
-        else:
-            report.skipped.append(res)
+        try:
+            xmols[idx] = expand_hydrogens(parse_smiles(smiles))
+        except MolhamError as err:
+            results[idx] = _skip(idx, smiles, err)
+    coords = {}
+    for block in _size_blocks({i: x.n_atoms for i, x in xmols.items()}):
+        seeds = [_record_seed(seed, i) for i in block]
+        for i, record_seed, c in zip(block, seeds, embed_batch([xmols[i] for i in block], seeds)):
+            try:
+                coords[i] = c if c is not None else embed_3d(xmols[i], record_seed)
+            except MolhamError as err:
+                results[i] = _skip(i, corpus[i], err)
+    for i, c in sorted(coords.items()):
+        xmol = xmols[i]
+        try:
+            h, s = huckel_labels(xmol, c)
+            n_elec = electron_count(xmol.elements)
+            _, _, gap_ev = frontier(h, s, n_elec)
+        except MolhamError as err:
+            results[i] = _skip(i, corpus[i], err)
+            continue
+        results[i] = DatasetRecord(smiles=corpus[i], elements=list(xmol.elements), coords=c,
+                                   h=h, s=s, n_electrons=n_elec, gap_ev=gap_ev, split="")
+    report = GenReport()
+    for res in results:
+        (report.records if isinstance(res, DatasetRecord) else report.skipped).append(res)
     return report
 
 

@@ -15,6 +15,9 @@ of arrays updated group by group, with a prefix lookup for each group's rate.
 `pretrain_reference` and `finetune_reference` are the two training loops as
 they were before the stages shared one step loop, each with its own copy of
 the seeded schedule, the step, the gradient guard and the trace.
+`generate_records_per_molecule` is dataset generation as it was before
+molecules were embedded in stacked blocks: parse, embed, label and solve one
+corpus entry at a time through `embed_3d`.
 """
 
 from __future__ import annotations
@@ -582,3 +585,50 @@ def finetune_reference(model, dataset, config):
             rows.append(TraceRow(step, epoch, {"loss_total": total.item()}))
             step += 1
     return rows, rng.bit_generator.state
+
+
+def _generate_one(idx: int, smiles: str, seed: int):
+    from molham.basis import electron_count
+    from molham.dataset import DatasetRecord, _record_seed
+    from molham.errors import MolhamError
+    from molham.oracle import embed_3d, huckel_labels
+    from molham.smiles import expand_hydrogens, parse_smiles
+    from molham.spectral import frontier
+
+    try:
+        mol = parse_smiles(smiles)
+        xmol = expand_hydrogens(mol)
+        coords = embed_3d(xmol, _record_seed(seed, idx))
+        h, s = huckel_labels(xmol, coords)
+        n_elec = electron_count(xmol.elements)
+        _, _, gap_ev = frontier(h, s, n_elec)
+        return DatasetRecord(
+            smiles=smiles,
+            elements=list(xmol.elements),
+            coords=coords,
+            h=h,
+            s=s,
+            n_electrons=n_elec,
+            gap_ev=gap_ev,
+            split="",
+        )
+    except MolhamError as err:
+        return {"index": idx, "smiles": smiles,
+                "error": type(err).__name__, "detail": str(err)}
+
+
+def generate_records_per_molecule(corpus: list[str], seed: int):
+    """Embed, label, and solve every corpus entry in order; failures are recorded.
+
+    Per-record work is deterministic given (corpus index, seed).
+    """
+    from molham.dataset import DatasetRecord, GenReport
+
+    report = GenReport()
+    for idx, smiles in enumerate(corpus):
+        res = _generate_one(idx, smiles, seed)
+        if isinstance(res, DatasetRecord):
+            report.records.append(res)
+        else:
+            report.skipped.append(res)
+    return report

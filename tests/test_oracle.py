@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from _oracles import embed_3d_pairwise, spring_gradient_pairwise
-from molham import corpus
+from _oracles import embed_3d_pairwise, generate_records_per_molecule, spring_gradient_pairwise
+from molham import corpus, dataset, oracle
 from molham.basis import DEFAULT_BASIS, electron_count
 from molham.corpus import build_corpus, corpus_sha256
 from molham.dataset import (
+    BLOCK_SIZE,
+    BLOCK_SPREAD,
     Dataset,
     DatasetRecord,
     SplitConfig,
@@ -22,7 +25,7 @@ from molham.dataset import (
 )
 from molham.errors import CorruptFile, EmptySplit, UnsupportedElement
 from molham.oracle import (BOND_TARGET, MIN_DISTANCE, REPULSION_FLOOR, _spring_gradient,
-                           _spring_masks, embed_3d, huckel_labels)
+                           _spring_stack, embed_3d, embed_batch, huckel_labels)
 from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import solve_gev, toy_overlap
 
@@ -31,6 +34,22 @@ RNG = np.random.default_rng(23)
 
 def _xmol(smiles):
     return expand_hydrogens(parse_smiles(smiles))
+
+
+def _first_of_each_size():
+    """{atom count: the first corpus molecule of that many atoms}."""
+    by_size = {}
+    for smiles in build_corpus():
+        by_size.setdefault(_xmol(smiles).n_atoms, smiles)
+    return by_size
+
+
+def _size_picks():
+    """[H], [H][H] and the first corpus molecule at 10 size quantiles up to 66 atoms."""
+    by_size = _first_of_each_size()
+    sizes = [n for n in sorted(by_size) if n <= 66]
+    return ["[H]", "[H][H]"] + [by_size[sizes[round(q * (len(sizes) - 1))]]
+                                for q in np.linspace(0.0, 1.0, 10)]
 
 
 class TestCorpus:
@@ -88,6 +107,50 @@ class TestEmbed:
             got = embed_3d(xm, 700 + k)
             assert np.max(np.abs(got - embed_3d_pairwise(xm, 700 + k))) < 1e-9, smiles
 
+    def test_bytes_pinned_across_sizes(self):
+        # the coordinates of the molecule-at-a-time descent, before blocks, for 1 to 66 atoms
+        digest = hashlib.sha256()
+        for k, smiles in enumerate(_size_picks()):
+            digest.update(embed_3d(_xmol(smiles), 700 + k).tobytes())
+        assert digest.hexdigest() == ("d5f8d408164ac1932cd0aa3253575aa3"
+                                      "73f55d6b81a501052ac214b39cbcd3c0")
+
+
+def _limit_block():
+    """A molecule of each size from s to 1.5 s, s the least size >= 10 that has both."""
+    by_size = _first_of_each_size()
+    low = next(n for n in sorted(by_size) if n >= 10 and BLOCK_SPREAD * n in by_size)
+    return [by_size[n] for n in sorted(by_size) if low <= n <= BLOCK_SPREAD * low]
+
+
+class TestEmbedBatch:
+    @pytest.mark.parametrize("block", [
+        lambda: ["[O-2]", "[H][H]", "CCO", "[H][H]", "C1CCCCC1", "[O-2]"],
+        _size_picks,
+        _limit_block,
+    ], ids=["one-and-two-atoms", "one-to-66-atoms", "at-the-spread-limit"])
+    def test_each_molecule_matches_its_own_descent(self, block):
+        smiles = block()
+        xmols = [_xmol(s) for s in smiles]
+        seeds = [31 + 7 * k for k in range(len(smiles))]
+        placed = embed_batch(xmols, seeds)
+        for s, xm, seed, coords in zip(smiles, xmols, seeds, placed):
+            alone = embed_3d(xm, seed)
+            assert coords.shape == alone.shape, s
+            assert np.max(np.abs(coords - alone)) <= 1e-12, s
+
+    def test_calls_counter_advances_by_block_size(self):
+        xmols = [_xmol(s) for s in ("CCO", "CCN", "C", "[H][H]", "CCF")]
+        before = oracle.EMBED_CALLS
+        embed_batch(xmols, list(range(5)))
+        assert oracle.EMBED_CALLS - before == 5
+
+    def test_floor_miss_is_none(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MIN_DISTANCE", 100.0)
+        placed = embed_batch([_xmol("[O-2]"), _xmol("CCO"), _xmol("[H][H]")], [1, 2, 3])
+        assert placed[0].shape == (1, 3)
+        assert placed[1] is None and placed[2] is None
+
 
 def _spring_case(rng, n=14):
     """Jittered chain: bonded neighbours, close i/i+2 pairs, and far pairs."""
@@ -116,6 +179,12 @@ def _spring_energy(coords, bonded):
     return total
 
 
+def _stack_gradient(molecules):
+    """_spring_gradient of the padded stack of (coords, bonds) pairs."""
+    coords, unbonded, floor = _spring_stack(molecules)
+    return _spring_gradient(coords, unbonded, floor, np.eye(coords.shape[1]))
+
+
 class TestSpringGradient:
     def test_matches_pairwise_formula(self):
         rng = np.random.default_rng(41)
@@ -123,13 +192,24 @@ class TestSpringGradient:
             coords, bonds, bonded = _spring_case(rng)
             coords += rng.normal(0.0, 5.0, 3)  # off-origin, so the Gram form must cancel
             ref = spring_gradient_pairwise(coords, bonded)
-            got = _spring_gradient(coords, *_spring_masks(len(coords), bonds))
+            got = _stack_gradient([(coords, bonds)])[0]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_padded_stack_matches_each_molecule(self):
+        rng = np.random.default_rng(43)
+        cases = [_spring_case(rng, n) for n in (14, 6, 9)] + [(np.zeros((1, 3)), [], None)]
+        got = _stack_gradient([(coords, bonds) for coords, bonds, _ in cases])
+        for b, (coords, bonds, _) in enumerate(cases):
+            n = len(coords)
+            alone = _stack_gradient([(coords, bonds)])[0]
+            scale = max(np.max(np.abs(alone)), 1e-300)
+            assert np.max(np.abs(got[b, :n] - alone)) <= 1e-12 * scale
+            assert np.all(got[b, n:] == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         coords, bonds, bonded = _spring_case(rng)
-        got = _spring_gradient(coords, *_spring_masks(len(coords), bonds))
+        got = _stack_gradient([(coords, bonds)])[0]
         eps = 1e-6
         fd = np.zeros_like(coords)
         for idx in np.ndindex(*coords.shape):
@@ -230,6 +310,80 @@ class TestSplits:
             assign_split(small, SplitConfig("size-ood", seed=1))
 
 
+def _min_distance(coords):
+    dist = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
+class TestBlockedGeneration:
+    def test_matches_per_molecule_generation(self):
+        corpus = build_corpus()[:40]
+        corpus[3:3] = ["C1CC"]      # parse error
+        corpus[11:11] = ["CBr"]     # no basis entry for Br: fails at the labels
+        corpus[20:20] = ["[O-2]"]   # one atom
+        got = generate_records(corpus, seed=4)
+        ref = generate_records_per_molecule(corpus, seed=4)
+        assert [r.smiles for r in got.records] == [r.smiles for r in ref.records]
+        assert "[O-2]" in [r.smiles for r in got.records]
+        assert json.dumps(got.skipped) == json.dumps(ref.skipped)
+        assert [s["error"] for s in got.skipped] == ["UnmatchedRingClosure", "UnsupportedElement"]
+        for a, b in zip(got.records, ref.records):
+            assert a.elements == b.elements and a.n_electrons == b.n_electrons
+            assert np.max(np.abs(a.coords - b.coords)) <= 1e-9, a.smiles
+            assert np.max(np.abs(a.h - b.h)) <= 1e-10 and np.max(np.abs(a.s - b.s)) <= 1e-10
+            assert abs(a.gap_ev - b.gap_ev) <= 1e-10
+
+    def test_floor_miss_takes_the_reseeds_alone(self, monkeypatch):
+        corpus = build_corpus()[:12]
+        before = generate_records(corpus, seed=6).records
+        floors = sorted((_min_distance(r.coords), i) for i, r in enumerate(before))
+        miss = floors[0][1]
+        monkeypatch.setattr(oracle, "MIN_DISTANCE", 0.5 * (floors[0][0] + floors[1][0]))
+        calls = []
+        monkeypatch.setattr(dataset, "embed_3d",
+                            lambda xmol, seed: calls.append(seed) or embed_3d(xmol, seed))
+        after = generate_records(corpus, seed=6).records
+        assert calls == [dataset._record_seed(6, miss)]
+        assert len(after) == len(before)
+        for i, (a, b) in enumerate(zip(after, before)):
+            if i == miss:
+                assert np.array_equal(a.coords, embed_3d(_xmol(corpus[i]), calls[0]))
+                assert _min_distance(a.coords) >= oracle.MIN_DISTANCE
+                assert not np.allclose(a.coords, b.coords)
+            else:
+                assert np.array_equal(a.coords, b.coords) and np.array_equal(a.h, b.h)
+
+    def test_embeds_by_blocks(self, monkeypatch):
+        corpus = build_corpus()[:40]
+        sizes = sorted(_xmol(s).n_atoms for s in corpus)
+        blocks = 0
+        for k, n in enumerate(sizes):   # greedy: a block opens at 16 or past 1.5x its first
+            if k == 0 or k - first == 16 or n > 1.5 * sizes[first]:
+                blocks, first = blocks + 1, k
+        batches, solo = [], []
+
+        def counted_batch(xmols, seeds):
+            batches.append(len(xmols))
+            return embed_batch(xmols, seeds)
+
+        monkeypatch.setattr(dataset, "embed_batch", counted_batch)
+        monkeypatch.setattr(dataset, "embed_3d",
+                            lambda xmol, seed: solo.append(seed) or embed_3d(xmol, seed))
+        calls = oracle.EMBED_CALLS
+        report = generate_records(corpus, seed=2)
+        assert len(report.records) == 40
+        assert solo == []
+        assert len(batches) <= blocks < 40
+        assert sum(batches) == 40 and oracle.EMBED_CALLS - calls == 40
+
+    def test_block_rule(self):
+        assert (BLOCK_SIZE, BLOCK_SPREAD) == (16, 1.5)
+        sizes = {i: n for i, n in enumerate([20] * 17 + [6, 3, 2, 6, 9, 4, 10])}
+        assert dataset._size_blocks(sizes) == [
+            [19, 18], [22, 17, 20], [21, 23], list(range(16)), [16]]
+
+
 class TestGenDataset:
     def test_reproducible_bytes(self, tmp_path):
         corpus = build_corpus()[:12]
@@ -310,10 +464,17 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "coords": [row[:2] for row in raw["coords"]]}),
         lambda raw: json.dumps({**raw, "coords": [[float("nan"), *raw["coords"][0][1:]]]
                                 + raw["coords"][1:]}),
+        lambda raw: json.dumps({**raw, "n_electrons": raw["n_electrons"] + 0.7}),
+        lambda raw: json.dumps({**raw, "n_electrons": -4}),
+        lambda raw: json.dumps({**raw, "n_electrons": True}),
+        lambda raw: json.dumps({**raw, "gap_ev": float("nan")}),
+        lambda raw: json.dumps({**raw, "h_upper": [float("nan")] + raw["h_upper"][1:]}),
+        lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1] + [float("inf")]}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
             "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
             "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element",
-            "coords-short-row", "coords-two-columns", "coords-nan"])
+            "coords-short-row", "coords-two-columns", "coords-nan", "electrons-fraction",
+            "electrons-negative", "electrons-bool", "gap-nan", "h-nan", "s-inf"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))
