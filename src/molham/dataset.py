@@ -17,7 +17,7 @@ from .atomic import atomic_open
 from .basis import electron_count
 from .corpus import corpus_sha256
 from .errors import CorruptFile, EmptySplit, MolhamError, UnsupportedElement, json_object
-from .hamhead import from_upper_triangle, layout, upper_triangle
+from .hamhead import from_upper_triangle, stored_layout, upper_triangle
 from .oracle import embed_3d, embed_batch, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
 from .spectral import frontier
@@ -58,9 +58,9 @@ class DatasetRecord:
         return json.dumps({
             "smiles": self.smiles,
             "elements": self.elements,
-            "coords": [[float(x) for x in row] for row in self.coords],
-            "h_upper": [float(x) for x in upper_triangle(self.h)],
-            "s_upper": [float(x) for x in upper_triangle(self.s)],
+            "coords": self.coords.tolist(),
+            "h_upper": upper_triangle(self.h).tolist(),
+            "s_upper": upper_triangle(self.s).tolist(),
             "n_electrons": self.n_electrons,
             "gap_ev": self.gap_ev,
             "split": self.split,
@@ -74,9 +74,7 @@ class DatasetRecord:
             if not all(isinstance(raw[k], str) for k in ("smiles", "split")):
                 raise TypeError("smiles and split must be strings")
             elements = raw["elements"]
-            if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-                raise TypeError(f"elements must be a list of strings, got {elements!r}")
-            n_orb = layout(elements).n_orb
+            n_orb = stored_layout(elements).n_orb
             triangles = {}
             for key in ("h_upper", "s_upper"):
                 if not isinstance(raw[key], list) or len(raw[key]) != n_orb * (n_orb + 1) // 2:

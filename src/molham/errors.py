@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by library code derives from MolhamError so the CLI can
-map library failures to a single exit code. Every stored JSON object (dataset
-and checkpoint manifests, layout sidecars, config files) is read through
-`json_object`, so a damaged one raises CorruptFile naming its source.
+map library failures to a single exit code. Every stored JSON object (the
+dataset manifest, the manifests of framed checkpoints and matrices, config
+files) is read through `json_object`, so a damaged one raises CorruptFile
+naming its source.
 """
 
 from __future__ import annotations

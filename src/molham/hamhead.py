@@ -17,9 +17,6 @@ molecule is a batch of one.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,10 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .atomic import atomic_open
+from .atomic import read_framed, write_framed
 from .autodiff import Tensor, constant
 from .basis import DEFAULT_BASIS
-from .errors import CorruptFile, DimensionMismatch, ShapeMismatch, json_object
+from .errors import CorruptFile, DimensionMismatch, ShapeMismatch, UnsupportedElement
 from .nn import Mlp
 
 # value-column layout of the 3-wide head outputs for a 2-orbital block: the
@@ -49,7 +46,7 @@ class BlockLayout:
 
     @property
     def n_orb(self) -> int:
-        return self.offsets[-1] + self.counts[-1]
+        return sum(self.counts)
 
     @property
     def n_atoms(self) -> int:
@@ -67,6 +64,17 @@ def layout(elements: list[str] | tuple[str, ...]) -> BlockLayout:
         offsets.append(total)
         total += c
     return BlockLayout(tuple(elements), tuple(offsets), counts)
+
+
+def stored_layout(elements: object) -> BlockLayout:
+    """The layout of an element list read from a file. Anything but a
+    non-empty list of strings raises TypeError or ValueError, and an element
+    outside the basis raises UnsupportedElement."""
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise TypeError(f"elements must be a list of strings, got {elements!r}")
+    if not elements:
+        raise ValueError("elements is empty: a molecule has at least one atom")
+    return layout(elements)
 
 
 @dataclass
@@ -186,9 +194,9 @@ def finetune_loss(h_star: Tensor, h: Tensor, molecule: np.ndarray, masked: np.nd
                           molecule, counts.size)
 
 
-# --- serialization: dimension + upper triangle, little-endian float64 ---
+# --- serialization: a framed file (see `atomic`): elements in the manifest, triangle as blob ---
 
-_MAGIC = b"MHAM0001"
+_MAGIC = b"MHAM0002"
 
 
 def upper_triangle(h: np.ndarray) -> np.ndarray:
@@ -203,56 +211,24 @@ def from_upper_triangle(vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def save_hamiltonian(path: str | Path, h: np.ndarray, lay: BlockLayout) -> None:
-    path = Path(path)
     n = h.shape[0]
     if h.shape != (n, n) or n != lay.n_orb:
         raise DimensionMismatch(f"matrix {h.shape} does not match layout of {lay.n_orb} orbitals")
-    raw = _MAGIC + struct.pack("<Q", n) + upper_triangle(h).astype("<f8").tobytes()
-    with atomic_open(path, "wb") as fh:
-        fh.write(raw)
-    sidecar = {"dimension": n, "elements": list(lay.elements),
-               "offsets": list(lay.offsets), "counts": list(lay.counts),
-               "matrix_sha256": hashlib.sha256(raw).hexdigest()}
-    with atomic_open(_sidecar_path(path)) as fh:
-        fh.write(json.dumps(sidecar, indent=1) + "\n")
-
-
-def _sidecar_path(path: Path) -> Path:
-    return Path(str(path) + ".layout.json")
+    if lay != layout(lay.elements):  # only the elements are stored
+        raise DimensionMismatch(f"{lay} is not the default-basis layout of its elements")
+    write_framed(path, _MAGIC, {"elements": list(lay.elements)},
+                 upper_triangle(h).astype("<f8").tobytes())
 
 
 def load_hamiltonian(path: str | Path) -> tuple[np.ndarray, BlockLayout]:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(_MAGIC) + 8 or raw[:len(_MAGIC)] != _MAGIC:
-        raise CorruptFile(f"{path} is not a Hamiltonian matrix file")
-    n = struct.unpack("<Q", raw[len(_MAGIC):len(_MAGIC) + 8])[0]
-    expect = n * (n + 1) // 2
-    body = raw[len(_MAGIC) + 8:]
-    if len(body) != expect * 8:
-        raise CorruptFile(f"{path}: expected {expect} values, found {len(body) // 8}")
-    vals = np.frombuffer(body, dtype="<f8")
-    lay = _load_sidecar(_sidecar_path(path), n, hashlib.sha256(raw).hexdigest())
-    return from_upper_triangle(vals, n), lay
-
-
-def _load_sidecar(side_path: Path, n: int, matrix_sha256: str) -> BlockLayout:
-    """The layout sidecar, checked against the stored dimension n and the
-    matrix file's digest, so a matrix beside another matrix's sidecar is
-    rejected even when the sizes agree."""
+    """The stored matrix and `layout` of its stored elements; the blob must be
+    exactly the upper triangle of their orbitals."""
+    header, blob = read_framed(path, _MAGIC, "Hamiltonian matrix")
     try:
-        side = json_object(side_path.read_bytes(), side_path)
-        lay = BlockLayout(tuple(side["elements"]), tuple(side["offsets"]), tuple(side["counts"]))
-        dimension = side["dimension"]
-        digest = side["matrix_sha256"]
-    except FileNotFoundError:
-        raise CorruptFile(f"{side_path} is missing") from None
-    except (KeyError, TypeError) as err:
-        raise CorruptFile(f"{side_path} has a missing or malformed field: {err}") from None
-    starts = [sum(lay.counts[:k]) for k in range(len(lay.counts))]
-    if (dimension != n or len(lay.elements) != len(lay.counts)
-            or list(lay.offsets) != starts or sum(lay.counts) != n):
-        raise CorruptFile(f"{side_path} does not describe a {n}-orbital matrix")
-    if digest != matrix_sha256:
-        raise CorruptFile(f"{side_path} belongs to another matrix (SHA-256 differs)")
-    return lay
+        lay = stored_layout(header.get("elements"))
+    except (TypeError, ValueError, UnsupportedElement) as err:
+        raise CorruptFile(f"{path} manifest: {err}") from None
+    n = lay.n_orb
+    if len(blob) != 8 * (n * (n + 1) // 2):
+        raise CorruptFile(f"{path} does not hold the upper triangle of {n} orbitals")
+    return from_upper_triangle(np.frombuffer(blob, dtype="<f8"), n), lay

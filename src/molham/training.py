@@ -7,20 +7,17 @@ fixed reduction order, so runs on one machine reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_open, atomic_write_text
+from .atomic import atomic_open, atomic_write_text, read_framed, write_framed
 from . import autodiff as ad
 from .autodiff import Tape
 from .dataset import Dataset
-from .errors import CorruptFile, TrainingAborted, VersionMismatch, json_object
+from .errors import CorruptFile, TrainingAborted, VersionMismatch
 from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
@@ -227,21 +224,15 @@ def _param_entries(model: Model) -> list[dict]:
 
 def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | None,
                     rng_state: dict | None) -> None:
-    blob = np.ascontiguousarray(model.vector, dtype="<f8").tobytes()
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": model.config_dict(),
         "train_config": None if train_config is None else asdict(train_config),
         "params": _param_entries(model),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "rng_state": _jsonable_rng(rng_state),
     }
-    payload = json.dumps(manifest, sort_keys=True).encode()
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(blob)
+    write_framed(path, _CKPT_MAGIC, manifest,
+                 np.ascontiguousarray(model.vector, dtype="<f8").tobytes())
 
 
 def _jsonable_rng(state: dict | None):
@@ -256,23 +247,13 @@ def _jsonable_rng(state: dict | None):
 
 def load_checkpoint(path: str | Path,
                     expect: ModelConfig | None = None) -> tuple[Model, dict | None, dict | None]:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_CKPT_MAGIC) + 8 or raw[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CorruptFile(f"{path} is not a checkpoint file")
-    n = struct.unpack("<Q", raw[len(_CKPT_MAGIC):len(_CKPT_MAGIC) + 8])[0]
-    head_end = len(_CKPT_MAGIC) + 8 + n
-    if len(raw) < head_end:
-        raise CorruptFile(f"{path} is truncated inside the manifest")
-    manifest = json_object(raw[len(_CKPT_MAGIC) + 8:head_end], f"{path} manifest")
+    manifest, blob = read_framed(path, _CKPT_MAGIC, "checkpoint")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {manifest.get('format_version')} != {CHECKPOINT_VERSION}")
-    missing = sorted({"blob_sha256", "model_config", "params"} - manifest.keys())
+    missing = sorted({"model_config", "params"} - manifest.keys())
     if missing:
         raise CorruptFile(f"{path} manifest lacks {', '.join(missing)}")
-    blob = raw[head_end:]
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
-        raise CorruptFile(f"{path} failed its content checksum")
     try:
         config = ModelConfig(**manifest["model_config"])
     except (TypeError, ValueError) as err:

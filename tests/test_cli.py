@@ -14,6 +14,7 @@ import pytest
 from molham import cli
 from molham.cli import main
 from molham.corpus import build_corpus
+from molham.hamhead import layout, load_hamiltonian
 from molham.model import ModelConfig
 from molham.smiles import parse_smiles
 from molham.training import TrainConfig, load_checkpoint, save_checkpoint
@@ -278,10 +279,12 @@ class TestTrainEvalScreenBench:
         out = tmp_path / "pred"
         assert main(["predict", "--checkpoint", str(ckpt), "--smiles", "CCO",
                      "--out", str(out)]) == 0
-        assert (out / "hamiltonian.bin").exists()
-        assert (out / "hamiltonian.bin.layout.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["hamiltonian.bin", "prediction.json",
+                                                         "run-manifest.json"]
         summary = json.loads((out / "prediction.json").read_text())
         assert summary["n_orbitals"] == 12
+        h, lay = load_hamiltonian(out / "hamiltonian.bin")
+        assert h.shape == (12, 12) and lay == layout(("C", "C", "O") + ("H",) * 6)
 
     def test_predict_unsupported_element_exits_two(self, tmp_path, pipeline, capsys):
         _, ckpt = pipeline
@@ -354,6 +357,19 @@ class TestCorruptInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "test.jsonl line 2" in err[0]
+
+    def test_record_without_atoms_exits_two(self, tmp_path, pipeline, capsys):
+        data, ckpt = pipeline
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "elements": []})
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad),
+                     "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "test.jsonl line 2" in err[0] and "at least one atom" in err[0]
 
     @pytest.mark.parametrize("command", ["eval", "screen"])
     def test_record_with_short_triangles_exits_two(self, tmp_path, pipeline, capsys, command):

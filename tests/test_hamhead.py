@@ -11,6 +11,7 @@ import pytest
 from _oracles import value_index_loops
 from molham import autodiff as ad
 from molham import hamhead
+from molham.atomic import read_framed, write_framed
 from molham.autodiff import Tape, constant, grad_check
 from molham.errors import (CorruptFile, DimensionMismatch, MolhamError, ShapeMismatch,
                            UnsupportedElement)
@@ -327,55 +328,65 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_hamiltonian(path)
 
-    @pytest.mark.parametrize("case", ["missing", "no_counts", "dimension", "offsets", "counts",
-                                      "no_digest"])
-    def test_bad_sidecar_rejected(self, tmp_path, case):
-        import json
+    @pytest.mark.parametrize("header", [
+        {}, {"elements": 5}, {"elements": "OHH"}, {"elements": ["O", 2, "H"]},
+        {"elements": ["O", "H", "Cl"]}, {"elements": ["O", "H"]},
+        {"elements": ["O", "H", "H", "H"]},
+    ], ids=["no-elements", "elements-int", "elements-string", "element-int", "unknown-element",
+            "fewer-orbitals", "more-orbitals"])
+    def test_bad_manifest_rejected(self, tmp_path, header):
+        path = tmp_path / "h.bin"
+        blob = upper_triangle(np.eye(layout(("O", "H", "H")).n_orb)).tobytes()
+        write_framed(path, b"MHAM0002", header, blob)
+        with pytest.raises(CorruptFile, match="h.bin"):
+            load_hamiltonian(path)
 
+    def test_no_atoms_rejected(self, tmp_path):
+        path = tmp_path / "h.bin"
+        write_framed(path, b"MHAM0002", {"elements": []}, b"")  # the empty triangle of 0 orbitals
+        with pytest.raises(CorruptFile, match="at least one atom"):
+            load_hamiltonian(path)
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1]", b"\xff", b'{"elements": ["C"]}'],
+                             ids=["not-json", "array", "not-utf8", "no-digest"])
+    def test_unreadable_manifest_rejected(self, tmp_path, raw):
         lay = layout(("O", "H", "H"))
         path = tmp_path / "h.bin"
         save_hamiltonian(path, np.eye(lay.n_orb), lay)
-        side_path = tmp_path / "h.bin.layout.json"
-        side = json.loads(side_path.read_text())
-        if case == "missing":
-            side_path.unlink()
-        else:
-            if case == "no_counts":
-                del side["counts"]
-            elif case == "dimension":
-                side["dimension"] += 1
-            elif case == "offsets":
-                side["offsets"][1] += 1
-            elif case == "no_digest":
-                del side["matrix_sha256"]
-            else:
-                side["counts"][-1] += 1
-            side_path.write_text(json.dumps(side))
-        with pytest.raises(CorruptFile):
+        blob = path.read_bytes()[16 + int.from_bytes(path.read_bytes()[8:16], "little"):]
+        path.write_bytes(b"MHAM0002" + len(raw).to_bytes(8, "little") + raw + blob)
+        with pytest.raises(CorruptFile, match="h.bin manifest"):
             load_hamiltonian(path)
 
-    @pytest.mark.parametrize("raw", [b"{not json", b"[1]", b"\xff"],
-                             ids=["not-json", "array", "not-utf8"])
-    def test_unreadable_sidecar_rejected(self, tmp_path, raw):
+    def test_flipped_blob_byte_rejected(self, tmp_path):
         lay = layout(("O", "H", "H"))
         path = tmp_path / "h.bin"
         save_hamiltonian(path, np.eye(lay.n_orb), lay)
-        (tmp_path / "h.bin.layout.json").write_bytes(raw)
-        with pytest.raises(CorruptFile, match="layout.json"):
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="checksum"):
             load_hamiltonian(path)
 
-    def test_matrix_beside_a_stale_same_size_sidecar_rejected(self, tmp_path):
-        methane, ammonium = layout(("C", "H", "H", "H", "H")), layout(("N", "H", "H", "H", "H"))
-        assert methane.counts == ammonium.counts and methane.elements != ammonium.elements
-        path = tmp_path / "h.bin"
-        save_hamiltonian(path, np.eye(methane.n_orb), methane)
-        save_hamiltonian(tmp_path / "other.bin", 2.0 * np.eye(ammonium.n_orb), ammonium)
-        (tmp_path / "other.bin").replace(path)  # new matrix, old sidecar
-        with pytest.raises(CorruptFile):
-            load_hamiltonian(path)
+    def test_one_file_with_the_elements_in_its_manifest(self, tmp_path):
+        lay = layout(("N", "H", "H", "H", "H"))
+        save_hamiltonian(tmp_path / "h.bin", np.eye(lay.n_orb), lay)
+        assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
+        header, blob = read_framed(tmp_path / "h.bin", b"MHAM0002", "Hamiltonian matrix")
+        assert header.keys() == {"elements", "blob_sha256"}
+        assert header["elements"] == ["N", "H", "H", "H", "H"]
+        assert len(blob) == 8 * lay.n_orb * (lay.n_orb + 1) // 2
+
+    def test_layout_other_than_the_elements_give_not_written(self, tmp_path):
+        lay = BlockLayout(("C", "H"), (0, 3), (3, 1))
+        with pytest.raises(DimensionMismatch, match="default-basis layout"):
+            save_hamiltonian(tmp_path / "h.bin", np.eye(4), lay)
+        assert not (tmp_path / "h.bin").exists()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "h.bin"
-        path.write_bytes(b"garbage file content")
-        with pytest.raises(CorruptFile):
-            load_hamiltonian(path)
+        first_format = b"MHAM0001" + (2).to_bytes(8, "little") + np.ones(3).tobytes()
+        for raw in (b"garbage file content", first_format):
+            path.write_bytes(raw)
+            with pytest.raises(CorruptFile, match="not a Hamiltonian matrix file"):
+                load_hamiltonian(path)

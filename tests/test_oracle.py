@@ -438,6 +438,21 @@ class TestGenDataset:
         assert np.array_equal(again.h, rec.h)
         assert np.array_equal(again.s, rec.s)
 
+    def test_to_json_matches_float_by_float_lists(self):
+        recs = generate_records(build_corpus()[::150][:6], seed=2).records
+        assert len(recs) >= 4 and max(len(r.elements) for r in recs) > 20
+        for rec in recs:
+            assert rec.to_json() == json.dumps({
+                "smiles": rec.smiles,
+                "elements": rec.elements,
+                "coords": [[float(x) for x in row] for row in rec.coords],
+                "h_upper": [float(x) for x in dataset.upper_triangle(rec.h)],
+                "s_upper": [float(x) for x in dataset.upper_triangle(rec.s)],
+                "n_electrons": rec.n_electrons,
+                "gap_ev": rec.gap_ev,
+                "split": rec.split,
+            })
+
     def test_record_without_hamiltonian_rejected(self):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         raw = json.loads(rec.to_json())
@@ -470,11 +485,14 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "gap_ev": float("nan")}),
         lambda raw: json.dumps({**raw, "h_upper": [float("nan")] + raw["h_upper"][1:]}),
         lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1] + [float("inf")]}),
+        lambda raw: json.dumps({**raw, "elements": [], "coords": [], "h_upper": [],
+                                "s_upper": []}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
             "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
             "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element",
             "coords-short-row", "coords-two-columns", "coords-nan", "electrons-fraction",
-            "electrons-negative", "electrons-bool", "gap-nan", "h-nan", "s-inf"])
+            "electrons-negative", "electrons-bool", "gap-nan", "h-nan", "s-inf",
+            "elements-empty"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))

@@ -71,3 +71,16 @@ def test_one_training_step_loop():
                              and getattr(node.func, "id", getattr(node.func, "attr", None))
                              in ("Tape", "Adam")}
     assert len(builders) == 1, sorted(builders)
+
+
+def test_one_binary_frame():
+    """Only the atomic module packs bytes by hand: every binary file goes
+    through its `write_framed` and `read_framed`."""
+    importers = []
+    for path in sorted(Path(molham.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        if "struct" in modules:
+            importers.append(path.stem)
+    assert importers == ["atomic"]

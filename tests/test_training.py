@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import struct
 
@@ -447,6 +448,19 @@ class TestCheckpoints:
         loaded, train_cfg, rng_state = load_checkpoint(p1)
         save_checkpoint(p2, loaded, TrainConfig(**train_cfg), rng_state)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        # computed with the first, hand-framed checkpoint writer: the bytes must not change
+        rng = np.random.default_rng(5)
+        rng.standard_normal(3)
+        path, again = tmp_path / "a.mh", tmp_path / "b.mh"
+        save_checkpoint(path, Model.init(SMALL_CFG, seed=1),
+                        TrainConfig("finetune", epochs=2, seed=3), rng.bit_generator.state)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bccab4b28a7dc2e8101ba85c8bf1af22b69d9528069edc3a3adf086e5e39ee6b")
+        loaded, train_cfg, rng_state = load_checkpoint(path)
+        save_checkpoint(again, loaded, TrainConfig(**train_cfg), rng_state)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_parameters_bit_exact(self, tmp_path):
         model = Model.init(SMALL_CFG, seed=2)
