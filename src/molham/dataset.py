@@ -1,12 +1,15 @@
 """Dataset records, split protocols, generation, and line-oriented storage.
 
-Records are JSON Lines with upper-triangle matrices; the manifest captures
-seed, split configuration, corpus hash, and per-record skips so a dataset is
-reproducible bit-for-bit from (corpus, seed, config).
+Records are JSON Lines. A line stores the upper triangle of H as base64 of
+little-endian float64 bytes and no overlap matrix: S is `toy_overlap` of the
+stored elements and coordinates, rebuilt on load. The manifest captures the
+format version, seed, split configuration, corpus hash, and per-record skips
+so a dataset is reproducible bit-for-bit from (corpus, seed, config).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,12 +19,14 @@ import numpy as np
 from .atomic import atomic_open
 from .basis import electron_count
 from .corpus import corpus_sha256
-from .errors import CorruptFile, EmptySplit, MolhamError, UnsupportedElement, json_object
+from .errors import (CorruptFile, EmptySplit, MolhamError, UnsupportedElement, VersionMismatch,
+                     json_object)
 from .hamhead import from_upper_triangle, stored_layout, upper_triangle
 from .oracle import embed_3d, embed_batch, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
-from .spectral import frontier
+from .spectral import frontier, toy_overlap
 
+DATASET_VERSION = 2
 SPLIT_MODES = ("random-id", "size-ood", "element-ood")
 SIZE_TRAIN_BELOW = 20   # train molecules have fewer atoms than this
 SIZE_TEST_ABOVE = 23    # test molecules have more atoms than this
@@ -59,8 +64,7 @@ class DatasetRecord:
             "smiles": self.smiles,
             "elements": self.elements,
             "coords": self.coords.tolist(),
-            "h_upper": upper_triangle(self.h).tolist(),
-            "s_upper": upper_triangle(self.s).tolist(),
+            "h_upper": base64.b64encode(upper_triangle(self.h).astype("<f8").tobytes()).decode(),
             "n_electrons": self.n_electrons,
             "gap_ev": self.gap_ev,
             "split": self.split,
@@ -75,14 +79,13 @@ class DatasetRecord:
                 raise TypeError("smiles and split must be strings")
             elements = raw["elements"]
             n_orb = stored_layout(elements).n_orb
-            triangles = {}
-            for key in ("h_upper", "s_upper"):
-                if not isinstance(raw[key], list) or len(raw[key]) != n_orb * (n_orb + 1) // 2:
-                    raise ValueError(f"{key} is not a list of the upper triangle of the "
-                                     f"{n_orb} orbitals of its elements")
-                triangles[key] = np.asarray(raw[key], dtype=np.float64)
-                if triangles[key].ndim != 1 or not np.isfinite(triangles[key]).all():
-                    raise ValueError(f"{key} must hold finite numbers only")
+            blob = base64.b64decode(raw["h_upper"], validate=True)
+            if len(blob) != 8 * (n_orb * (n_orb + 1) // 2):
+                raise ValueError(f"h_upper holds {len(blob)} bytes, not the float64 upper "
+                                 f"triangle of the {n_orb} orbitals of its elements")
+            h_upper = np.frombuffer(blob, dtype="<f8")
+            if not np.isfinite(h_upper).all():
+                raise ValueError("h_upper must hold finite numbers only")
             coords = np.asarray(raw["coords"], dtype=np.float64)
             if coords.shape != (len(elements), 3) or not np.isfinite(coords).all():
                 raise ValueError(f"coords must be {len(elements)} finite rows of 3 values, "
@@ -97,15 +100,16 @@ class DatasetRecord:
                 smiles=raw["smiles"],
                 elements=elements,
                 coords=coords,
-                h=from_upper_triangle(triangles["h_upper"], n_orb),
-                s=from_upper_triangle(triangles["s_upper"], n_orb),
+                h=from_upper_triangle(h_upper, n_orb),
+                s=toy_overlap(elements, coords),
                 n_electrons=n_electrons,
                 gap_ev=gap_ev,
                 split=raw["split"],
             )
         except KeyError as err:
             raise CorruptFile(f"dataset record lacks field {err}") from None
-        except (TypeError, ValueError, UnsupportedElement) as err:  # JSONDecodeError is a ValueError
+        # JSONDecodeError and base64's binascii.Error are ValueErrors
+        except (TypeError, ValueError, UnsupportedElement) as err:
             raise CorruptFile(f"malformed dataset record: {err}") from None
 
 
@@ -232,6 +236,7 @@ def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path) -> 
                 fh.write(report.records[i].to_json() + "\n")
 
     manifest = {
+        "format_version": DATASET_VERSION,
         "seed": config.seed,
         "split": {"mode": config.mode, "train_fraction": config.train_fraction,
                   "size_train_below": SIZE_TRAIN_BELOW, "size_test_above": SIZE_TEST_ABOVE,
@@ -250,7 +255,14 @@ def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path) -> 
 
 
 def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
+    """(train, test, manifest) of a gen-data directory; a manifest of another
+    format version raises VersionMismatch, a malformed line CorruptFile."""
     out = Path(out_dir)
+    path = out / "manifest.json"
+    manifest = json_object(path.read_bytes(), path)
+    if manifest.get("format_version") != DATASET_VERSION:
+        raise VersionMismatch(f"{path}: dataset format {manifest.get('format_version')} != "
+                              f"{DATASET_VERSION}; generate the dataset again with gen-data")
     sets = []
     for name in ("train", "test"):
         path = out / f"{name}.jsonl"
@@ -264,5 +276,4 @@ def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
                 except CorruptFile as err:
                     raise CorruptFile(f"{path} line {number}: {err}") from None
         sets.append(Dataset(records))
-    path = out / "manifest.json"
-    return sets[0], sets[1], json_object(path.read_bytes(), path)
+    return sets[0], sets[1], manifest

@@ -17,11 +17,15 @@ they were before the stages shared one step loop, each with its own copy of
 the seeded schedule, the step, the gradient guard and the trace.
 `generate_records_per_molecule` is dataset generation as it was before
 molecules were embedded in stacked blocks: parse, embed, label and solve one
-corpus entry at a time through `embed_3d`.
+corpus entry at a time through `embed_3d`. `list_form_line` and
+`read_list_form_line` are a dataset line as it was before format version 2:
+`h_upper` and `s_upper` as JSON lists of floats, each triangle unfolded
+entry by entry.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -632,3 +636,37 @@ def generate_records_per_molecule(corpus: list[str], seed: int):
         else:
             report.skipped.append(res)
     return report
+
+
+def _triangle_list(m: np.ndarray) -> list[float]:
+    return [float(m[i, j]) for i in range(len(m)) for j in range(i, len(m))]
+
+
+def list_form_line(rec) -> str:
+    """`rec` as a dataset line with both triangles written as float lists."""
+    return json.dumps({
+        "smiles": rec.smiles,
+        "elements": rec.elements,
+        "coords": [[float(x) for x in row] for row in rec.coords],
+        "h_upper": _triangle_list(rec.h),
+        "s_upper": _triangle_list(rec.s),
+        "n_electrons": rec.n_electrons,
+        "gap_ev": rec.gap_ev,
+        "split": rec.split,
+    })
+
+
+def read_list_form_line(line: str) -> dict:
+    """The fields of a list-form line, both matrices refolded entry by entry."""
+    raw = json.loads(line)
+    n = len(raw["h_upper"])
+    n_orb = int(round((np.sqrt(8 * n + 1) - 1) / 2))
+    out = {"coords": np.array(raw["coords"], dtype=np.float64), "gap_ev": raw["gap_ev"]}
+    for key, name in (("h_upper", "h"), ("s_upper", "s")):
+        m = np.zeros((n_orb, n_orb))
+        vals = iter(raw[key])
+        for i in range(n_orb):
+            for j in range(i, n_orb):
+                m[i, j] = m[j, i] = next(vals)
+        out[name] = m
+    return out

@@ -11,9 +11,11 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from _oracles import list_form_line
 from molham import cli
 from molham.cli import main
 from molham.corpus import build_corpus
+from molham.dataset import load_split
 from molham.hamhead import layout, load_hamiltonian
 from molham.model import ModelConfig
 from molham.smiles import parse_smiles
@@ -378,13 +380,30 @@ class TestCorruptInputs:
         shutil.copytree(data, bad)
         lines = (bad / "test.jsonl").read_text().splitlines()
         raw = json.loads(lines[1])
-        lines[1] = json.dumps({**raw, "h_upper": raw["h_upper"][:3], "s_upper": raw["s_upper"][:3]})
+        lines[1] = json.dumps({**raw, "h_upper": raw["h_upper"][:32]})  # the first 3 floats
         (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
         assert main([command, "--checkpoint", str(ckpt), "--data", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "test.jsonl line 2" in err[0] and "h_upper" in err[0]
+        assert "test.jsonl line 2" in err[0] and "h_upper holds 24 bytes" in err[0]
+
+    def test_dataset_in_the_list_format_exits_two(self, tmp_path, pipeline, capsys):
+        """A dataset written before format version 2: no version in its
+        manifest, and both triangles stored as float lists."""
+        data, ckpt = pipeline
+        old = tmp_path / "data"
+        shutil.copytree(data, old)
+        train, test, manifest = load_split(data)
+        for name, ds in (("train", train), ("test", test)):
+            (old / f"{name}.jsonl").write_text("".join(list_form_line(r) + "\n" for r in ds.records))
+        del manifest["format_version"]
+        (old / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(old),
+                     "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "manifest.json" in err[0] and "dataset format None != 2" in err[0]
 
     def test_checkpoint_without_a_parameter_exits_two(self, tmp_path, pipeline, capsys):
         _, ckpt = pipeline

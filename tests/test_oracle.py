@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from _oracles import embed_3d_pairwise, generate_records_per_molecule, spring_gradient_pairwise
+from _oracles import (embed_3d_pairwise, generate_records_per_molecule, list_form_line,
+                      read_list_form_line, spring_gradient_pairwise)
 from molham import corpus, dataset, oracle
 from molham.basis import DEFAULT_BASIS, electron_count
 from molham.corpus import build_corpus, corpus_sha256
 from molham.dataset import (
     BLOCK_SIZE,
     BLOCK_SPREAD,
+    DATASET_VERSION,
     Dataset,
     DatasetRecord,
     SplitConfig,
@@ -23,7 +27,7 @@ from molham.dataset import (
     generate_records,
     load_split,
 )
-from molham.errors import CorruptFile, EmptySplit, UnsupportedElement
+from molham.errors import CorruptFile, EmptySplit, UnsupportedElement, VersionMismatch
 from molham.oracle import (BOND_TARGET, MIN_DISTANCE, REPULSION_FLOOR, _spring_gradient,
                            _spring_stack, embed_3d, embed_batch, huckel_labels)
 from molham.smiles import expand_hydrogens, parse_smiles
@@ -384,6 +388,14 @@ class TestBlockedGeneration:
             [19, 18], [22, 17, 20], [21, 23], list(range(16)), [16]]
 
 
+def _h_bytes(raw: dict) -> bytes:
+    return base64.b64decode(raw["h_upper"])
+
+
+def _with_h(raw: dict, blob: bytes) -> str:
+    return json.dumps({**raw, "h_upper": base64.b64encode(blob).decode()})
+
+
 class TestGenDataset:
     def test_reproducible_bytes(self, tmp_path):
         corpus = build_corpus()[:12]
@@ -438,20 +450,47 @@ class TestGenDataset:
         assert np.array_equal(again.h, rec.h)
         assert np.array_equal(again.s, rec.s)
 
-    def test_to_json_matches_float_by_float_lists(self):
+    def test_to_json_stores_h_as_float64_bytes(self):
         recs = generate_records(build_corpus()[::150][:6], seed=2).records
         assert len(recs) >= 4 and max(len(r.elements) for r in recs) > 20
         for rec in recs:
+            raw = json.loads(rec.to_json())
+            n = len(rec.h)
+            assert base64.b64decode(raw["h_upper"]) == b"".join(
+                struct.pack("<d", rec.h[i, j]) for i in range(n) for j in range(i, n))
             assert rec.to_json() == json.dumps({
                 "smiles": rec.smiles,
                 "elements": rec.elements,
                 "coords": [[float(x) for x in row] for row in rec.coords],
-                "h_upper": [float(x) for x in dataset.upper_triangle(rec.h)],
-                "s_upper": [float(x) for x in dataset.upper_triangle(rec.s)],
+                "h_upper": raw["h_upper"],
                 "n_electrons": rec.n_electrons,
                 "gap_ev": rec.gap_ev,
                 "split": rec.split,
             })
+
+    def test_lines_round_trip_bit_for_bit_across_sizes(self):
+        """From the corpus's smallest size through its quartiles to its largest
+        (88 atoms): the loaded H, coords and gap are the generated ones, the
+        rebuilt S is the S of generation, and both equal what the list form
+        gives back. Coordinates stay text, so lines of small molecules shrink
+        less than 3x."""
+        by_size = _first_of_each_size()
+        sizes = (8, 20, 28, 37, 63, max(by_size))
+        recs = generate_records([by_size[n] for n in sizes], seed=4).records
+        assert [len(r.elements) for r in recs] == [8, 20, 28, 37, 63, 88]
+        total_list = total_line = 0
+        for rec in recs:
+            line, list_line = rec.to_json(), list_form_line(rec)
+            back, before = DatasetRecord.from_json(line), read_list_form_line(list_line)
+            for name in ("h", "s", "coords"):
+                got = getattr(back, name)
+                assert got.dtype == np.float64
+                assert got.tobytes() == getattr(rec, name).tobytes() == before[name].tobytes()
+            assert back.gap_ev == rec.gap_ev == before["gap_ev"]
+            assert len(list_line) >= (3 if len(rec.elements) >= 20 else 2) * len(line)
+            total_list += len(list_line)
+            total_line += len(line)
+        assert total_list >= 3.5 * total_line
 
     def test_record_without_hamiltonian_rejected(self):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
@@ -467,13 +506,13 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "n_electrons": None}),
         lambda raw: json.dumps({**raw, "coords": [[0.0, 0.0, 0.0], [1.0]]}),
         lambda raw: json.dumps({**raw, "h_upper": "0.5"}),
-        lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:-1]}),
+        lambda raw: _with_h(raw, _h_bytes(raw)[:-8]),
         lambda raw: json.dumps({**raw, "smiles": 5}),
         lambda raw: json.dumps({**raw, "split": ["x"]}),
         lambda raw: json.dumps({**raw, "elements": "".join(raw["elements"])}),
         lambda raw: json.dumps({**raw, "elements": raw["elements"][:-1] + [1]}),
-        lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1]}),
-        lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:3], "s_upper": raw["s_upper"][:3]}),
+        lambda raw: _with_h(raw, _h_bytes(raw) + struct.pack("<d", 0.5)),
+        lambda raw: _with_h(raw, _h_bytes(raw)[:24]),
         lambda raw: json.dumps({**raw, "elements": raw["elements"] + ["Xx"]}),
         lambda raw: json.dumps({**raw, "coords": raw["coords"][:-1]}),
         lambda raw: json.dumps({**raw, "coords": [row[:2] for row in raw["coords"]]}),
@@ -483,24 +522,39 @@ class TestGenDataset:
         lambda raw: json.dumps({**raw, "n_electrons": -4}),
         lambda raw: json.dumps({**raw, "n_electrons": True}),
         lambda raw: json.dumps({**raw, "gap_ev": float("nan")}),
-        lambda raw: json.dumps({**raw, "h_upper": [float("nan")] + raw["h_upper"][1:]}),
-        lambda raw: json.dumps({**raw, "s_upper": raw["s_upper"][:-1] + [float("inf")]}),
-        lambda raw: json.dumps({**raw, "elements": [], "coords": [], "h_upper": [],
-                                "s_upper": []}),
+        lambda raw: _with_h(raw, struct.pack("<d", float("nan")) + _h_bytes(raw)[8:]),
+        lambda raw: _with_h(raw, _h_bytes(raw)[:-8] + struct.pack("<d", float("inf"))),
+        lambda raw: json.dumps({**raw, "h_upper": raw["h_upper"][:8] + "*" + raw["h_upper"][8:]}),
+        lambda raw: json.dumps({**raw, "h_upper": np.frombuffer(_h_bytes(raw), "<f8").tolist()}),
+        lambda raw: json.dumps({**raw, "elements": [], "coords": [], "h_upper": ""}),
     ], ids=["not-json", "array", "elements-int", "electrons-null", "ragged-coords",
             "string-h", "short-triangle", "smiles-int", "split-list", "elements-string",
-            "element-int", "short-s-triangle", "triangles-of-another-size", "unknown-element",
+            "element-int", "long-triangle", "triangles-of-another-size", "unknown-element",
             "coords-short-row", "coords-two-columns", "coords-nan", "electrons-fraction",
-            "electrons-negative", "electrons-bool", "gap-nan", "h-nan", "s-inf",
-            "elements-empty"])
+            "electrons-negative", "electrons-bool", "gap-nan", "h-nan", "h-inf",
+            "h-not-base64", "h-list", "elements-empty"])
     def test_malformed_record_rejected(self, tmp_path, edit):
         rec = generate_records(build_corpus()[:1], seed=1).records[0]
         line = edit(json.loads(rec.to_json()))
         with pytest.raises(CorruptFile):
             DatasetRecord.from_json(line)
+        (tmp_path / "manifest.json").write_text(json.dumps({"format_version": DATASET_VERSION}))
         for name in ("train", "test"):
             (tmp_path / f"{name}.jsonl").write_text(rec.to_json() + "\n\n" + line + "\n")
         with pytest.raises(CorruptFile, match=r"train\.jsonl line 3: "):
+            load_split(tmp_path)
+
+    @pytest.mark.parametrize("version", [None, 1, 3, "2"], ids=["missing", "1", "3", "string"])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        gen_dataset(build_corpus()[:6], SplitConfig("random-id", seed=1), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["format_version"] == DATASET_VERSION == 2
+        if version is None:
+            del manifest["format_version"]
+        else:
+            manifest["format_version"] = version
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(VersionMismatch, match=r"manifest\.json"):
             load_split(tmp_path)
 
     @pytest.mark.parametrize("raw", [b'{"n_train": 3', b"[1, 2]", b"\xff{}"],
