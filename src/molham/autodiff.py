@@ -21,6 +21,10 @@ the structured primitives take a leading batch axis:
 - `segment_sum` adds rows into segments by an integer index; its backward
   is a gather. `gather_rows` is its mirror: a gather whose backward adds
   rows into segments.
+- `pair_messages` forms message-passing sums over ordered atom pairs in one
+  node, reading one filter row per unordered pair; its backward scatters
+  the row gradient over the senders and adds each filter row's two
+  directions.
 - Elementwise ops broadcast as numpy does, and reductions take any axis.
 
 Memory rules. A tape and everything it recorded are freed by reference
@@ -410,6 +414,43 @@ def segment_sum(a, seg: Array, n: int) -> Tensor:
     if seg.size and (seg.min() < 0 or seg.max() >= n):
         raise ShapeMismatch(f"segment ids must lie in [0, {n})")
     return _make(_scatter_rows(seg, a.data, n), [(a, lambda g: g[seg])])
+
+
+def pair_messages(g, f, gate: Array, src: Array, dst: Array, pair: Array,
+                  ends: Array) -> Tensor:
+    """msg[i] = sum over ordered pairs p with dst[p] == i of
+    (g[src[p]] * f[pair[p]]) * gate[p], one row per row of g.
+
+    `f` holds one row per unordered pair, and `ends` (Q, 2) the two ordered
+    pairs of each: every unordered pair has both directions. Only the two
+    operands' data, `gate` and the indices are kept for the backward pass.
+    """
+    g, f = constant(g), constant(f)
+    gate, src, dst, pair, ends = (np.asarray(gate, dtype=np.float64),
+                                  *(np.asarray(a, dtype=np.intp) for a in (src, dst, pair, ends)))
+    if (g.ndim != 2 or f.ndim != 2 or f.data.shape[1] != g.data.shape[1]
+            or not src.shape == dst.shape == pair.shape == gate.shape[:1]
+            or ends.shape != (f.data.shape[0], 2)):
+        raise ShapeMismatch(f"pair_messages got rows {g.data.shape} and filters {f.data.shape} "
+                            f"for {src.shape} pairs and {ends.shape} ends")
+    x, w, n = g.data, f.data, g.data.shape[0]
+
+    def gathered(a: Array, rows: Array, *factors: Array) -> Array:
+        """a[rows] times each factor in turn, in one (P, d) buffer."""
+        out = np.take(a, rows, axis=0)
+        for b in factors:
+            out *= b
+        return out
+
+    def pull_g(gm: Array) -> Array:
+        return _scatter_rows(src, gathered(gm, dst, gate, np.take(w, pair, axis=0)), n)
+
+    def pull_f(gm: Array) -> Array:
+        t = gathered(gm, dst, gate, np.take(x, src, axis=0))
+        return np.take(t, ends[:, 0], axis=0) + np.take(t, ends[:, 1], axis=0)
+
+    out = gathered(x, src, np.take(w, pair, axis=0), gate)
+    return _make(_scatter_rows(dst, out, n), [(g, pull_g), (f, pull_f)])
 
 
 def concat_rows(parts: Sequence["Tensor"]) -> Tensor:

@@ -4,7 +4,9 @@ The token encoder runs a small self-attention stack over the token sequence
 and mean-pools each atom's tokens into one row, so masked and unmasked
 strings produce same-shaped matrices. The geometry encoder builds features
 from element identities and pairwise distances only, which makes it exactly
-invariant to rigid motions of the coordinates.
+invariant to rigid motions of the coordinates. Its continuous filter depends
+on the distance alone, so it runs once per unordered pair, and each round's
+messages over the ordered pairs are one `autodiff.pair_messages` node.
 
 Both encoders run a whole batch as one block: S sequences (or B molecules)
 padded to one length, giving (S, n, d) rows where rows past a molecule's
@@ -198,16 +200,21 @@ def cutoff_envelope(dist: np.ndarray, cutoff: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeomBatch:
-    """B molecules padded to n atom rows, with their ordered neighbour pairs
-    (i != j, closer than the cutoff) concatenated over the batch.
+    """B molecules padded to n atom rows, with their neighbour pairs (i != j,
+    closer than the cutoff) concatenated over the batch.
 
-    Pair rows name flat atom rows b * n + i of the (B * n, d) block."""
+    Each unordered pair {i, j} has one distance, so it has one row of radial
+    features, and two ordered pairs: the message from j to i and the one from
+    i to j. Ordered pairs run receiver-major within each molecule. Pair rows
+    name flat atom rows b * n + i of the (B * n, d) block."""
 
     elem_ids: np.ndarray  # (B, n) element rows; padding atoms hold row 0
-    rbf: np.ndarray       # (P, n_rbf) radial basis of each pair's distance
-    gate: np.ndarray      # (P, 1) cutoff envelope of each pair
+    rbf: np.ndarray       # (Q, n_rbf) radial basis of each unordered pair's distance
+    gate: np.ndarray      # (P, 1) cutoff envelope of each ordered pair, P = 2Q
     src: np.ndarray       # (P,) row of the neighbour j sending the message
     dst: np.ndarray       # (P,) row of the atom i receiving it
+    pair: np.ndarray      # (P,) unordered pair of each ordered pair
+    ends: np.ndarray      # (Q, 2) the two ordered pairs of each unordered pair
 
 
 def geom_batch(elem_ids: Sequence[np.ndarray], coords: Sequence[np.ndarray],
@@ -216,7 +223,8 @@ def geom_batch(elem_ids: Sequence[np.ndarray], coords: Sequence[np.ndarray],
     and are left out."""
     n = max(len(e) for e in elem_ids)
     elem = np.zeros((len(elem_ids), n), dtype=np.intp)
-    dists, src, dst = [], [], []
+    dists, src, dst, pair = [], [], [], []
+    n_pairs = 0
     for b, (ids, xyz) in enumerate(zip(elem_ids, coords)):
         xyz = np.asarray(xyz, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape != (len(ids), 3):
@@ -225,31 +233,38 @@ def geom_batch(elem_ids: Sequence[np.ndarray], coords: Sequence[np.ndarray],
             raise NonFiniteCoordinate("coordinates contain non-finite values")
         elem[b, :len(ids)] = ids
         diff = xyz[:, None, :] - xyz[None, :, :]
+        # x_j - x_i is the exact negation of x_i - x_j, so dist is bit-symmetric
         dist = np.sqrt((diff * diff).sum(axis=-1))
         i, j = np.nonzero((dist < cutoff) & ~np.eye(len(ids), dtype=bool))
-        dists.append(dist[i, j])
+        upper = i < j
+        label = np.zeros(dist.shape, dtype=np.intp)  # label[i, j] numbers the pair {i, j}
+        label[i[upper], j[upper]] = np.arange(n_pairs, n_pairs + i.size // 2)
+        dists.append(dist[i[upper], j[upper]])
         dst.append(b * n + i)
         src.append(b * n + j)
-    dist = np.concatenate(dists)
+        pair.append((label + label.T)[i, j])
+        n_pairs += i.size // 2
+    dist, pair = np.concatenate(dists), np.concatenate(pair)
     return GeomBatch(elem, radial_basis(dist, cutoff, n_rbf),
-                     cutoff_envelope(dist, cutoff)[:, None],
-                     np.concatenate(src), np.concatenate(dst))
+                     cutoff_envelope(dist, cutoff)[pair, None],
+                     np.concatenate(src), np.concatenate(dst), pair,
+                     np.argsort(pair, kind="stable").reshape(-1, 2))
 
 
 def encode_geometry(batch: GeomBatch, params: GeomEncoderParams) -> Tensor:
     """(B, n, d) atom rows from element identities and distances.
 
     Output depends on the pairwise distances only, so rigid motions of the
-    coordinates leave it unchanged and relabeling atoms permutes rows.
+    coordinates leave it unchanged and relabeling atoms permutes rows. The
+    filter depends on the distance only, so it runs once per unordered pair.
     """
     shape = batch.elem_ids.shape + (params.width,)
-    rbf, gate = constant(batch.rbf), constant(batch.gate)
+    rbf = constant(batch.rbf)
     h = ad.gather_rows(params.elem_embed, batch.elem_ids.reshape(-1))
 
     for rnd in params.rounds:
         filt = ad.tanh(rbf @ rnd["wf1"] + rnd["bf1"]) @ rnd["wf2"] + rnd["bf2"]
         g = h @ rnd["wmsg"] + rnd["bmsg"]
-        # message i = sum over pairs (i, j) of filt * g[j] * gate
-        msg = ad.segment_sum(ad.gather_rows(g, batch.src) * filt * gate, batch.dst, h.shape[0])
+        msg = ad.pair_messages(g, filt, batch.gate, batch.src, batch.dst, batch.pair, batch.ends)
         h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
     return ad.reshape(h, shape)

@@ -133,62 +133,64 @@ class Model:
         self.params = MappingProxyType({name: self.vector[s].reshape(np.shape(params[name]))
                                         for name, s in self.slices.items()})
 
+    @staticmethod
+    def layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+        """Each group's shape and the fan-in that scales its initial draw, in
+        vector order; fan-in 0 marks a group that is not drawn."""
+        d, h = config.width, config.head_hidden
+        groups: dict[str, tuple[tuple[int, ...], int]] = {}
+        groups["token.embed"] = (len(enc.VOCAB), d), 1
+        groups["token.refine"] = (len(enc.VOCAB_ELEMENTS), d), 1
+        for layer in range(config.token_layers):
+            for w in ("wq", "wk", "wv", "wf", "wg"):
+                groups[f"token.block{layer}.{w}"] = (d, d), d
+
+        groups["geom.embed"] = (len(enc.VOCAB_ELEMENTS), d), 1
+        for rnd in range(config.geom_rounds):
+            groups[f"geom.round{rnd}.wf1"] = (config.n_rbf, d), config.n_rbf
+            groups[f"geom.round{rnd}.bf1"] = (1, d), 0
+            for w in ("f2", "msg", "upd"):
+                groups[f"geom.round{rnd}.w{w}"] = (d, d), d
+                groups[f"geom.round{rnd}.b{w}"] = (1, d), 0
+
+        for mlp in ("u", "t", "vplus", "vminus"):
+            for layer in ("1", "2"):
+                groups[f"comp.{mlp}.w{layer}"] = (d, d), d
+                groups[f"comp.{mlp}.b{layer}"] = (1, d), 0
+        groups["gen.hidden.w"] = (d, d), d
+        groups["gen.hidden.b"] = (1, d), 0
+        for head in _GENERATOR_HEADS:
+            # zero heads realize the identity transform before training
+            groups[f"gen.{head}.w"] = (d, _head_width(head, d, config.n_shear)), 0
+            groups[f"gen.{head}.b"] = (1, _head_width(head, d, config.n_shear)), 0
+
+        for w in ("wq", "wk", "wv"):
+            groups[f"align.{w}"] = (d, d), d
+        groups["align.log_tau"] = (1, 1), 0  # set to log(0.5) by `init`
+
+        groups["head.diag.w1"] = (d, h), d
+        groups["head.diag.b1"] = (1, h), 0
+        groups["head.diag.w2"] = (h, hh.HEAD_VALUES), 0
+        groups["head.diag.b2"] = (1, hh.HEAD_VALUES), 0
+        groups["head.pair.wsum"] = (d, h), d
+        groups["head.pair.wgap"] = (d, h), d
+        groups["head.pair.b1"] = (1, h), 0
+        groups["head.pair.w2"] = (h, hh.HEAD_VALUES), 0
+        groups["head.pair.b2"] = (1, hh.HEAD_VALUES), 0
+        return groups
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "Model":
+        """A model of `config`'s layout holding zeros, with no random draw."""
+        return cls(config, {name: np.zeros(shape)
+                            for name, (shape, _) in cls.layout(config).items()})
+
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "Model":
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
-        d = config.width
-        params: dict[str, np.ndarray] = {}
-
-        def rand(name: str, shape: tuple[int, ...], fan_in: int) -> None:
-            params[name] = rng.standard_normal(shape) / np.sqrt(fan_in)
-
-        def zeros(name: str, shape: tuple[int, ...]) -> None:
-            params[name] = np.zeros(shape)
-
-        rand("token.embed", (len(enc.VOCAB), d), 1)
-        rand("token.refine", (len(enc.VOCAB_ELEMENTS), d), 1)
-        for layer in range(config.token_layers):
-            for w in ("wq", "wk", "wv", "wf", "wg"):
-                rand(f"token.block{layer}.{w}", (d, d), d)
-
-        rand("geom.embed", (len(enc.VOCAB_ELEMENTS), d), 1)
-        for rnd in range(config.geom_rounds):
-            rand(f"geom.round{rnd}.wf1", (config.n_rbf, d), config.n_rbf)
-            zeros(f"geom.round{rnd}.bf1", (1, d))
-            rand(f"geom.round{rnd}.wf2", (d, d), d)
-            zeros(f"geom.round{rnd}.bf2", (1, d))
-            rand(f"geom.round{rnd}.wmsg", (d, d), d)
-            zeros(f"geom.round{rnd}.bmsg", (1, d))
-            rand(f"geom.round{rnd}.wupd", (d, d), d)
-            zeros(f"geom.round{rnd}.bupd", (1, d))
-
-        for mlp in ("u", "t", "vplus", "vminus"):
-            rand(f"comp.{mlp}.w1", (d, d), d)
-            zeros(f"comp.{mlp}.b1", (1, d))
-            rand(f"comp.{mlp}.w2", (d, d), d)
-            zeros(f"comp.{mlp}.b2", (1, d))
-        rand("gen.hidden.w", (d, d), d)
-        zeros("gen.hidden.b", (1, d))
-        for head in _GENERATOR_HEADS:
-            # zero heads realize the identity transform before training
-            zeros(f"gen.{head}.w", (d, _head_width(head, d, config.n_shear)))
-            zeros(f"gen.{head}.b", (1, _head_width(head, d, config.n_shear)))
-
-        for w in ("wq", "wk", "wv"):
-            rand(f"align.{w}", (d, d), d)
+        params = {name: rng.standard_normal(shape) / np.sqrt(fan_in) if fan_in else np.zeros(shape)
+                  for name, (shape, fan_in) in cls.layout(config).items()}
         params["align.log_tau"] = np.full((1, 1), np.log(0.5))
-
-        h = config.head_hidden
-        rand("head.diag.w1", (d, h), d)
-        zeros("head.diag.b1", (1, h))
-        zeros("head.diag.w2", (h, hh.HEAD_VALUES))
-        zeros("head.diag.b2", (1, hh.HEAD_VALUES))
-        rand("head.pair.wsum", (d, h), d)
-        rand("head.pair.wgap", (d, h), d)
-        zeros("head.pair.b1", (1, h))
-        zeros("head.pair.w2", (h, hh.HEAD_VALUES))
-        zeros("head.pair.b2", (1, hh.HEAD_VALUES))
-
         return cls(config, params)
 
     # --- tape wiring ---

@@ -264,7 +264,7 @@ def load_checkpoint(path: str | Path,
         raise CorruptFile(f"{path} has a malformed params list: {err}") from None
     if expect is not None:
         check_compatible(expect, config, shapes)
-    model = Model.init(config, 0)
+    model = Model.zeros(config)
     built = {name: a.shape for name, a in model.params.items()}
     if shapes != built:
         wrong = sorted(n for n in built.keys() | shapes.keys() if built.get(n) != shapes.get(n))

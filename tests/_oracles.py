@@ -6,7 +6,9 @@ graph theory, a shifted QR iteration for spectra, a Jacobi solver that applies
 each round as one dense n x n congruence, a spring descent that sums
 explicit difference vectors pair by pair, a rotation chain recorded as one
 dense plane matrix per angle, a geometry encoder that tiles and pools pair
-messages with dense n^2 x n matrices, a Hamiltonian value index built
+messages with dense n^2 x n matrices and one that runs its filter on every
+ordered pair and records each message step (`encode_geometry_ordered`, the
+bit-identity reference), a Hamiltonian value index built
 entry by entry, and both training losses run one molecule at a time
 (`pretrain_loss_per_molecule`, `finetune_loss_per_molecule`), with the
 model's forward arithmetic written out on unpadded rank-2 rows. `GroupAdam`
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,6 +288,61 @@ def encode_geometry_dense(elements, coords: np.ndarray, params):
         msg = pool_c @ (filt * (tile_c @ g) * gate_c)
         h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
     return h
+
+
+@dataclass(frozen=True)
+class OrderedGeomBatch:
+    """B molecules padded to n atom rows, with their ordered neighbour pairs
+    (i != j, closer than the cutoff) concatenated over the batch.
+
+    Pair rows name flat atom rows b * n + i of the (B * n, d) block."""
+
+    elem_ids: np.ndarray  # (B, n) element rows; padding atoms hold row 0
+    rbf: np.ndarray       # (P, n_rbf) radial basis of each pair's distance
+    gate: np.ndarray      # (P, 1) cutoff envelope of each pair
+    src: np.ndarray       # (P,) row of the neighbour j sending the message
+    dst: np.ndarray       # (P,) row of the atom i receiving it
+
+
+def geom_batch_ordered(elem_ids, coords, cutoff: float, n_rbf: int) -> OrderedGeomBatch:
+    """`geom_batch` with one radial-basis row per ordered pair."""
+    from molham.encoders import cutoff_envelope, radial_basis
+
+    n = max(len(e) for e in elem_ids)
+    elem = np.zeros((len(elem_ids), n), dtype=np.intp)
+    dists, src, dst = [], [], []
+    for b, (ids, xyz) in enumerate(zip(elem_ids, coords)):
+        xyz = np.asarray(xyz, dtype=np.float64)
+        elem[b, :len(ids)] = ids
+        diff = xyz[:, None, :] - xyz[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        i, j = np.nonzero((dist < cutoff) & ~np.eye(len(ids), dtype=bool))
+        dists.append(dist[i, j])
+        dst.append(b * n + i)
+        src.append(b * n + j)
+    dist = np.concatenate(dists)
+    return OrderedGeomBatch(elem, radial_basis(dist, cutoff, n_rbf),
+                            cutoff_envelope(dist, cutoff)[:, None],
+                            np.concatenate(src), np.concatenate(dst))
+
+
+def encode_geometry_ordered(batch: OrderedGeomBatch, params):
+    """`encode_geometry` with the filter run on every ordered pair and the
+    messages recorded as gather, two products and a segment sum."""
+    from molham import autodiff as ad
+    from molham.autodiff import constant
+
+    shape = batch.elem_ids.shape + (params.width,)
+    rbf, gate = constant(batch.rbf), constant(batch.gate)
+    h = ad.gather_rows(params.elem_embed, batch.elem_ids.reshape(-1))
+
+    for rnd in params.rounds:
+        filt = ad.tanh(rbf @ rnd["wf1"] + rnd["bf1"]) @ rnd["wf2"] + rnd["bf2"]
+        g = h @ rnd["wmsg"] + rnd["bmsg"]
+        # message i = sum over pairs (i, j) of filt * g[j] * gate
+        msg = ad.segment_sum(ad.gather_rows(g, batch.src) * filt * gate, batch.dst, h.shape[0])
+        h = ad.tanh(h @ rnd["wupd"] + rnd["bupd"] + msg)
+    return ad.reshape(h, shape)
 
 
 def value_index_loops(lay):

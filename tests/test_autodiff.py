@@ -133,6 +133,22 @@ def test_segment_sum_values_and_errors():
         ad.segment_sum(constant(x), np.array([0, 1, 2, 3, 4]), 4)
 
 
+def test_pair_messages_values_and_errors():
+    g, f = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
+    p = {k: np.asarray(v) for k, v in _ALL_PAIRS.items()}
+    out = _messages(constant(g), constant(f), _ALL_PAIRS).data
+    recorded = ad.segment_sum(ad.gather_rows(constant(g), p["src"]) * constant(f[p["pair"]])
+                              * constant(p["gate"]), p["dst"], 3).data
+    assert out.tobytes() == recorded.tobytes()
+    assert np.array_equal(_messages(constant(g), constant(f[:0]), _NO_PAIRS).data, np.zeros((3, 4)))
+    with pytest.raises(ShapeMismatch):  # a filter row short of the unordered pairs
+        _messages(constant(g), constant(f[:2]), _ALL_PAIRS)
+    with pytest.raises(ShapeMismatch):  # filter rows of another width
+        _messages(constant(g), constant(f[:, :3]), _ALL_PAIRS)
+    with pytest.raises(ShapeMismatch):  # one gate short of the ordered pairs
+        _messages(constant(g), constant(f), {**_ALL_PAIRS, "gate": p["gate"][:5]})
+
+
 def test_gather_and_concat():
     tape = Tape()
     x = tape.leaf(RNG.standard_normal((5, 3)))
@@ -167,6 +183,20 @@ _B243 = np.sin(np.arange(24.0)).reshape(2, 4, 3)
 _A253 = np.cos(np.arange(30.0)).reshape(2, 5, 3)
 _C24 = np.sin(np.arange(8.0)).reshape(2, 4)
 _SEG = np.array([2, 0, 2], dtype=np.intp)  # three rows into four segments, two left empty
+# Ordered pairs of three atoms, receiver-major: all three unordered pairs, then only
+# {0, 1} and {0, 2} (atom 0 in every pair, atoms 1 and 2 only with it), then none.
+_ALL_PAIRS = dict(src=[1, 2, 0, 2, 0, 1], dst=[0, 0, 1, 1, 2, 2], pair=[0, 1, 0, 2, 1, 2],
+                  ends=[[0, 2], [1, 4], [3, 5]], gate=[[0.9], [0.4], [0.9], [0.7], [0.4], [0.7]])
+_HUB_PAIRS = dict(src=[1, 2, 0, 0], dst=[0, 0, 1, 2], pair=[0, 1, 0, 1], ends=[[0, 2], [1, 3]],
+                  gate=[[0.8], [0.3], [0.8], [0.3]])
+_NO_PAIRS = dict(src=np.zeros(0), dst=np.zeros(0), pair=np.zeros(0), ends=np.zeros((0, 2)),
+                 gate=np.zeros((0, 1)))
+
+
+def _messages(g, f, pairs):
+    return ad.pair_messages(g, f, pairs["gate"], pairs["src"], pairs["dst"], pairs["pair"],
+                            pairs["ends"])
+
 
 PRIMITIVES = {
     "add": lambda x: ad.sum_(x + constant(_C34)),
@@ -209,6 +239,12 @@ PRIMITIVES = {
     "transpose_batched": lambda x: ad.sum_(ad.transpose(ad.reshape(x, (2, 3, 2)))
                                            * constant(_W223)),
     "segment_sum": lambda x: ad.sum_(ad.segment_sum(x, _SEG, 4) * constant(_C44)),
+    # x as both the atom rows and the filter rows: three atoms, three unordered pairs
+    "pair_messages": lambda x: ad.sum_(_messages(x, x, _ALL_PAIRS) * constant(_C34)),
+    "pair_messages_hub": lambda x: ad.sum_(_messages(x, constant(_C34[:2]), _HUB_PAIRS)
+                                           * constant(_C34)),
+    "pair_messages_no_pairs": lambda x: ad.sum_(_messages(x, constant(np.zeros((0, 4))), _NO_PAIRS)
+                                                * constant(_C34)),
 }
 _C44 = RNG.standard_normal((4, 4))
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import encode_geometry_dense
+from _oracles import encode_geometry_dense, encode_geometry_ordered, geom_batch_ordered
 from molham import autodiff as ad
 from molham.autodiff import Tape
 from molham.encoders import (
     VOCAB,
+    VOCAB_ELEMENTS,
     cutoff_envelope,
     element_ids,
     encode_geometry,
@@ -218,6 +219,111 @@ class TestGeometryEncoder:
             self._geom(model, ["C"], np.array([[np.inf, 0.0, 0.0]]))
         with pytest.raises(NonFiniteCoordinate):
             self._geom(model, ["C", "O"], np.zeros((1, 3)))
+
+
+def _random_molecules(rng, sizes):
+    """Element ids and coordinates at about one atom per 2.5 cubic angstrom, so
+    that larger molecules hold pairs beyond the cutoff."""
+    elems = [rng.integers(0, 5, size=n) for n in sizes]
+    coords = [rng.uniform(0.0, (2.5 * n) ** (1 / 3), size=(n, 3)) for n in sizes]
+    return elems, coords
+
+
+def _padded(rows, shape):
+    out = np.zeros(shape)
+    for b, r in enumerate(rows):
+        out[b, :len(r)] = r
+    return out
+
+
+# one-atom molecule; two atoms beyond the cutoff; a batch with no pair at all
+_EDGE_BATCHES = [
+    ([[2]], [np.zeros((1, 3))]),
+    ([[2, 4]], [np.array([[0.0, 0.0, 0.0], [0.0, 6.5, 0.0]])]),
+    ([[2], [3, 0], [1]], [np.zeros((1, 3)), np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0]]),
+                          np.ones((1, 3))]),
+]
+
+
+class TestPairMessages:
+    """encode_geometry runs the filter once per unordered pair and forms the
+    messages in one node; its output must equal the ordered-pair reference."""
+
+    @pytest.mark.parametrize("config", [CFG, ModelConfig()])
+    def test_bit_identical_to_ordered_pairs(self, config):
+        rng = np.random.default_rng(31)
+        model = Model.init(config, seed=4)
+        params = model.geom_encoder(model.leaves(None))
+        sizes = list(range(1, 45))
+        batches = [_random_molecules(rng, sizes[k:k + 8]) for k in range(0, 44, 8)]
+        batches += [([np.asarray(e) for e in elems], coords) for elems, coords in _EDGE_BATCHES]
+        for elems, coords in batches:
+            got = encode_geometry(geom_batch(elems, coords, params.cutoff, params.n_rbf), params)
+            ref = encode_geometry_ordered(
+                geom_batch_ordered(elems, coords, params.cutoff, params.n_rbf), params)
+            assert got.data.tobytes() == ref.data.tobytes(), [len(e) for e in elems]
+
+    def test_pair_layout(self):
+        elems, coords = _random_molecules(np.random.default_rng(2), [1, 7, 30, 2])
+        batch = geom_batch(elems, coords, 5.0, 4)
+        ref = geom_batch_ordered(elems, coords, 5.0, 4)
+        assert np.array_equal(batch.src, ref.src) and np.array_equal(batch.dst, ref.dst)
+        assert batch.gate.tobytes() == ref.gate.tobytes()
+        assert batch.rbf[batch.pair].tobytes() == ref.rbf.tobytes()
+        q = batch.rbf.shape[0]
+        assert 2 * q == batch.src.size and batch.ends.shape == (q, 2)
+        first, second = batch.ends.T
+        assert np.array_equal(batch.pair[first], np.arange(q))
+        assert np.array_equal(batch.pair[second], np.arange(q))
+        assert np.array_equal(batch.src[first], batch.dst[second])
+        assert np.array_equal(batch.dst[first], batch.src[second])
+
+    @pytest.mark.parametrize("edge", range(len(_EDGE_BATCHES)))
+    def test_edge_batches(self, model, edge):
+        elems, coords = _EDGE_BATCHES[edge]
+        params = model.geom_encoder(model.leaves(None))
+        batch = geom_batch([np.asarray(e) for e in elems], coords, params.cutoff, params.n_rbf)
+        assert batch.rbf.shape[0] == 0 and batch.ends.shape == (0, 2)
+        rows = encode_geometry(batch, params).data
+        for b, (e, xyz) in enumerate(zip(elems, coords)):
+            solo = [_geometry_one([VOCAB_ELEMENTS[k]], xyz[a:a + 1], params).data[0]
+                    for a, k in enumerate(e)]
+            assert np.max(np.abs(rows[b, :len(e)] - solo)) < 1e-14  # a lone atom gets no message
+
+    def test_gradients_match_dense_reference(self, model):
+        rng = np.random.default_rng(12)
+        elems, coords = _random_molecules(rng, [1, 2, 9, 17, 25])
+        weights = [rng.standard_normal((len(e), CFG.width)) for e in elems]
+        grads = []
+        for packed in (True, False):
+            tape = Tape()
+            lv = model.leaves(tape)
+            params = model.geom_encoder(lv)
+            if packed:
+                rows = encode_geometry(geom_batch(elems, coords, params.cutoff, params.n_rbf),
+                                       params)
+                out = ad.sum_(rows * ad.constant(_padded(weights, rows.shape)))
+            else:
+                out = sum((ad.sum_(encode_geometry_dense([VOCAB_ELEMENTS[k] for k in e], xyz,
+                                                         params) * ad.constant(w))
+                           for e, xyz, w in zip(elems, coords, weights)), ad.constant(0.0))
+            tape.backward(out)
+            grads.append({k: leaf.grad for k, leaf in lv.items() if leaf.grad is not None})
+        assert grads[0].keys() == grads[1].keys() and len(grads[0]) == 1 + 8 * CFG.geom_rounds
+        for name, ref in grads[1].items():
+            assert np.max(np.abs(grads[0][name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_one_round_records_twelve_nodes(self, model):
+        elems, coords = _random_molecules(np.random.default_rng(5), [6, 11])
+        counts = []
+        for rounds in (1, 2):
+            tape = Tape()
+            params = model.geom_encoder(model.leaves(tape))
+            params.rounds = params.rounds[:rounds]
+            before = len(tape)
+            encode_geometry(geom_batch(elems, coords, params.cutoff, params.n_rbf), params)
+            counts.append(len(tape) - before)
+        assert counts[1] - counts[0] == 12
 
 
 class TestTokenEquivariance:

@@ -462,6 +462,21 @@ class TestCheckpoints:
         save_checkpoint(again, loaded, TrainConfig(**train_cfg), rng_state)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        model = Model.init(SMALL_CFG, seed=2)
+        save_checkpoint(tmp_path / "m.mh", model, None, None)
+
+        class NoDraws(np.random.Generator):  # the type is immutable, so patch its name
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("load_checkpoint drew random values")
+
+        monkeypatch.setattr(np.random, "Generator", NoDraws)
+        with pytest.raises(AssertionError):
+            Model.init(SMALL_CFG, seed=2)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.mh")
+        assert loaded.vector.tobytes() == model.vector.tobytes()
+        assert list(loaded.params) == list(model.params)
+
     def test_parameters_bit_exact(self, tmp_path):
         model = Model.init(SMALL_CFG, seed=2)
         save_checkpoint(tmp_path / "m.mh", model, None, None)
