@@ -24,14 +24,14 @@ from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
 from .dataset import SPLIT_MODES, SplitConfig, gen_dataset, load_split
-from .errors import AuditFailed, EmptyThresholds, MolhamError, json_object
+from .errors import AuditFailed, EmptyThresholds, MolhamError, SmilesError, json_object
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
-from .oracle import embed_3d, huckel_labels
+from .oracle import embed_3d
 from .screening import (bench_pipelines, default_thresholds, report_to_csv, report_to_json,
                         screen_dataset)
 from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
-from .spectral import frontier
+from .spectral import frontier, toy_overlap
 from .training import (TrainConfig, evaluate, finetune, load_checkpoint, pretrain,
                        save_checkpoint, write_trace)
 
@@ -203,8 +203,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         corpus = build_corpus()
         inputs["<bundled corpus>"] = corpus_sha256(corpus)
     if resolved["max_heavy_atoms"]:
-        corpus = [s for s in corpus
-                  if parse_smiles(s).n_atoms <= resolved["max_heavy_atoms"]]
+        corpus = [s for s in corpus if _within(s, resolved["max_heavy_atoms"])]
     if resolved["limit"]:
         corpus = corpus[:resolved["limit"]]
     split = SplitConfig(mode=resolved["split"], seed=resolved["seed"],
@@ -215,6 +214,14 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     print(json.dumps({k: manifest[k] for k in
                       ("n_generated", "n_train", "n_test", "n_skipped")}))
     return 0
+
+
+def _within(smiles: str, max_atoms: int) -> bool:
+    """An entry that does not parse passes, so `gen_dataset` records its skip."""
+    try:
+        return parse_smiles(smiles).n_atoms <= max_atoms
+    except SmilesError:
+        return True
 
 
 def _train_common(args: argparse.Namespace, stage: str) -> int:
@@ -262,7 +269,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         h = model.hamiltonian_fused(leaves, tokens, xmol, lay, coords).data
     else:
         h = model.hamiltonian_from_tokens(leaves, tokens, xmol, lay).data
-    _, s = huckel_labels(xmol, coords)
+    s = toy_overlap(xmol.elements, coords)
     homo, lumo, gap_ev = frontier(h, s, electron_count(xmol.elements))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

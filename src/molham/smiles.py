@@ -68,10 +68,15 @@ class MolGraph:
     """Parsed molecule over the atoms written in the SMILES string."""
 
     atoms: list[Atom]
+    # in string order: a chain or branch bond is (parent[j], j), any other
+    # bond closes a ring
     bonds: list[Bond]
     # token indices owned by each atom: its atom token plus any ring-closure
     # digits attributed to it
     atom_token_sets: list[tuple[int, ...]]
+    # the atom each atom follows in its chain or branch (-1 for atom 0); atom
+    # order is the preorder of this tree, so each subtree is an index range
+    parent: list[int]
 
     @property
     def n_atoms(self) -> int:
@@ -251,15 +256,18 @@ def parse(tokens: list[Token]) -> MolGraph:
     """
     atoms: list[_PendingAtom] = []
     drafts: list[_BondDraft] = []
+    pairs: set[tuple[int, int]] = set()
     token_sets: list[list[int]] = []
+    parent: list[int] = []
     state = _ParseState()
 
     def add_bond(i: int, j: int, symbol: str | None) -> None:
         if i == j:
             raise UnmatchedRingClosure(f"ring closure bonds atom {i} to itself")
-        for d in drafts:
-            if {d.i, d.j} == {i, j}:
-                raise UnmatchedRingClosure(f"duplicate bond between atoms {i} and {j}")
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            raise UnmatchedRingClosure(f"duplicate bond between atoms {i} and {j}")
+        pairs.add(pair)
         if symbol is None or symbol in "/\\":
             aromatic = atoms[i].aromatic and atoms[j].aromatic
             drafts.append(_BondDraft(i, j, 1, aromatic))
@@ -279,6 +287,7 @@ def parse(tokens: list[Token]) -> MolGraph:
                 element, aromatic, charge, hyd = _bracket_fields(tok.text)
                 atoms.append(_PendingAtom(element, aromatic, charge, hyd, tok.position))
             token_sets.append([tok.position])
+            parent.append(-1 if state.prev is None else state.prev)
             idx = len(atoms) - 1
             if state.prev is not None:
                 add_bond(state.prev, idx, state.pending_bond)
@@ -326,12 +335,20 @@ def parse(tokens: list[Token]) -> MolGraph:
         raise SmilesError("no atoms in string")
 
     n = len(atoms)
-    edges = [(d.i, d.j) for d in drafts]
-    bonds = []
-    for k, d in enumerate(drafts):
-        # a ring bond's endpoints stay connected without it
-        label = _components(n, edges[:k] + edges[k + 1:])
-        bonds.append(Bond(d.i, d.j, d.order, d.aromatic, label[d.i] == label[d.j]))
+    # A bond is a ring bond iff it closes a ring or lies on the tree path its
+    # closure spans. A tree bond (parent[j], j) is marked at its child j; an
+    # ancestor has the lower index, so the larger end steps up until both meet.
+    on_path = [False] * n
+    for d in drafts:
+        if parent[d.j] != d.i:  # a closure: duplicates are rejected above
+            a, b = d.i, d.j
+            while a != b:
+                if a < b:
+                    a, b = b, a
+                on_path[a] = True
+                a = parent[a]
+    bonds = [Bond(d.i, d.j, d.order, d.aromatic, parent[d.j] != d.i or on_path[d.j])
+             for d in drafts]
 
     order_sum = [0.0] * n
     for b in bonds:
@@ -350,32 +367,7 @@ def parse(tokens: list[Token]) -> MolGraph:
             hydrogens = max(0, valence - used)
         final_atoms.append(Atom(a.element, a.aromatic, a.charge, hydrogens, a.token_index))
 
-    if any(_components(n, edges)):
-        raise SmilesError("molecule graph is not connected")
-    return MolGraph(final_atoms, bonds, [tuple(s) for s in token_sets])
-
-
-def _components(n_atoms: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Connected-component label of each atom, components numbered in order
-    of their lowest atom."""
-    adj: list[list[int]] = [[] for _ in range(n_atoms)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    label = [-1] * n_atoms
-    count = 0
-    for start in range(n_atoms):
-        if label[start] >= 0:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if label[nxt] < 0:
-                    label[nxt] = count
-                    stack.append(nxt)
-        count += 1
-    return label
+    return MolGraph(final_atoms, bonds, [tuple(s) for s in token_sets], parent)
 
 
 def parse_smiles(smiles: str) -> MolGraph:
@@ -392,30 +384,32 @@ def fragment(mol: MolGraph) -> list[Fragment]:
     non-aromatic bond between two non-hydrogen atoms and both components that
     the cut produces, within the current partition, keep at least two
     non-hydrogen atoms. Molecules with no cleavable bond yield one fragment.
+
+    An acyclic bond is a tree bond (parent[j], j), and no other bond joins the
+    subtree of j to the rest. Tree bonds come in order of j, so no cut inside
+    that subtree has been made yet: the cut's child side is the whole subtree.
+    A cut at j opens a new fragment, so fragments are numbered by their lowest
+    atom.
     """
     n = mol.n_atoms
     heavy = [a.element != "H" for a in mol.atoms]
-    active = [True] * len(mol.bonds)
-
-    def labels(skip: int = -1) -> list[int]:
-        return _components(n, [(b.i, b.j) for k, b in enumerate(mol.bonds)
-                               if active[k] and k != skip])
-
-    for k, b in enumerate(mol.bonds):
-        if b.in_ring or b.aromatic or b.order != 1 or not (heavy[b.i] and heavy[b.j]):
-            continue
-        label = labels(skip=k)
-        heavy_count = [0] * (max(label) + 1)
-        for a, lab in enumerate(label):
-            heavy_count[lab] += heavy[a]
-        if heavy_count[label[b.i]] >= 2 and heavy_count[label[b.j]] >= 2:
-            active[k] = False
-
-    members: list[list[int]] = []
-    for a, lab in enumerate(labels()):
-        if lab == len(members):
+    below = [int(h) for h in heavy]  # heavy atoms in each atom's subtree
+    for j in range(n - 1, 0, -1):
+        below[mol.parent[j]] += below[j]
+    frag = [0] * n
+    members, heavy_count = [[0]], [below[0]]  # per fragment
+    for b in mol.bonds:
+        if mol.parent[b.j] != b.i:
+            continue  # a ring closure
+        f = frag[b.i]
+        if (not (b.in_ring or b.aromatic) and b.order == 1 and heavy[b.i] and heavy[b.j]
+                and below[b.j] >= 2 and heavy_count[f] - below[b.j] >= 2):
+            heavy_count[f] -= below[b.j]
+            f = len(members)
             members.append([])
-        members[lab].append(a)
+            heavy_count.append(below[b.j])
+        frag[b.j] = f
+        members[f].append(b.j)
     return [Fragment(fid, tuple(atoms),
                      tuple(sorted(t for a in atoms for t in mol.atom_token_sets[a])))
             for fid, atoms in enumerate(members)]

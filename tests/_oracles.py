@@ -22,7 +22,10 @@ molecules were embedded in stacked blocks: parse, embed, label and solve one
 corpus entry at a time through `embed_3d`. `list_form_line` and
 `read_list_form_line` are a dataset line as it was before format version 2:
 `h_upper` and `s_upper` as JSON lists of floats, each triangle unfolded
-entry by entry.
+entry by entry. `ring_flags_by_relabelling` and `fragment_by_relabelling`
+are the ring flags and the fragmenter as they were before they read the parse
+tree: one connected-component labelling (`components`) per bond, and per
+candidate cut.
 """
 
 from __future__ import annotations
@@ -728,3 +731,71 @@ def read_list_form_line(line: str) -> dict:
                 m[i, j] = m[j, i] = next(vals)
         out[name] = m
     return out
+
+
+def components(n_atoms: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Connected-component label of each atom, components numbered in order
+    of their lowest atom."""
+    adj: list[list[int]] = [[] for _ in range(n_atoms)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    label = [-1] * n_atoms
+    count = 0
+    for start in range(n_atoms):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if label[nxt] < 0:
+                    label[nxt] = count
+                    stack.append(nxt)
+        count += 1
+    return label
+
+
+def ring_flags_by_relabelling(mol) -> list[bool]:
+    """Each bond's ring flag: its endpoints stay connected without it."""
+    n = mol.n_atoms
+    edges = [(b.i, b.j) for b in mol.bonds]
+    flags = []
+    for k, d in enumerate(mol.bonds):
+        # a ring bond's endpoints stay connected without it
+        label = components(n, edges[:k] + edges[k + 1:])
+        flags.append(label[d.i] == label[d.j])
+    return flags
+
+
+def fragment_by_relabelling(mol):
+    """`smiles.fragment`'s partition, relabelling the graph for every candidate
+    cut; reads only atoms and bonds (with their ring flags)."""
+    from molham.smiles import Fragment
+
+    n = mol.n_atoms
+    heavy = [a.element != "H" for a in mol.atoms]
+    active = [True] * len(mol.bonds)
+
+    def labels(skip: int = -1) -> list[int]:
+        return components(n, [(b.i, b.j) for k, b in enumerate(mol.bonds)
+                              if active[k] and k != skip])
+
+    for k, b in enumerate(mol.bonds):
+        if b.in_ring or b.aromatic or b.order != 1 or not (heavy[b.i] and heavy[b.j]):
+            continue
+        label = labels(skip=k)
+        heavy_count = [0] * (max(label) + 1)
+        for a, lab in enumerate(label):
+            heavy_count[lab] += heavy[a]
+        if heavy_count[label[b.i]] >= 2 and heavy_count[label[b.j]] >= 2:
+            active[k] = False
+
+    members: list[list[int]] = []
+    for a, lab in enumerate(labels()):
+        if lab == len(members):
+            members.append([])
+        members[lab].append(a)
+    return [Fragment(fid, tuple(atoms),
+                     tuple(sorted(t for a in atoms for t in mol.atom_token_sets[a])))
+            for fid, atoms in enumerate(members)]

@@ -195,6 +195,17 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--corpus", str(corpus_file),
                      "--jobs", "2"]) == 1
 
+    def test_max_heavy_atoms_records_malformed_entry(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.smi"
+        corpus.write_text("CCO\nC1CC\nCCN\nCC(=O)O\nc1ccccc1\n")
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(out), "--corpus", str(corpus),
+                     "--max-heavy-atoms", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_generated"] == 3  # benzene filtered
+        skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+        assert [(s["index"], s["smiles"], s["error"]) for s in skipped] == [
+            (1, "C1CC", "UnmatchedRingClosure")]
+
 
 class TestConfigFile:
     """A bad pretrain config exits 2 with one error line and writes nothing."""

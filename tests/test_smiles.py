@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import regex_atom_count, regex_bond_count, regex_tokenize
+from _oracles import (
+    fragment_by_relabelling,
+    regex_atom_count,
+    regex_bond_count,
+    regex_tokenize,
+    ring_flags_by_relabelling,
+)
 from molham.corpus import build_corpus
 from molham.errors import (
     LengthMismatch,
@@ -21,6 +28,7 @@ from molham.errors import (
 )
 from molham.smiles import (
     MASK_TEXT,
+    Token,
     detokenize,
     expand_hydrogens,
     expanded_fragments,
@@ -218,6 +226,137 @@ class TestFragment:
         a = fragment(parse_smiles("CCOCCOCC"))
         b = fragment(parse_smiles("CCOCCOCC"))
         assert [f.atoms for f in a] == [f.atoms for f in b]
+
+
+# (string, exact error type, message) for the error paths of `parse`
+_PARSE_ERRORS = [
+    ("C11", UnmatchedRingClosure, "ring closure bonds atom 0 to itself"),
+    ("C12CC12", UnmatchedRingClosure, "duplicate bond between atoms 0 and 2"),
+    ("C(C1)1", UnmatchedRingClosure, "duplicate bond between atoms 1 and 0"),
+    ("C=1CC-1", UnmatchedRingClosure, "conflicting bond orders on ring closure '1'"),
+    ("C1CC", UnmatchedRingClosure, "unclosed ring closure(s): ['1']"),
+    ("C%10CC", UnmatchedRingClosure, "unclosed ring closure(s): ['%10']"),
+    ("1C", UnmatchedRingClosure, "ring closure '1' with no preceding atom"),
+    ("C=", SmilesError, "dangling bond at end of string"),
+    ("=C", SmilesError, "bond '=' with no preceding atom"),
+    ("(C)", UnbalancedBranch, "branch opened before any atom"),
+    ("CC)", UnbalancedBranch, "branch closed without matching open"),
+    ("C(C", UnbalancedBranch, "1 branch(es) left open"),
+    ("FF(F)", ValenceExceeded, "atom 1 (F) uses 2.0 bonds, valence is 1"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("smiles,kind,message", _PARSE_ERRORS)
+    def test_type_and_message(self, smiles, kind, message):
+        with pytest.raises(SmilesError) as info:
+            parse_smiles(smiles)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("tokens,kind,message", [
+        ([Token("atom", "C", 0), Token("mask", MASK_TEXT, 1)], UnknownSymbol,
+         "mask tokens cannot be parsed into a graph"),
+        ([Token("atom", "C", 0), Token("dot", ".", 1)], UnknownSymbol,
+         "unknown token kind 'dot'"),
+        ([], SmilesError, "no atoms in string"),
+    ])
+    def test_token_paths(self, tokens, kind, message):
+        with pytest.raises(SmilesError) as info:
+            parse(tokens)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+
+def _random_smiles(rng: random.Random) -> str:
+    """A string from the branch and ring grammar. A closure never repeats a
+    bond or closes on its own atom; bare atoms may still exceed their valence,
+    which the caller skips."""
+    out: list[str] = []
+    open_at: dict[int, int] = {}  # ring label -> the atom that opened it
+    pairs: set[tuple[int, int]] = set()
+    count = 0
+
+    def ring_text(label: int) -> str:
+        return str(label) if label < 10 else f"%{label}"
+
+    def chain(depth: int, prev: int) -> None:
+        nonlocal count
+        for _ in range(rng.randint(1 if depth else 3, 6)):
+            atom, count = count, count + 1
+            if prev >= 0:
+                out.append(rng.choice(["", "", "", "", "-", "=", ":"]))
+                pairs.add((prev, atom))
+            out.append(rng.choice(["C", "C", "c", "[C]", "[CH2]", "[O]", "[N+]", "[H]"]))
+            for _ in range(rng.choice([0, 0, 0, 0, 1, 2])):
+                closable = [label for label, other in open_at.items()
+                            if other != atom and (other, atom) not in pairs]
+                if closable and rng.random() < 0.6:
+                    label = rng.choice(closable)
+                    pairs.add((open_at.pop(label), atom))
+                else:
+                    label = min(set(range(1, 20)) - open_at.keys())
+                    open_at[label] = atom
+                out.append(ring_text(label))
+            while depth < 3 and rng.random() < 0.3:
+                out.append("(")
+                chain(depth + 1, atom)
+                out.append(")")
+            prev = atom
+
+    chain(0, -1)
+    if open_at:
+        out.append("C")
+    out.extend("C" + ring_text(label) for label in open_at)
+    return "".join(out)
+
+
+_TREE_CASES = [
+    "CC(C1)C1", "C1CC(CC1)C1CC1",  # closures after branches
+    "C1C2CC12", "C12C3C1C23", "C1CC2CC1CC2",  # fused, bridged, spiro
+    "C%10CC%10", "C%12CCC(C%12)CC%10CC%10", "C1CC%11CC1CC%11CCOCC",  # %nn closures
+    "[H]C([H])([H])C", "[H]OCCOC[H]", "CC([H])CC[H]", "[H][H]",  # explicit [H]
+]
+
+
+class TestTreeWalks:
+    """Ring flags and fragments read from the parse tree equal a connected-
+    component relabelling per bond and per candidate cut."""
+
+    @pytest.mark.parametrize("smiles", _TREE_CASES)
+    def test_listed_shapes(self, smiles):
+        mol = parse_smiles(smiles)
+        assert [b.in_ring for b in mol.bonds] == ring_flags_by_relabelling(mol)
+        assert fragment(mol) == fragment_by_relabelling(mol)
+
+    def test_large_shapes(self):
+        chain = parse_smiles("C" * 300)
+        ring = parse_smiles("C1" + "C" * 298 + "C1")
+        cyclopropanes = parse_smiles("C1CC1" * 50)
+        assert not any(b.in_ring for b in chain.bonds)
+        assert ring.n_atoms == 300 and all(b.in_ring for b in ring.bonds)
+        assert len(fragment(cyclopropanes)) == 50
+        for mol in (chain, ring, cyclopropanes):
+            assert [b.in_ring for b in mol.bonds] == ring_flags_by_relabelling(mol)
+            assert fragment(mol) == fragment_by_relabelling(mol)
+
+    def test_random_grammar_strings(self):
+        rng = random.Random(23)
+        parsed = 0
+        for _ in range(400):
+            smiles = _random_smiles(rng)
+            try:
+                mol = parse_smiles(smiles)
+            except SmilesError:
+                continue
+            parsed += 1
+            assert [b.in_ring for b in mol.bonds] == ring_flags_by_relabelling(mol), smiles
+            assert fragment(mol) == fragment_by_relabelling(mol), smiles
+        assert parsed >= 150
+
+    def test_parent_is_the_chain_or_branch_atom(self):
+        assert parse_smiles("CC(C)(O)C").parent == [-1, 0, 1, 1, 1]
+        assert parse_smiles("C1CC(CC1)C").parent == [-1, 0, 1, 2, 3, 2]
 
 
 class TestFrontEndPinned:
