@@ -31,7 +31,7 @@ from .oracle import embed_3d
 from .screening import (bench_pipelines, default_thresholds, report_to_csv, report_to_json,
                         screen_dataset)
 from .smiles import expand_hydrogens, parse, parse_smiles, tokenize
-from .spectral import frontier, toy_overlap
+from .spectral import orbitals, toy_overlap
 from .training import (TrainConfig, evaluate, finetune, load_checkpoint, pretrain,
                        save_checkpoint, write_trace)
 
@@ -216,10 +216,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _within(smiles: str, max_atoms: int) -> bool:
+def _within(smiles: str, max_heavy: int) -> bool:
     """An entry that does not parse passes, so `gen_dataset` records its skip."""
     try:
-        return parse_smiles(smiles).n_atoms <= max_atoms
+        return sum(a.element != "H" for a in parse_smiles(smiles).atoms) <= max_heavy
     except SmilesError:
         return True
 
@@ -270,12 +270,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         h = model.hamiltonian_from_tokens(leaves, tokens, xmol, lay).data
     s = toy_overlap(xmol.elements, coords)
-    homo, lumo, gap_ev = frontier(h, s, electron_count(xmol.elements))
+    res = orbitals(h, s, electron_count(xmol.elements))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_hamiltonian(out / "hamiltonian.bin", h, lay)
     summary = {"smiles": args.smiles, "n_orbitals": lay.n_orb,
-               "homo_hartree": homo, "lumo_hartree": lumo, "gap_ev": gap_ev}
+               "homo_hartree": res.homo, "lumo_hartree": res.lumo, "gap_ev": res.gap_ev}
     atomic_write_text(out / "prediction.json", json.dumps(summary, indent=1) + "\n")
     _write_manifest(out, "predict",
                     {"smiles": args.smiles, "fusion": args.fusion, "seed": args.seed},

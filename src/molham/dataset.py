@@ -24,7 +24,7 @@ from .errors import (CorruptFile, EmptySplit, MolhamError, UnsupportedElement, V
 from .hamhead import from_upper_triangle, stored_layout, upper_triangle
 from .oracle import embed_3d, embed_batch, huckel_labels
 from .smiles import expand_hydrogens, parse_smiles
-from .spectral import frontier, toy_overlap
+from .spectral import orbitals, toy_overlap
 
 DATASET_VERSION = 2
 SPLIT_MODES = ("random-id", "size-ood", "element-ood")
@@ -166,7 +166,8 @@ def generate_records(corpus: list[str], seed: int) -> GenReport:
 
     Entries are parsed first, then embedded by blocks of similar size, each
     block with one stacked descent (`embed_batch`); an entry that misses the
-    distance floor there gets its reseeds from `embed_3d`. Per-record work is
+    distance floor there gets its reseeds from `embed_3d`, and each entry is
+    labelled and solved in the same pass over its block. Per-record work is
     deterministic given (corpus index, seed) and the corpus list.
     """
     results: list = [None] * len(corpus)
@@ -176,25 +177,20 @@ def generate_records(corpus: list[str], seed: int) -> GenReport:
             xmols[idx] = expand_hydrogens(parse_smiles(smiles))
         except MolhamError as err:
             results[idx] = _skip(idx, smiles, err)
-    coords = {}
     for block in _size_blocks({i: x.n_atoms for i, x in xmols.items()}):
         seeds = [_record_seed(seed, i) for i in block]
         for i, record_seed, c in zip(block, seeds, embed_batch([xmols[i] for i in block], seeds)):
+            xmol = xmols[i]
             try:
-                coords[i] = c if c is not None else embed_3d(xmols[i], record_seed)
+                c = c if c is not None else embed_3d(xmol, record_seed)
+                h, s = huckel_labels(xmol, c)
+                n_elec = electron_count(xmol.elements)
+                gap_ev = orbitals(h, s, n_elec).gap_ev
             except MolhamError as err:
                 results[i] = _skip(i, corpus[i], err)
-    for i, c in sorted(coords.items()):
-        xmol = xmols[i]
-        try:
-            h, s = huckel_labels(xmol, c)
-            n_elec = electron_count(xmol.elements)
-            _, _, gap_ev = frontier(h, s, n_elec)
-        except MolhamError as err:
-            results[i] = _skip(i, corpus[i], err)
-            continue
-        results[i] = DatasetRecord(smiles=corpus[i], elements=list(xmol.elements), coords=c,
-                                   h=h, s=s, n_electrons=n_elec, gap_ev=gap_ev, split="")
+                continue
+            results[i] = DatasetRecord(smiles=corpus[i], elements=list(xmol.elements), coords=c,
+                                       h=h, s=s, n_electrons=n_elec, gap_ev=gap_ev, split="")
     report = GenReport()
     for res in results:
         (report.records if isinstance(res, DatasetRecord) else report.skipped).append(res)

@@ -7,9 +7,10 @@ but no generalized solve uses it, since it costs an eigendecomposition of
 its own.
 
 Two eigensolvers sit behind the reduction. `eigh` is the LAPACK seam
-(`numpy.linalg.eigh`). `frontier`, which returns only the HOMO, LUMO and gap,
-and `orbitals`, which also returns the orbital coefficients that evaluation
-compares, use it, so no workflow runs Jacobi. `solve_gev` is `orbitals` on
+(`numpy.linalg.eigh`). `orbitals` is the one generalized solve on it: its
+`SpectralResult` carries the spectrum, the orbital coefficients that
+evaluation compares, and the HOMO, LUMO and gap that labelling, prediction
+and screening read, so no workflow runs Jacobi. `solve_gev` is `orbitals` on
 the in-house `jacobi_eigh`, and `lowdin_inv_sqrt` runs Jacobi too: they stay
 the reference the tests and `selftest` check the seam against, and the
 benchmark's traced run times `jacobi_eigh` by name under `solve_gev`, so
@@ -216,29 +217,13 @@ def _reduce(h: np.ndarray, s: np.ndarray, n_electrons: int) -> tuple[np.ndarray,
     return l_inv, 0.5 * (h_ortho + h_ortho.T), n_occ
 
 
-def _levels(eigenvalues: np.ndarray, n_occ: int) -> tuple[float, float, float]:
-    """(HOMO, LUMO in Hartree, gap in eV) of an ascending spectrum."""
-    homo = float(eigenvalues[n_occ - 1])
-    lumo = float(eigenvalues[n_occ])
-    return homo, lumo, (lumo - homo) * HARTREE_TO_EV
-
-
-def frontier(h: np.ndarray, s: np.ndarray, n_electrons: int) -> tuple[float, float, float]:
-    """(HOMO, LUMO in Hartree, gap in eV) of H C = S C diag(eps).
-
-    The same reduction, checks and `eigh` call as `orbitals`; no
-    coefficients are formed.
-    """
-    _, h_ortho, n_occ = _reduce(h, s, n_electrons)
-    return _levels(eigh(h_ortho)[0], n_occ)
-
-
 def _solve(h: np.ndarray, s: np.ndarray, n_electrons: int,
            eigensolver: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> SpectralResult:
     """H C = S C diag(eps) by Cholesky reduction and one call of `eigensolver`."""
     l_inv, h_ortho, n_occ = _reduce(h, s, n_electrons)
     eigenvalues, v = eigensolver(h_ortho)
-    homo, lumo, gap_ev = _levels(eigenvalues, n_occ)
+    homo = float(eigenvalues[n_occ - 1])
+    lumo = float(eigenvalues[n_occ])
     return SpectralResult(
         eigenvalues=eigenvalues,
         coefficients=l_inv.T @ v,
@@ -247,7 +232,7 @@ def _solve(h: np.ndarray, s: np.ndarray, n_electrons: int,
         lumo_index=n_occ,
         homo=homo,
         lumo=lumo,
-        gap_ev=gap_ev,
+        gap_ev=(lumo - homo) * HARTREE_TO_EV,
     )
 
 

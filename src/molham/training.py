@@ -21,7 +21,7 @@ from .errors import CorruptFile, TrainingAborted, VersionMismatch
 from .hamhead import layout
 from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
-from .spectral import frontier, mae_blocks, mae_energies, orbital_similarity, orbitals
+from .spectral import mae_blocks, mae_energies, orbital_similarity, orbitals
 
 CHECKPOINT_VERSION = 1
 _CKPT_MAGIC = b"MHCK0001"
@@ -229,20 +229,10 @@ def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | 
         "model_config": model.config_dict(),
         "train_config": None if train_config is None else asdict(train_config),
         "params": _param_entries(model),
-        "rng_state": _jsonable_rng(rng_state),
+        "rng_state": rng_state,
     }
     write_framed(path, _CKPT_MAGIC, manifest,
                  np.ascontiguousarray(model.vector, dtype="<f8").tobytes())
-
-
-def _jsonable_rng(state: dict | None):
-    if state is None:
-        return None
-    out = dict(state)
-    if isinstance(out.get("state"), dict):
-        out["state"] = {k: int(v) if isinstance(v, (int, np.integer)) else v
-                        for k, v in out["state"].items()}
-    return out
 
 
 def load_checkpoint(path: str | Path,
@@ -326,6 +316,6 @@ def gap_predictions(model: Model, dataset: Dataset, fusion: bool = False) -> tup
     """(predicted, true) gap vectors in eV for a dataset."""
     pred, true = [], []
     for rec, _, h_pred in _predictions(model, dataset, fusion):
-        pred.append(frontier(h_pred, rec.s, rec.n_electrons)[2])
+        pred.append(orbitals(h_pred, rec.s, rec.n_electrons).gap_ev)
         true.append(rec.gap_ev)
     return np.asarray(pred), np.asarray(true)

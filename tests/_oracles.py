@@ -658,7 +658,7 @@ def _generate_one(idx: int, smiles: str, seed: int):
     from molham.errors import MolhamError
     from molham.oracle import embed_3d, huckel_labels
     from molham.smiles import expand_hydrogens, parse_smiles
-    from molham.spectral import frontier
+    from molham.spectral import orbitals
 
     try:
         mol = parse_smiles(smiles)
@@ -666,7 +666,7 @@ def _generate_one(idx: int, smiles: str, seed: int):
         coords = embed_3d(xmol, _record_seed(seed, idx))
         h, s = huckel_labels(xmol, coords)
         n_elec = electron_count(xmol.elements)
-        _, _, gap_ev = frontier(h, s, n_elec)
+        gap_ev = orbitals(h, s, n_elec).gap_ev
         return DatasetRecord(
             smiles=smiles,
             elements=list(xmol.elements),

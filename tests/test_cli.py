@@ -206,6 +206,17 @@ class TestGenData:
         assert [(s["index"], s["smiles"], s["error"]) for s in skipped] == [
             (1, "C1CC", "UnmatchedRingClosure")]
 
+    def test_max_heavy_atoms_ignores_explicit_hydrogens(self, tmp_path, capsys):
+        corpus = tmp_path / "h.smi"
+        corpus.write_text("CCO\n[H]OC([H])([H])[H]\nCC(C)O\n")
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(out), "--corpus", str(corpus),
+                     "--max-heavy-atoms", "3", "--train-fraction", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_generated"] == 2  # CC(C)O has 4
+        records = [json.loads(line)["smiles"] for name in ("train.jsonl", "test.jsonl")
+                   for line in (out / name).read_text().splitlines()]
+        assert sorted(records) == ["CCO", "[H]OC([H])([H])[H]"]
+
 
 class TestConfigFile:
     """A bad pretrain config exits 2 with one error line and writes nothing."""

@@ -84,3 +84,17 @@ def test_one_binary_frame():
         if "struct" in modules:
             importers.append(path.stem)
     assert importers == ["atomic"]
+
+
+def test_one_lapack_entry():
+    """One generalized solve reaches LAPACK: in the spectral module, the only
+    public function besides `eigh` itself that names `eigh` is `orbitals`."""
+    path = Path(molham.__path__[0]) / "spectral.py"
+    entries = []
+    for fn in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                and fn.name != "eigh"
+                and any(getattr(node, "id", getattr(node, "attr", None)) == "eigh"
+                        for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute)))):
+            entries.append(fn.name)
+    assert entries == ["orbitals"]

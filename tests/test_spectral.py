@@ -26,7 +26,6 @@ from molham.oracle import embed_3d, huckel_labels
 from molham.smiles import expand_hydrogens, parse_smiles
 from molham.spectral import (
     eigh,
-    frontier,
     jacobi_eigh,
     lowdin_inv_sqrt,
     mae_blocks,
@@ -247,17 +246,17 @@ class TestSolveGev:
         assert res.gap_ev == pytest.approx(1.0 * HARTREE_TO_EV)
 
     def test_odd_electrons_rejected(self):
-        for solve in (solve_gev, orbitals, frontier):
+        for solve in (solve_gev, orbitals):
             with pytest.raises(OddElectronCount):
                 solve(np.eye(3), np.eye(3), 3)
 
     def test_full_occupation_rejected(self):
-        for solve in (solve_gev, orbitals, frontier):
+        for solve in (solve_gev, orbitals):
             with pytest.raises(NoVirtualOrbital):
                 solve(np.eye(2), np.eye(2), 4)
 
     def test_dimension_mismatch(self):
-        for solve in (solve_gev, orbitals, frontier):
+        for solve in (solve_gev, orbitals):
             with pytest.raises(DimensionMismatch):
                 solve(np.eye(3), np.eye(4), 2)
 
@@ -304,12 +303,12 @@ class TestCholeskyReduction:
             self._assert_matches_lowdin(h, s, n_electrons)
 
     def test_non_spd_overlap_rejected(self):
-        for solve in (solve_gev, orbitals, frontier):
+        for solve in (solve_gev, orbitals):
             with pytest.raises(NotPositiveDefinite):
                 solve(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
     def test_pivot_at_ridge_rejected(self):
-        for solve in (solve_gev, orbitals, frontier):
+        for solve in (solve_gev, orbitals):
             with pytest.raises(NotPositiveDefinite):
                 solve(np.eye(2), np.diag([1.0, 1e-12]), 2)
 
@@ -344,23 +343,22 @@ class TestOrbitals:
 
 
 class TestFrontier:
-    """`frontier` gives `solve_gev`'s frontier levels without coefficients,
-    and `orbitals`' bit for bit, since it is the same `eigh` call."""
+    """The frontier levels (HOMO, LUMO, gap) that labelling, prediction and
+    screening read from `orbitals` match `solve_gev`'s."""
 
     def test_matches_solve_gev_on_oracle_labels(self):
         for h, s, n_electrons in _oracle_pairs():
-            res = solve_gev(h, s, n_electrons)
-            homo, lumo, gap_ev = frontier(h, s, n_electrons)
-            assert abs(homo - res.homo) <= 1e-10
-            assert abs(lumo - res.lumo) <= 1e-10
-            assert abs(gap_ev - res.gap_ev) <= 1e-10
-            lapack = orbitals(h, s, n_electrons)
-            assert (homo, lumo, gap_ev) == (lapack.homo, lapack.lumo, lapack.gap_ev)
+            ref = solve_gev(h, s, n_electrons)
+            res = orbitals(h, s, n_electrons)
+            assert abs(res.homo - ref.homo) <= 1e-10
+            assert abs(res.lumo - ref.lumo) <= 1e-10
+            assert abs(res.gap_ev - ref.gap_ev) <= 1e-10
 
     def test_bookkeeping(self):
-        homo, lumo, gap_ev = frontier(np.diag([-2.0, -1.0, 0.0, 1.0]), np.eye(4), 4)
-        assert (homo, lumo) == (-1.0, 0.0)
-        assert gap_ev == 1.0 * HARTREE_TO_EV
+        res = orbitals(np.diag([-2.0, -1.0, 0.0, 1.0]), np.eye(4), 4)
+        assert (res.n_occupied, res.homo_index, res.lumo_index) == (2, 1, 2)
+        assert (res.homo, res.lumo) == (-1.0, 0.0)
+        assert res.gap_ev == 1.0 * HARTREE_TO_EV
 
     def test_runs_no_jacobi(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -369,8 +367,7 @@ class TestFrontier:
         monkeypatch.setattr(spectral, "jacobi_eigh", forbidden)
         monkeypatch.setattr(spectral, "lowdin_inv_sqrt", forbidden)
         h, s, n_electrons = next(_oracle_pairs())
-        for solve in (frontier, orbitals):
-            solve(h, s, n_electrons)
+        orbitals(h, s, n_electrons)
 
 
 class TestNonFinite:
@@ -395,7 +392,8 @@ class TestNonFinite:
             "jacobi": lambda: jacobi_eigh(self._poisoned(h, value, entry)),
             "lowdin": lambda: lowdin_inv_sqrt(self._poisoned(s, value, entry)),
             "eigh": lambda: eigh(self._poisoned(h, value, entry)),
-            "frontier": lambda: frontier(h, self._poisoned(s, value, entry), 4),
+            # the gap read of labelling and screening, on a poisoned overlap
+            "frontier": lambda: orbitals(h, self._poisoned(s, value, entry), 4).gap_ev,
             "orbitals": lambda: orbitals(self._poisoned(h, value, entry), s, 4),
         }
         with warnings.catch_warnings():
