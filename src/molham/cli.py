@@ -24,7 +24,8 @@ from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
 from .dataset import SPLIT_MODES, SplitConfig, gen_dataset, load_split
-from .errors import AuditFailed, EmptyThresholds, MolhamError, SmilesError, json_object
+from .errors import (AuditFailed, EmptyThresholds, MolhamError, SmilesError, VersionMismatch,
+                     json_object)
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
 from .oracle import embed_3d
@@ -149,7 +150,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("finetune", help="masked weakly-supervised fine-tuning")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init", help="checkpoint to start from (omit for a fresh model)")
+    p.add_argument("--init", help="checkpoint to start from, whose model settings are the "
+                   "defaults (omit for a fresh model)")
     p.add_argument("--config")
     _add_config_flags(p)
 
@@ -226,7 +228,11 @@ def _within(smiles: str, max_heavy: int) -> bool:
 
 def _train_common(args: argparse.Namespace, stage: str) -> int:
     cfg_file = _load_config_file(args.config)
-    resolved = _merge({**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, cfg_file, args, _TRAIN_KINDS)
+    # a model setting that is not given takes the --init checkpoint's value
+    init_path = getattr(args, "init", None)
+    model = load_checkpoint(init_path)[0] if init_path else None
+    model_defaults = _MODEL_DEFAULTS if model is None else asdict(model.config)
+    resolved = _merge({**model_defaults, **_TRAIN_DEFAULTS}, cfg_file, args, _TRAIN_KINDS)
     out = Path(args.out)
     data_dir = Path(args.data)
     train_set, _, _ = load_split(data_dir)
@@ -234,13 +240,12 @@ def _train_common(args: argparse.Namespace, stage: str) -> int:
     train_cfg = TrainConfig(stage=stage, **{k: resolved[k] for k in _TRAIN_DEFAULTS})
     model_cfg = ModelConfig(**{k: resolved[k] for k in _MODEL_DEFAULTS})
 
-    init_path = getattr(args, "init", None)
-    if stage == "finetune" and init_path:
-        model, _, _ = load_checkpoint(init_path, expect=model_cfg)
-        inputs = {init_path: _sha256(Path(init_path))}
-    else:
+    if model is None:
         model = Model.init(model_cfg, train_cfg.seed)
-        inputs = {}
+    elif model.config != model_cfg:
+        raise VersionMismatch(f"checkpoint {init_path} built for {model.config} does not "
+                              f"match requested {model_cfg}")
+    inputs = {init_path: _sha256(Path(init_path))} if init_path else {}
     for name in ("train.jsonl", "test.jsonl"):
         inputs[str(data_dir / name)] = _sha256(data_dir / name)
 

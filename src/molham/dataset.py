@@ -251,8 +251,8 @@ def gen_dataset(corpus: list[str], config: SplitConfig, out_dir: str | Path) -> 
 
 
 def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
-    """(train, test, manifest) of a gen-data directory; a manifest of another
-    format version raises VersionMismatch, a malformed line CorruptFile."""
+    """(train, test, manifest) of a gen-data directory; another format version
+    raises VersionMismatch, a malformed line CorruptFile, an empty split EmptySplit."""
     out = Path(out_dir)
     path = out / "manifest.json"
     manifest = json_object(path.read_bytes(), path)
@@ -271,5 +271,7 @@ def load_split(out_dir: str | Path) -> tuple[Dataset, Dataset, dict]:
                     records.append(DatasetRecord.from_json(line))
                 except CorruptFile as err:
                     raise CorruptFile(f"{path} line {number}: {err}") from None
+        if not records:
+            raise EmptySplit(f"{path} holds no record")
         sets.append(Dataset(records))
     return sets[0], sets[1], manifest

@@ -16,7 +16,7 @@ batch of one from the tokens, the expanded molecule and the layout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
 
@@ -28,7 +28,6 @@ from . import compensation as comp
 from . import encoders as enc
 from . import hamhead as hh
 from .autodiff import Tape, Tensor, constant
-from .errors import VersionMismatch
 from .nn import Mlp
 from .smiles import ExpandedMol, Fragment, Token, expanded_fragments
 
@@ -336,18 +335,3 @@ class Model:
         index = hh._value_index(lay)
         seq = enc.token_sequence(tokens, xmol.token_sets, xmol.elements)
         return ad.reshape(self.predict_entries(lv, [seq], [0], [index], coords), index.shape)
-
-    # --- checkpoint compatibility ---
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
-
-
-def check_compatible(expected: ModelConfig, found: ModelConfig,
-                     found_shapes: dict[str, tuple[int, ...]]) -> None:
-    if expected == found:
-        return
-    detail = ", ".join(f"{k}={v}" for k, v in sorted(found_shapes.items())[:4])
-    raise VersionMismatch(
-        f"checkpoint built for {found} does not match requested {expected}; "
-        f"stored shapes include {detail}")

@@ -12,7 +12,7 @@ import numpy as np
 from . import oracle
 from .basis import electron_count
 from .dataset import Dataset
-from .errors import EmptyThresholds, LengthMismatch
+from .errors import EmptyThresholds, LengthMismatch, NonFiniteValue
 from .hamhead import layout
 from .model import Model
 from .oracle import embed_3d, huckel_labels
@@ -51,6 +51,8 @@ def classify_by_gap(gaps_pred: np.ndarray, gaps_true: np.ndarray,
         raise LengthMismatch(f"gap vectors differ: {gaps_pred.shape} vs {gaps_true.shape}")
     if not thresholds:
         raise EmptyThresholds("need at least one screening threshold")
+    if not np.isfinite(thresholds).all():
+        raise NonFiniteValue(f"screening thresholds must be finite, got {thresholds}")
     rows = []
     n = gaps_pred.size
     for thr in thresholds:

@@ -30,6 +30,7 @@ work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -291,8 +292,9 @@ def orbital_similarity(c_pred: np.ndarray, c_true: np.ndarray,
     """Mean |cosine| between occupied orbital coefficients paired by energy rank.
 
     Columns arrive energy-sorted, so rank pairing is positional; the absolute
-    value removes the arbitrary sign of each orbital. Each term is clamped at
-    1, which rounding can exceed by an ulp, so identical orbitals read 1.0.
+    value removes the arbitrary sign of each orbital. A term |a·b| / sqrt((a·a)(b·b))
+    is exactly 1.0 for identical columns, since sqrt(fl(s*s)) rounds back to s;
+    it is clamped at 1, which near-parallel columns can exceed by an ulp.
     """
     if c_pred.shape != c_true.shape:
         raise DimensionMismatch(f"coefficient shapes differ: {c_pred.shape} vs {c_true.shape}")
@@ -304,7 +306,7 @@ def orbital_similarity(c_pred: np.ndarray, c_true: np.ndarray,
     for cp, ct in zip(order_p, order_t):
         a = c_pred[:, cp]
         b = c_true[:, ct]
-        total += min(1.0, abs(float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))))
+        total += min(1.0, abs(float(a @ b)) / math.sqrt(float(a @ a) * float(b @ b)))
     return total / n_occ
 
 

@@ -19,7 +19,7 @@ from .autodiff import Tape
 from .dataset import Dataset
 from .errors import CorruptFile, TrainingAborted, VersionMismatch
 from .hamhead import layout
-from .model import Model, ModelConfig, MolStructure, check_compatible, mol_structure
+from .model import Model, ModelConfig, MolStructure, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
 from .spectral import mae_blocks, mae_energies, orbital_similarity, orbitals
 
@@ -226,7 +226,7 @@ def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | 
                     rng_state: dict | None) -> None:
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model_config": model.config_dict(),
+        "model_config": asdict(model.config),
         "train_config": None if train_config is None else asdict(train_config),
         "params": _param_entries(model),
         "rng_state": rng_state,
@@ -235,8 +235,7 @@ def save_checkpoint(path: str | Path, model: Model, train_config: TrainConfig | 
                  np.ascontiguousarray(model.vector, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path,
-                    expect: ModelConfig | None = None) -> tuple[Model, dict | None, dict | None]:
+def load_checkpoint(path: str | Path) -> tuple[Model, dict | None, dict | None]:
     manifest, blob = read_framed(path, _CKPT_MAGIC, "checkpoint")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise VersionMismatch(
@@ -252,8 +251,6 @@ def load_checkpoint(path: str | Path,
         shapes = {entry["name"]: tuple(entry["shape"]) for entry in manifest["params"]}
     except (KeyError, TypeError) as err:
         raise CorruptFile(f"{path} has a malformed params list: {err}") from None
-    if expect is not None:
-        check_compatible(expect, config, shapes)
     model = Model.zeros(config)
     built = {name: a.shape for name, a in model.params.items()}
     if shapes != built:

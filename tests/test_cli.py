@@ -478,6 +478,80 @@ class TestOlderCheckpoint:
         assert TrainConfig(**train_cfg) == TrainConfig(stage="finetune", epochs=1, seed=1)
 
 
+def _exits_two(capsys, argv, out):
+    """Run argv; it must exit 2 with one `error:` line and leave `out` uncreated."""
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+    return err[0]
+
+
+class TestInitCheckpoint:
+    """finetune --init takes the checkpoint's model settings unless one is given."""
+
+    def test_model_settings_come_from_the_checkpoint(self, tmp_path, pipeline):
+        data, _ = pipeline
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--data", str(data), "--out", str(pre), "--epochs", "1",
+                     "--seed", "1", "--loss-form", "literal", "--compensation", "false"]
+                    + MODEL_FLAGS) == 0
+        init, _, _ = load_checkpoint(pre / "checkpoint.mh")
+        assert (init.config.loss_form, init.config.compensation, init.config.width) == (
+            "literal", False, 8)
+        run = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     "--seed", "1", "--init", str(pre / "checkpoint.mh")]) == 0
+        model, _, _ = load_checkpoint(run / "checkpoint.mh")
+        assert model.config == init.config
+        resolved = json.loads((run / "run-manifest.json").read_text())["config"]
+        assert {k: resolved[k] for k in asdict(init.config)} == asdict(init.config)
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_model_setting_that_differs_exits_two(self, tmp_path, pipeline, capsys, how):
+        data, ckpt = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 16}))
+        given = ["--width", "16"] if how == "flag" else ["--config", str(cfg)]
+        run = tmp_path / "ft"
+        err = _exits_two(capsys, ["finetune", "--data", str(data), "--out", str(run),
+                                  "--init", str(ckpt), "--epochs", "1"] + given, run)
+        assert str(ckpt) in err and err.count("ModelConfig(") == 2
+        assert "width=8" in err and "width=16" in err
+
+
+class TestUnusableInputs:
+    """An empty split file or a threshold that is not finite exits 2 and writes nothing."""
+
+    @pytest.fixture
+    def emptied(self, tmp_path, pipeline):
+        def empty(name):
+            data = tmp_path / "data"
+            shutil.copytree(pipeline[0], data)
+            (data / name).write_text("\n")  # blank lines are skipped, not records
+            return data
+        return empty
+
+    @pytest.mark.parametrize("command", ["eval", "screen", "bench"])
+    def test_empty_test_split(self, tmp_path, pipeline, emptied, capsys, command):
+        data, out = emptied("test.jsonl"), tmp_path / "out"
+        err = _exits_two(capsys, [command, "--checkpoint", str(pipeline[1]), "--data", str(data),
+                                  "--out", str(out)], out)
+        assert str(data / "test.jsonl") in err
+
+    def test_empty_train_split(self, tmp_path, emptied, capsys):
+        data, out = emptied("train.jsonl"), tmp_path / "out"
+        err = _exits_two(capsys, ["pretrain", "--data", str(data), "--out", str(out)], out)
+        assert str(data / "train.jsonl") in err
+
+    def test_threshold_that_is_not_finite(self, tmp_path, pipeline, capsys):
+        data, ckpt = pipeline
+        out = tmp_path / "screen"
+        err = _exits_two(capsys, ["screen", "--checkpoint", str(ckpt), "--data", str(data),
+                                  "--out", str(out), "--thresholds", "nan,inf"], out)
+        assert "finite" in err
+
+
 class TestCoordinateAudit:
     def test_string_finetune_that_reads_coordinates_exits_two(self, tmp_path, pipeline,
                                                               monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from molham.corpus import build_corpus
 from molham.dataset import Dataset, generate_records
-from molham.errors import EmptyThresholds, LengthMismatch
+from molham.errors import EmptyThresholds, LengthMismatch, NonFiniteValue
 from molham.model import Model, ModelConfig
 from molham.screening import (
     bench_pipelines,
@@ -76,6 +76,11 @@ class TestClassify:
     def test_empty_thresholds(self):
         with pytest.raises(EmptyThresholds):
             classify_by_gap(np.zeros(3), np.zeros(3), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold(self, bad):
+        with pytest.raises(NonFiniteValue):
+            classify_by_gap(np.zeros(3), np.zeros(3), [0.3, bad])
 
 
 class TestReports:

@@ -485,6 +485,14 @@ class TestMetrics:
             flip = c * np.array([1, -1, 1, -1, 1.0])
             assert orbital_similarity(flip, c, eps, eps, 3) == 1.0, seed
 
+    def test_similarity_of_identical_unnormalized_orbitals_is_one(self):
+        for seed in range(200):  # the two-norm form read 1 - 1 ulp on some of these draws
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 60))
+            c = rng.standard_normal((n, n))
+            eps = np.arange(float(n))
+            assert orbital_similarity(c, c, eps, eps, int(rng.integers(1, n))) == 1.0, seed
+
     def test_similarity_hand_fixture(self):
         c_true = np.eye(3)
         c_pred = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
