@@ -23,9 +23,8 @@ from .alignment import LOSS_FORMS
 from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
-from .dataset import SPLIT_MODES, SplitConfig, gen_dataset, load_split
-from .errors import (AuditFailed, EmptyThresholds, MolhamError, SmilesError, VersionMismatch,
-                     json_object)
+from .dataset import SPLIT_MODES, Dataset, SplitConfig, gen_dataset, load_split
+from .errors import AuditFailed, MolhamError, SmilesError, VersionMismatch, json_object
 from .hamhead import layout, save_hamiltonian
 from .model import Model, ModelConfig
 from .oracle import embed_3d
@@ -289,27 +288,30 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _checkpoint_and_test(args: argparse.Namespace) -> tuple[Model, Dataset, dict[str, str]]:
+    """The model and test split that eval, screen and bench read, and the hashes of both files."""
     model, _, _ = load_checkpoint(args.checkpoint)
     _, test_set, _ = load_split(Path(args.data))
+    test_path = Path(args.data) / "test.jsonl"
+    return model, test_set, {args.checkpoint: _sha256(Path(args.checkpoint)),
+                             str(test_path): _sha256(test_path)}
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    model, test_set, inputs = _checkpoint_and_test(args)
     metrics = evaluate(model, test_set, fusion=args.fusion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=1, sort_keys=True) + "\n")
-    _write_manifest(out, "eval", {"fusion": args.fusion},
-                    {args.checkpoint: _sha256(Path(args.checkpoint)),
-                     str(Path(args.data) / "test.jsonl"): _sha256(Path(args.data) / "test.jsonl")})
+    _write_manifest(out, "eval", {"fusion": args.fusion}, inputs)
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
-    _, test_set, _ = load_split(Path(args.data))
+    model, test_set, inputs = _checkpoint_and_test(args)
     if args.thresholds is not None:
         thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
-        if not thresholds:
-            raise EmptyThresholds("threshold override is empty")
     else:
         thresholds = default_thresholds()
     rows = screen_dataset(model, test_set, thresholds, fusion=args.fusion)
@@ -317,21 +319,18 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "screen.csv", report_to_csv(rows))
     atomic_write_text(out / "screen.json", report_to_json(rows, {"thresholds": thresholds}))
-    _write_manifest(out, "screen", {"thresholds": thresholds, "fusion": args.fusion},
-                    {args.checkpoint: _sha256(Path(args.checkpoint))})
+    _write_manifest(out, "screen", {"thresholds": thresholds, "fusion": args.fusion}, inputs)
     print(report_to_csv(rows).strip())
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
-    _, test_set, _ = load_split(Path(args.data))
+    model, test_set, inputs = _checkpoint_and_test(args)
     report = bench_pipelines(model, test_set, repeat=args.repeat, limit=args.limit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "bench.json", report.to_json())
-    _write_manifest(out, "bench", {"repeat": args.repeat, "limit": args.limit},
-                    {args.checkpoint: _sha256(Path(args.checkpoint))})
+    _write_manifest(out, "bench", {"repeat": args.repeat, "limit": args.limit}, inputs)
     print(report.to_json().strip())
     return 0
 

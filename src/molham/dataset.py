@@ -2,7 +2,7 @@
 
 Records are JSON Lines. A line stores the upper triangle of H as base64 of
 little-endian float64 bytes and no overlap matrix: S is `toy_overlap` of the
-stored elements and coordinates, rebuilt on load. The manifest captures the
+stored elements and coordinates, formed on first read. The manifest captures the
 format version, seed, split configuration, corpus hash, and per-record skips
 so a dataset is reproducible bit-for-bit from (corpus, seed, config).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,14 @@ class DatasetRecord:
     elements: list[str]
     coords: np.ndarray      # n_atoms x 3, angstrom
     h: np.ndarray           # n_orb x n_orb, Hartree
-    s: np.ndarray
     n_electrons: int
     gap_ev: float
     split: str
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Overlap matrix of the basis, formed once per record."""
+        return toy_overlap(self.elements, self.coords)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -101,7 +106,6 @@ class DatasetRecord:
                 elements=elements,
                 coords=coords,
                 h=from_upper_triangle(h_upper, n_orb),
-                s=toy_overlap(elements, coords),
                 n_electrons=n_electrons,
                 gap_ev=gap_ev,
                 split=raw["split"],
@@ -190,7 +194,7 @@ def generate_records(corpus: list[str], seed: int) -> GenReport:
                 results[i] = _skip(i, corpus[i], err)
                 continue
             results[i] = DatasetRecord(smiles=corpus[i], elements=list(xmol.elements), coords=c,
-                                       h=h, s=s, n_electrons=n_elec, gap_ev=gap_ev, split="")
+                                       h=h, n_electrons=n_elec, gap_ev=gap_ev, split="")
     report = GenReport()
     for res in results:
         (report.records if isinstance(res, DatasetRecord) else report.skipped).append(res)

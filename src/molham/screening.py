@@ -38,6 +38,13 @@ class ThresholdRow:
     precision: float
 
 
+def _check_thresholds(thresholds: list[float]) -> None:
+    if not thresholds:
+        raise EmptyThresholds("need at least one screening threshold")
+    if not np.isfinite(thresholds).all():
+        raise NonFiniteValue(f"screening thresholds must be finite, got {thresholds}")
+
+
 def classify_by_gap(gaps_pred: np.ndarray, gaps_true: np.ndarray,
                     thresholds: list[float]) -> list[ThresholdRow]:
     """Confusion counts per threshold; positive class means gap > threshold.
@@ -49,10 +56,7 @@ def classify_by_gap(gaps_pred: np.ndarray, gaps_true: np.ndarray,
     gaps_true = np.asarray(gaps_true, dtype=np.float64)
     if gaps_pred.shape != gaps_true.shape or gaps_pred.ndim != 1:
         raise LengthMismatch(f"gap vectors differ: {gaps_pred.shape} vs {gaps_true.shape}")
-    if not thresholds:
-        raise EmptyThresholds("need at least one screening threshold")
-    if not np.isfinite(thresholds).all():
-        raise NonFiniteValue(f"screening thresholds must be finite, got {thresholds}")
+    _check_thresholds(thresholds)
     rows = []
     n = gaps_pred.size
     for thr in thresholds:
@@ -164,5 +168,6 @@ def bench_pipelines(model: Model, dataset: Dataset, repeat: int = 3,
 
 def screen_dataset(model: Model, dataset: Dataset, thresholds: list[float],
                    fusion: bool = False) -> list[ThresholdRow]:
+    _check_thresholds(thresholds)
     pred, true = gap_predictions(model, dataset, fusion)
     return classify_by_gap(pred, true, thresholds)

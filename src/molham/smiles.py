@@ -9,7 +9,7 @@ Isotopes, wildcards, and multi-component strings are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     LengthMismatch,
@@ -221,31 +221,6 @@ def atom_symbol_of(token: Token) -> tuple[str, bool]:
 
 # --- parser ---
 
-@dataclass
-class _PendingAtom:
-    element: str
-    aromatic: bool
-    charge: int
-    bracket_h: int | None
-    token_index: int
-
-
-@dataclass
-class _BondDraft:
-    i: int
-    j: int
-    order: int
-    aromatic: bool
-
-
-@dataclass
-class _ParseState:
-    prev: int | None = None
-    pending_bond: str | None = None
-    branch_stack: list[int] = field(default_factory=list)
-    open_rings: dict[str, tuple[int, str | None]] = field(default_factory=dict)
-
-
 def parse(tokens: list[Token]) -> MolGraph:
     """Build a molecular graph from a token sequence.
 
@@ -254,12 +229,16 @@ def parse(tokens: list[Token]) -> MolGraph:
     Aromatic bonds count 1.5 toward valence; aromatic atoms are clamped at
     zero implicit hydrogens instead of raising, to absorb delocalization.
     """
-    atoms: list[_PendingAtom] = []
-    drafts: list[_BondDraft] = []
+    # (element, aromatic, charge, bracket H count or None, token index)
+    atoms: list[tuple[str, bool, int, int | None, int]] = []
+    drafts: list[tuple[int, int, int, bool]] = []  # (i, j, order, aromatic)
     pairs: set[tuple[int, int]] = set()
     token_sets: list[list[int]] = []
     parent: list[int] = []
-    state = _ParseState()
+    prev = -1  # the atom that the next bond, ring label or branch attaches to
+    pending_bond: str | None = None
+    branch_stack: list[int] = []
+    open_rings: dict[str, tuple[int, str | None]] = {}  # label -> (atom, bond)
 
     def add_bond(i: int, j: int, symbol: str | None) -> None:
         if i == j:
@@ -269,12 +248,11 @@ def parse(tokens: list[Token]) -> MolGraph:
             raise UnmatchedRingClosure(f"duplicate bond between atoms {i} and {j}")
         pairs.add(pair)
         if symbol is None or symbol in "/\\":
-            aromatic = atoms[i].aromatic and atoms[j].aromatic
-            drafts.append(_BondDraft(i, j, 1, aromatic))
+            drafts.append((i, j, 1, atoms[i][1] and atoms[j][1]))
         elif symbol == ":":
-            drafts.append(_BondDraft(i, j, 1, True))
+            drafts.append((i, j, 1, True))
         else:
-            drafts.append(_BondDraft(i, j, {"-": 1, "=": 2, "#": 3}[symbol], False))
+            drafts.append((i, j, {"-": 1, "=": 2, "#": 3}[symbol], False))
 
     for tok in tokens:
         if tok.kind in ("atom", "bracket"):
@@ -282,54 +260,51 @@ def parse(tokens: list[Token]) -> MolGraph:
                 element, aromatic = atom_symbol_of(tok)
                 if tok.text not in ORGANIC_SUBSET and tok.text not in AROMATIC_SYMBOLS:
                     raise UnknownSymbol(f"element {tok.text!r} requires brackets")
-                atoms.append(_PendingAtom(element, aromatic, 0, None, tok.position))
+                atoms.append((element, aromatic, 0, None, tok.position))
             else:
-                element, aromatic, charge, hyd = _bracket_fields(tok.text)
-                atoms.append(_PendingAtom(element, aromatic, charge, hyd, tok.position))
+                atoms.append((*_bracket_fields(tok.text), tok.position))
             token_sets.append([tok.position])
-            parent.append(-1 if state.prev is None else state.prev)
-            idx = len(atoms) - 1
-            if state.prev is not None:
-                add_bond(state.prev, idx, state.pending_bond)
-            state.prev = idx
-            state.pending_bond = None
+            parent.append(prev)
+            if prev >= 0:
+                add_bond(prev, len(atoms) - 1, pending_bond)
+            prev = len(atoms) - 1
+            pending_bond = None
         elif tok.kind == "bond":
-            if state.prev is None:
+            if prev < 0:
                 raise SmilesError(f"bond {tok.text!r} with no preceding atom")
-            state.pending_bond = tok.text
+            pending_bond = tok.text
         elif tok.kind == "ring":
-            if state.prev is None:
+            if prev < 0:
                 raise UnmatchedRingClosure(f"ring closure {tok.text!r} with no preceding atom")
-            token_sets[state.prev].append(tok.position)
+            token_sets[prev].append(tok.position)
             key = tok.text
-            if key in state.open_rings:
-                other, opened_bond = state.open_rings.pop(key)
-                symbol = state.pending_bond or opened_bond
-                if state.pending_bond and opened_bond and state.pending_bond != opened_bond:
+            if key in open_rings:
+                other, opened_bond = open_rings.pop(key)
+                if pending_bond and opened_bond and pending_bond != opened_bond:
                     raise UnmatchedRingClosure(
                         f"conflicting bond orders on ring closure {key!r}")
-                add_bond(other, state.prev, symbol)
+                add_bond(other, prev, pending_bond or opened_bond)
             else:
-                state.open_rings[key] = (state.prev, state.pending_bond)
-            state.pending_bond = None
+                open_rings[key] = (prev, pending_bond)
+            pending_bond = None
         elif tok.kind == "open":
-            if state.prev is None:
+            if prev < 0:
                 raise UnbalancedBranch("branch opened before any atom")
-            state.branch_stack.append(state.prev)
+            branch_stack.append(prev)
         elif tok.kind == "close":
-            if not state.branch_stack:
+            if not branch_stack:
                 raise UnbalancedBranch("branch closed without matching open")
-            state.prev = state.branch_stack.pop()
+            prev = branch_stack.pop()
         elif tok.kind == "mask":
             raise UnknownSymbol("mask tokens cannot be parsed into a graph")
         else:
             raise UnknownSymbol(f"unknown token kind {tok.kind!r}")
 
-    if state.branch_stack:
-        raise UnbalancedBranch(f"{len(state.branch_stack)} branch(es) left open")
-    if state.open_rings:
-        raise UnmatchedRingClosure(f"unclosed ring closure(s): {sorted(state.open_rings)}")
-    if state.pending_bond is not None:
+    if branch_stack:
+        raise UnbalancedBranch(f"{len(branch_stack)} branch(es) left open")
+    if open_rings:
+        raise UnmatchedRingClosure(f"unclosed ring closure(s): {sorted(open_rings)}")
+    if pending_bond is not None:
         raise SmilesError("dangling bond at end of string")
     if not atoms:
         raise SmilesError("no atoms in string")
@@ -339,33 +314,30 @@ def parse(tokens: list[Token]) -> MolGraph:
     # closure spans. A tree bond (parent[j], j) is marked at its child j; an
     # ancestor has the lower index, so the larger end steps up until both meet.
     on_path = [False] * n
-    for d in drafts:
-        if parent[d.j] != d.i:  # a closure: duplicates are rejected above
-            a, b = d.i, d.j
+    for a, b, _, _ in drafts:
+        if parent[b] != a:  # a closure: duplicates are rejected above
             while a != b:
                 if a < b:
                     a, b = b, a
                 on_path[a] = True
                 a = parent[a]
-    bonds = [Bond(d.i, d.j, d.order, d.aromatic, parent[d.j] != d.i or on_path[d.j])
-             for d in drafts]
-
     order_sum = [0.0] * n
-    for b in bonds:
-        for idx in (b.i, b.j):
-            order_sum[idx] += 1.5 if b.aromatic else b.order
+    bonds: list[Bond] = []
+    for i, j, order, aromatic in drafts:
+        bonds.append(Bond(i, j, order, aromatic, parent[j] != i or on_path[j]))
+        order_sum[i] += 1.5 if aromatic else order
+        order_sum[j] += 1.5 if aromatic else order
+
     final_atoms: list[Atom] = []
-    for idx, a in enumerate(atoms):
-        if a.bracket_h is not None:
-            hydrogens = a.bracket_h
-        else:
-            valence = VALENCE[a.element]
+    for idx, (element, aromatic, charge, hydrogens, token_index) in enumerate(atoms):
+        if hydrogens is None:
+            valence = VALENCE[element]
             used = math.ceil(order_sum[idx])
-            if used > valence and not a.aromatic:
+            if used > valence and not aromatic:
                 raise ValenceExceeded(
-                    f"atom {idx} ({a.element}) uses {order_sum[idx]} bonds, valence is {valence}")
+                    f"atom {idx} ({element}) uses {order_sum[idx]} bonds, valence is {valence}")
             hydrogens = max(0, valence - used)
-        final_atoms.append(Atom(a.element, a.aromatic, a.charge, hydrogens, a.token_index))
+        final_atoms.append(Atom(element, aromatic, charge, hydrogens, token_index))
 
     return MolGraph(final_atoms, bonds, [tuple(s) for s in token_sets], parent)
 

@@ -672,7 +672,6 @@ def _generate_one(idx: int, smiles: str, seed: int):
             elements=list(xmol.elements),
             coords=coords,
             h=h,
-            s=s,
             n_electrons=n_elec,
             gap_ev=gap_ev,
             split="",

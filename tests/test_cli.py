@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 import struct
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from _oracles import list_form_line
-from molham import cli
+from molham import cli, screening
 from molham.cli import main
 from molham.corpus import build_corpus
 from molham.dataset import load_split
@@ -298,6 +299,18 @@ class TestTrainEvalScreenBench:
         assert payload["embed_calls_string_path"] == 0
         assert payload["string_path_s_per_1000"] < payload["geometry_path_s_per_1000"]
 
+    @pytest.mark.parametrize("command", ["eval", "screen", "bench"])
+    def test_manifest_records_the_test_split(self, tmp_path, pipeline, command):
+        data, ckpt = pipeline
+        out = tmp_path / command
+        extra = ["--repeat", "1", "--limit", "2"] if command == "bench" else []
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)] + extra) == 0
+        inputs = json.loads((out / "run-manifest.json").read_text())["inputs"]
+        test_path = data / "test.jsonl"
+        assert inputs == {str(ckpt): hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+                          str(test_path): hashlib.sha256(test_path.read_bytes()).hexdigest()}
+
     def test_predict_writes_matrix(self, tmp_path, pipeline):
         _, ckpt = pipeline
         out = tmp_path / "pred"
@@ -479,10 +492,13 @@ class TestOlderCheckpoint:
 
 
 def _exits_two(capsys, argv, out):
-    """Run argv; it must exit 2 with one `error:` line and leave `out` uncreated."""
+    """Run argv; it must exit 2 with one `error:` line, print nothing else and
+    leave `out` uncreated."""
     code = main(argv)
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == ""
     assert not out.exists()
     return err[0]
 
@@ -544,7 +560,12 @@ class TestUnusableInputs:
         err = _exits_two(capsys, ["pretrain", "--data", str(data), "--out", str(out)], out)
         assert str(data / "train.jsonl") in err
 
-    def test_threshold_that_is_not_finite(self, tmp_path, pipeline, capsys):
+    def test_threshold_that_is_not_finite(self, tmp_path, pipeline, capsys, monkeypatch):
+        """The thresholds are refused before any test molecule is predicted."""
+        def no_predictions(*args, **kwargs):
+            raise AssertionError("screen predicted gaps before checking its thresholds")
+
+        monkeypatch.setattr(screening, "gap_predictions", no_predictions)
         data, ckpt = pipeline
         out = tmp_path / "screen"
         err = _exits_two(capsys, ["screen", "--checkpoint", str(ckpt), "--data", str(data),

@@ -450,6 +450,23 @@ class TestGenDataset:
         assert np.array_equal(again.h, rec.h)
         assert np.array_equal(again.s, rec.s)
 
+    def test_overlap_formed_on_first_read(self, tmp_path, monkeypatch):
+        gen_dataset(build_corpus()[:6], SplitConfig("random-id", seed=1), tmp_path)
+        calls = []
+
+        def counted(elements, coords):
+            calls.append(len(elements))
+            return toy_overlap(elements, coords)
+
+        monkeypatch.setattr(dataset, "toy_overlap", counted)
+        train, _, _ = load_split(tmp_path)
+        assert calls == []
+        rec = train.records[0]
+        first = rec.s
+        assert len(calls) == 1
+        assert rec.s is first and len(calls) == 1
+        assert np.array_equal(first, toy_overlap(rec.elements, rec.coords))
+
     def test_to_json_stores_h_as_float64_bytes(self):
         recs = generate_records(build_corpus()[::150][:6], seed=2).records
         assert len(recs) >= 4 and max(len(r.elements) for r in recs) > 20

@@ -98,3 +98,12 @@ def test_one_lapack_entry():
                         for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute)))):
             entries.append(fn.name)
     assert entries == ["orbitals"]
+
+
+def test_parser_defines_no_private_types():
+    """The SMILES parser keeps its walk in locals: the smiles module defines
+    only the public types it returns."""
+    path = Path(molham.__path__[0]) / "smiles.py"
+    private = [node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef) and node.name.startswith("_")]
+    assert private == []

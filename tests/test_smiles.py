@@ -311,6 +311,13 @@ def _random_smiles(rng: random.Random) -> str:
     return "".join(out)
 
 
+# pieces of the random joins: atoms, brackets (bad ones included), bonds, ring
+# labels (a malformed %n too), parentheses and '.'
+_PIECES = ["C", "c", "N", "n", "O", "o", "S", "s", "F", "Cl", "Br", "I", "B", "P", "X",
+           "[C]", "[CH2]", "[nH]", "[NH4+]", "[O-]", "[H]", "[C@@H]", "[Fe]", "[]", "[C",
+           "-", "=", "#", ":", "/", "\\", "1", "2", "3", "%10", "%1", "(", ")", "."]
+
+
 _TREE_CASES = [
     "CC(C1)C1", "C1CC(CC1)C1CC1",  # closures after branches
     "C1C2CC12", "C12C3C1C23", "C1CC2CC1CC2",  # fused, bridged, spiro
@@ -375,6 +382,38 @@ class TestFrontEndPinned:
             digest.update(repr(row).encode() + b"\n")
         assert digest.hexdigest() == ("279751886c4a1e1854942be5f93faac2"
                                       "f7843005cdadf0db20c2fbed9a43b481")
+
+    def test_random_strings_outcome_digest(self):
+        """Each seeded string's error type and message, or its atoms, bonds,
+        token sets and parents, hashed. Half the strings come from the branch
+        and ring grammar, half are random joins of `_PIECES`."""
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        parsed = failed = 0
+        for k in range(1600):
+            if k % 2:
+                smiles = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 14)))
+            else:
+                try:
+                    smiles = _random_smiles(rng)
+                except ValueError:  # all 19 ring labels open at once
+                    continue
+            try:
+                mol = parse_smiles(smiles)
+            except SmilesError as exc:
+                failed += 1
+                row = (smiles, type(exc).__name__, str(exc))
+            else:
+                parsed += 1
+                row = (smiles,
+                       [(a.element, a.aromatic, a.charge, a.hydrogens, a.token_index)
+                        for a in mol.atoms],
+                       [(b.i, b.j, b.order, b.aromatic, b.in_ring) for b in mol.bonds],
+                       mol.atom_token_sets, mol.parent)
+            digest.update(repr(row).encode() + b"\n")
+        assert parsed >= 400 and failed >= 1000
+        assert digest.hexdigest() == ("27e3b46d7f13ac1aaff03cbe7181c905"
+                                      "37ad0e8ac8798bea62701ad6b303edc8")
 
 
 def _connected(mol, atoms: set[int]) -> bool:

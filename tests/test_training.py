@@ -350,8 +350,8 @@ class TestOptimizer:
         """A batch of one-atom molecules has no atom pairs, so the pair network
         gets no gradient on that step and must not move through its moments."""
         def atom(smiles, element, h):
-            return DatasetRecord(smiles, [element], np.zeros((1, 3)), np.array(h), np.eye(2),
-                                 4, 1.0, "train")
+            return DatasetRecord(smiles, [element], np.zeros((1, 3)), np.array(h), 4, 1.0,
+                                 "train")
 
         records = [atom("[C]", "C", [[-0.5, 0.1], [0.1, -0.3]]),
                    atom("[N]", "N", [[-0.6, 0.2], [0.2, -0.4]])]
