@@ -471,43 +471,37 @@ def concat_rows(parts: Sequence["Tensor"]) -> Tensor:
 
 
 def plane_rotation_chain(angles) -> Tensor:
-    """R_b = P_1 @ P_2 @ ... @ P_{d-1} per row b of (B, d-1) angles, P_k rotating
-    plane (k, k+1); the result is (B, d, d).
+    """R_b = P_1 @ P_2 @ ... @ P_{d-1} per row b of (B, d-1) angles, P_l rotating
+    plane (l-1, l) by theta_l; the result is (B, d, d), in closed form.
 
-    Right-multiplying by P_k mixes columns k and k+1 only, so the forward pass
-    applies each plane to two columns of the identity, for every b at once,
-    and saves them; the backward pass walks the planes in reverse, reading
-    each angle's gradient from the saved columns and undoing the column
-    update on the gradient.
+    With c'_0 = 1, c'_m = cos theta_m, c''_j = cos theta_{j+1}, c''_{d-1} = 1
+    and T[m, j] = prod_{l=m+1..j} (-sin theta_l) (1 on the diagonal, 0 below),
+    R[m, j] = c'_m T[m, j] c''_j on and above the diagonal, R[j+1, j] =
+    sin theta_{j+1}, and R is 0 elsewhere. The backward divides by nothing, so
+    it holds at zero angles: with Y = (dR * c' * c'') T^T, the T factors give
+    dtheta_l = -cos theta_l sum_m T[m, l-1] Y[m, l]. Then c'_l adds -sin theta_l
+    times the sum of row l of dR * T * c'', c''_{l-1} adds -sin theta_l times
+    the sum of column l-1 of dR * T * c', and R[l, l-1] adds cos theta_l dR[l, l-1].
     """
     angles = constant(angles)
     if angles.ndim != 2:
         raise ShapeMismatch(f"plane_rotation_chain expects (B, d-1) angles, got {angles.data.shape}")
     theta = angles.data
     nb, d = theta.shape[0], theta.shape[1] + 1
-    c, s = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]  # (B, 1, d-1)
-    rot = np.broadcast_to(np.eye(d), (nb, d, d)).copy()
-    saved = np.empty((d - 1, 2, nb, d))
-    for k in range(d - 1):
-        a, b = rot[:, :, k].copy(), rot[:, :, k + 1].copy()
-        saved[k, 0], saved[k, 1] = a, b
-        ck, sk = c[:, :, k], s[:, :, k]
-        rot[:, :, k] = ck * a + sk * b
-        rot[:, :, k + 1] = ck * b - sk * a
+    c, s, one, k = np.cos(theta), np.sin(theta), np.ones((nb, 1)), np.arange(d - 1)
+    c_row, c_col = np.concatenate([one, c], axis=1), np.concatenate([c, one], axis=1)  # c', c''
+    cc = c_row[:, :, None] * c_col[:, None, :]
+    # 0.0 - s, not -s: zero angles then leave +0.0 above the diagonal, the identity's bytes
+    factors = np.concatenate([one, 0.0 - s], axis=1)[:, None, :]
+    t = np.triu(np.cumprod(np.where(np.tri(d, dtype=bool), 1.0, factors), axis=2))
+    rot = t * cc
+    rot[:, k + 1, k] = s
 
     def pull(g: Array) -> Array:
-        g = g.copy()
-        g_theta = np.empty((nb, d - 1))
-        for k in range(d - 2, -1, -1):
-            a, b = saved[k]
-            ck, sk = c[:, :, k], s[:, :, k]
-            ga, gb = g[:, :, k].copy(), g[:, :, k + 1]
-            # d(col k)/dtheta = -s a + c b, d(col k+1)/dtheta = -c a - s b
-            g_theta[:, k] = ((ga * (ck * b - sk * a)).sum(axis=1)
-                             - (gb * (ck * a + sk * b)).sum(axis=1))
-            g[:, :, k] = ck * ga - sk * gb
-            g[:, :, k + 1] = sk * ga + ck * gb
-        return g_theta
+        gt, y = g * t, (g * cc) @ t.transpose(0, 2, 1)
+        through_t = np.einsum("bml,bml->bl", t[:, :, :-1], y[:, :, 1:])
+        through_cos = (gt @ c_col[:, :, None])[:, 1:, 0] + (c_row[:, None, :] @ gt)[:, 0, :-1]
+        return c * (g[:, k + 1, k] - through_t) - s * through_cos
 
     return _make(rot, [(angles, pull)])
 

@@ -77,11 +77,11 @@ def _check_kind(key: str, value, kind: type) -> None:
 
 
 def _merge(defaults: dict, config_file: dict, args: argparse.Namespace,
-           kinds: dict[str, type], retired: tuple[str, ...] = ()) -> dict:
+           kinds: dict[str, type]) -> dict:
     """defaults < config file < explicit flags, for the keys of `defaults`. A
-    config-file key must be one of them (or a `retired` one, which is ignored),
-    and its value must have the key's kind, or be null where the default is."""
-    unknown = sorted(config_file.keys() - defaults.keys() - set(retired))
+    config-file key must be one of them, and its value must have the key's
+    kind, or be null where the default is."""
+    unknown = sorted(config_file.keys() - defaults.keys())
     if unknown:
         raise ValueError(f"config keys that are not settings: {', '.join(map(repr, unknown))}")
     out = dict(defaults)
@@ -191,7 +191,7 @@ def build_parser() -> _Parser:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg_file = _load_config_file(args.config)
-    resolved = _merge(_GEN_DEFAULTS, cfg_file, args, _GEN_KINDS, retired=("jobs",))
+    resolved = _merge(_GEN_DEFAULTS, cfg_file, args, _GEN_KINDS)
     for key in ("limit", "max_heavy_atoms"):
         if resolved[key] is not None and resolved[key] < 1:
             raise ValueError(f"{key} must be at least 1, got {resolved[key]}")

@@ -256,17 +256,17 @@ class Model:
         batch = enc.geom_batch(elem_ids, coords, cfg.cutoff, cfg.n_rbf)
         return enc.encode_geometry(batch, self.geom_encoder(lv))
 
-    def pretrain_batch_loss(self, lv: dict[str, Tensor], molecules: list[dict],
+    def pretrain_batch_loss(self, lv: dict[str, Tensor], structs: Sequence[MolStructure],
+                            coords: Sequence[np.ndarray],
                             lambda1: float) -> tuple[Tensor, Tensor, Tensor]:
         """(total, per-molecule discrepancy terms (B,), contrastive part).
 
-        Each molecule is a dict with its "structure" and its "coords". The
+        Molecule b has structure structs[b] and coordinates coords[b]. The
         total is the mean discrepancy term plus the contrastive part.
         """
-        structs = [m["structure"] for m in molecules]
         pad = padding([s.n_atoms for s in structs])
         t = enc.encode_tokens(enc.token_batch([s.tokens for s in structs]), self.token_encoder(lv))
-        v = self._geometry(lv, [s.elem_ids for s in structs], [m["coords"] for m in molecules])
+        v = self._geometry(lv, [s.elem_ids for s in structs], coords)
         if self.config.compensation:
             v_plus, v_minus = comp.disentangle(v, t, self.disentangler(lv), pad)
             t_star = comp.compensate(t, v_minus, self.generator(lv), pad)

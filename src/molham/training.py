@@ -173,8 +173,8 @@ def pretrain(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[list[
     coords = [dataset.get_coords(i) for i in range(len(dataset))]
 
     def batch_loss(leaves, batch, _):
-        molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
-        total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
+        total, d_terms, part_l = model.pretrain_batch_loss(
+            leaves, [structs[i] for i in batch], [coords[i] for i in batch], config.lambda1)
         _check_finite(d_terms.data, "pre-training loss", batch)
         _check_finite(total.data, "pre-training loss", batch)
         return total, {"loss_discrepancy": float(d_terms.data.mean()),

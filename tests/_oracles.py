@@ -589,8 +589,8 @@ def pretrain_reference(model, dataset, config):
         for batch in _batches(order, config.batch_size):
             tape = Tape()
             leaves = model.leaves(tape)
-            molecules = [{"structure": structs[i], "coords": coords[i]} for i in batch]
-            total, d_terms, part_l = model.pretrain_batch_loss(leaves, molecules, config.lambda1)
+            total, d_terms, part_l = model.pretrain_batch_loss(
+                leaves, [structs[i] for i in batch], [coords[i] for i in batch], config.lambda1)
             _check_finite(d_terms.data, "pre-training loss", batch)
             _check_finite(total.data, "pre-training loss", batch)
             tape.backward(total)

@@ -163,7 +163,6 @@ def test_criterion_03_differentiation():
     lay = layout(xmol.elements)
     target = rng.standard_normal((lay.n_orb, lay.n_orb)) * 0.3
     structure = mol_structure(tokens, xmol, frags, lay)
-    molecule = {"structure": structure, "coords": coords}
 
     worst = 0.0
     for name in base.params:
@@ -171,7 +170,7 @@ def test_criterion_03_differentiation():
             m = Model(cfg, dict(base.params))
             lv = m.leaves(None)
             lv[name] = x
-            return m.pretrain_batch_loss(lv, [molecule], 0.5)[0]
+            return m.pretrain_batch_loss(lv, [structure], [coords], 0.5)[0]
 
         def f_fine(x, name=name):
             m = Model(cfg, dict(base.params))

@@ -189,7 +189,8 @@ class TestPretrainLossComposition:
         model = Model.init(cfg, seed=2)
         lv = model.leaves(None)
         mols = [self._molecule("CCOCC", 1), self._molecule("CCO", 2)]
-        total, d_terms, part_l = model.pretrain_batch_loss(lv, mols, 0.5)
+        total, d_terms, part_l = model.pretrain_batch_loss(
+            lv, [m["structure"] for m in mols], [m["coords"] for m in mols], 0.5)
         assert total.item() == pytest.approx(d_terms.data.mean() + part_l.item(), abs=1e-14)
 
         # one discrepancy term per molecule, as the one-molecule-at-a-time
@@ -204,7 +205,8 @@ class TestPretrainLossComposition:
                           head_hidden=6)
         model = Model.init(cfg, seed=2)
         lv = model.leaves(None)
-        total, _, part_l = model.pretrain_batch_loss(lv, [self._molecule("CCO", 3)], 0.5)
+        mol = self._molecule("CCO", 3)
+        total, _, part_l = model.pretrain_batch_loss(lv, [mol["structure"]], [mol["coords"]], 0.5)
         assert np.isfinite(total.item())
         # one fragment means a 1x1 cosine matrix: exactly one positive pair
         # and log-sigmoid loss of a single scalar
@@ -224,6 +226,6 @@ class TestPretrainLossComposition:
             def f(x, name=name):
                 lv = model.leaves(None)
                 lv[name] = x
-                return model.pretrain_batch_loss(lv, [mol], 0.5)[0]
+                return model.pretrain_batch_loss(lv, [mol["structure"]], [mol["coords"]], 0.5)[0]
 
             assert grad_check(f, model.params[name], eps=1e-5) < 1e-4, name

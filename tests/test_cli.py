@@ -186,13 +186,15 @@ class TestGenData:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 2  # flag wins over config file
 
-    def test_jobs_key_ignored_and_flag_gone(self, tmp_path, corpus_file):
+    def test_jobs_key_and_flag_rejected(self, tmp_path, corpus_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 2, "jobs": 4}))
         out = tmp_path / "ds"
         assert main(["gen-data", "--out", str(out), "--corpus", str(corpus_file),
-                     "--config", str(cfg)]) == 0
-        assert "jobs" not in json.loads((out / "run-manifest.json").read_text())["config"]
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'jobs'" in err[0]
+        assert not out.exists()
         assert main(["gen-data", "--out", str(out), "--corpus", str(corpus_file),
                      "--jobs", "2"]) == 1
 

@@ -130,7 +130,7 @@ class TestDisentangle:
 class TestRotation:
     def test_zero_angles_identity(self):
         r = build_rotation(constant(np.zeros((1, 1, D - 1))), D)
-        assert np.array_equal(r.data[0], np.eye(D))
+        assert r.data[0].tobytes() == np.eye(D).tobytes()  # no -0.0 either
 
     def test_two_dim_quarter_turn(self):
         r = build_rotation(constant(np.array([[[np.pi / 2]]])), 2).data[0]
@@ -158,20 +158,29 @@ class TestRotation:
 
     def test_matches_recorded_chain_value_and_gradient(self):
         rng = np.random.default_rng(17)  # own stream: the shared RNG feeds the other tests
+        cases = []
         for d in (2, 3, 8, 32, 33):
             angles = rng.uniform(-np.pi, np.pi, (1, 1, d - 1))
-            weights = constant(rng.standard_normal((d, d)))
-            values, grads = [], []
-            for rotation in (lambda a: build_rotation(a, d),
-                             lambda a: rotation_chain_recorded(a, d)):
-                tape = Tape()
-                leaf = tape.leaf(angles)
-                r = rotation(leaf)
-                tape.backward(ad.sum_(r * weights))
-                values.append(r.data.reshape(d, d))
-                grads.append(leaf.grad)
-            assert np.max(np.abs(values[0] - values[1])) < 1e-12, d
-            assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, d
+            cases.append((angles, rng.standard_normal((1, d, d))))
+        for d in (2, 8, 33):
+            for angles in (np.zeros((1, 1, d - 1)),  # the initial state: the heads start at zero
+                           rng.choice([-np.pi / 2, np.pi / 2], (1, 1, d - 1)),
+                           rng.uniform(-20.0, 20.0, (1, 1, d - 1))):
+                cases.append((angles, rng.standard_normal((1, d, d))))
+        cases.append((rng.uniform(-np.pi, np.pi, (3, 1, 7)), rng.standard_normal((3, 8, 8))))
+        for angles, weights in cases:
+            d = angles.shape[-1] + 1
+            tape = Tape()
+            leaf = tape.leaf(angles)
+            r = build_rotation(leaf, d)
+            tape.backward(ad.sum_(r * constant(weights)))
+            for b in range(len(angles)):  # the recorded chain takes one molecule's angles
+                ref_tape = Tape()
+                ref_leaf = ref_tape.leaf(angles[b:b + 1])
+                ref = rotation_chain_recorded(ref_leaf, d)
+                ref_tape.backward(ad.sum_(ref * constant(weights[b])))
+                assert np.max(np.abs(r.data[b] - ref.data)) < 1e-12, (d, b)
+                assert np.max(np.abs(leaf.grad[b] - ref_leaf.grad[0])) < 1e-12, (d, b)
 
     def test_records_one_tape_node(self):
         # one plane_rotation_chain node plus the reshape of the (B, 1, d-1)

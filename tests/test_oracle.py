@@ -27,7 +27,8 @@ from molham.dataset import (
     generate_records,
     load_split,
 )
-from molham.errors import CorruptFile, EmptySplit, UnsupportedElement, VersionMismatch
+from molham.errors import (CorruptFile, EmbedFailure, EmptySplit, UnsupportedElement,
+                           VersionMismatch)
 from molham.oracle import (BOND_TARGET, MIN_DISTANCE, REPULSION_FLOOR, _spring_gradient,
                            _spring_stack, embed_3d, embed_batch, huckel_labels)
 from molham.smiles import expand_hydrogens, parse_smiles
@@ -96,6 +97,19 @@ class TestEmbed:
     def test_methane_shape(self):
         coords = embed_3d(_xmol("C"), 5)
         assert coords.shape == (5, 3)
+
+    def test_floor_miss_after_reseeds_raises(self, monkeypatch):
+        attempts, real = [], oracle._embed_attempt
+
+        def counted(xmols, seeds, attempt):
+            attempts.append(attempt)
+            return real(xmols, seeds, attempt)
+
+        monkeypatch.setattr(oracle, "_embed_attempt", counted)
+        monkeypatch.setattr(oracle, "MIN_DISTANCE", 100.0)
+        with pytest.raises(EmbedFailure, match="100.0 A floor"):
+            embed_3d(_xmol("CCO"), 1)
+        assert attempts == list(range(oracle._RESEEDS))
 
     def test_matches_pairwise_descent_across_sizes(self):
         corpus = build_corpus()
@@ -337,6 +351,13 @@ class TestBlockedGeneration:
             assert np.max(np.abs(a.coords - b.coords)) <= 1e-9, a.smiles
             assert np.max(np.abs(a.h - b.h)) <= 1e-10 and np.max(np.abs(a.s - b.s)) <= 1e-10
             assert abs(a.gap_ev - b.gap_ev) <= 1e-10
+
+    def test_embed_failure_is_a_skip(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MIN_DISTANCE", 100.0)
+        report = generate_records(["CCO", "[O-2]"], seed=1)
+        assert [r.smiles for r in report.records] == ["[O-2]"]
+        assert [(s["index"], s["smiles"], s["error"]) for s in report.skipped] == [
+            (0, "CCO", "EmbedFailure")]
 
     def test_floor_miss_takes_the_reseeds_alone(self, monkeypatch):
         corpus = build_corpus()[:12]
