@@ -25,6 +25,9 @@ the structured primitives take a leading batch axis:
   node, reading one filter row per unordered pair; its backward scatters
   the row gradient over the senders and adds each filter row's two
   directions.
+- `pair_net` runs the head's pair network over index pairs of atom rows in
+  one node; its backward adds the pair gradients onto the rows by a stable
+  sort and `np.add.reduceat`.
 - Elementwise ops broadcast as numpy does, and reductions take any axis.
 
 Memory rules. A tape and everything it recorded are freed by reference
@@ -451,6 +454,87 @@ def pair_messages(g, f, gate: Array, src: Array, dst: Array, pair: Array,
 
     out = gathered(x, src, np.take(w, pair, axis=0), gate)
     return _make(_scatter_rows(dst, out, n), [(g, pull_g), (f, pull_f)])
+
+
+def _row_sums(idx: Array, rows: Array, n: int) -> Array:
+    """out[k] = sum of rows[r] over every r with idx[r] == k, for k < n.
+
+    Sums each index's rows in row order, by a stable sort of idx (skipped
+    when idx is already sorted) and one np.add.reduceat.
+    """
+    out = np.zeros((n,) + rows.shape[1:])
+    if not idx.size:
+        return out
+    if np.any(idx[1:] < idx[:-1]):
+        order = np.argsort(idx, kind="stable")
+        idx, rows = idx[order], np.take(rows, order, axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+    out[idx[starts]] = np.add.reduceat(rows, starts, axis=0)
+    return out
+
+
+def pair_net(rows, i: Array, j: Array, w_sum, w_gap, b1, w2, b2) -> Tensor:
+    """tanh(A[i] + A[j] + |x[i] - x[j]| @ w_gap + b1) @ w2 + b2 with A = x @ w_sum,
+    one output row per pair (i[p], j[p]) of the (n, d) rows x.
+
+    (x[i] + x[j]) @ w_sum equals A[i] + A[j], so the sum term costs one
+    (n, d) @ (d, h) product in place of a (P, d) one, and so do both of its
+    backward products. A[i] + A[j] is one add, which commutes exactly, so
+    swapping the two ends of every pair leaves the output unchanged bit for
+    bit. The record keeps only |x[i] - x[j]|, its signs (int8) and the hidden
+    activations. The pulls form dz = (g @ w2^T) * (1 - hidden^2) once per
+    backward, and whichever pull runs first forms it, since a frozen operand
+    has no pull. Each temporary is formed in place, so that no more than two
+    (P, hidden) arrays live beside the record at once.
+    """
+    rows, w_sum, w_gap, b1, w2, b2 = (constant(t) for t in (rows, w_sum, w_gap, b1, w2, b2))
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    x, ws, wg, v2 = rows.data, w_sum.data, w_gap.data, w2.data
+    if (x.ndim != 2 or i.ndim != 1 or i.shape != j.shape or ws.shape != wg.shape
+            or ws.shape[0] != x.shape[1] or v2.ndim != 2 or v2.shape[0] != ws.shape[1]):
+        raise ShapeMismatch(f"pair_net got rows {x.shape}, {i.shape} and {j.shape} pair ends and "
+                            f"weights {ws.shape}, {wg.shape}, {v2.shape}")
+    n, s1, s2 = x.shape[0], b1.data.shape, b2.data.shape
+    gap = np.take(x, i, axis=0)
+    gap -= np.take(x, j, axis=0)
+    sign = np.sign(gap).astype(np.int8)
+    np.abs(gap, out=gap)
+    a = x @ ws
+    hidden = np.take(a, i, axis=0)
+    hidden += np.take(a, j, axis=0)
+    hidden += gap @ wg
+    hidden += b1.data
+    np.tanh(hidden, out=hidden)
+    memo: dict[str, Array] = {}
+
+    def dz(g: Array) -> Array:
+        if memo.get("g") is not g:
+            memo.clear()
+            slope = hidden * hidden
+            np.subtract(1.0, slope, out=slope)
+            z = g @ v2.T
+            z *= slope
+            memo["g"], memo["dz"] = g, z
+        return memo["dz"]
+
+    def da(g: Array) -> Array:  # gradient of A
+        z = dz(g)
+        if "da" not in memo:
+            memo["da"] = _row_sums(i, z, n) + _row_sums(j, z, n)
+        return memo["da"]
+
+    def pull_rows(g: Array) -> Array:
+        out = da(g) @ ws.T
+        dd = dz(g) @ wg.T
+        dd *= sign
+        out += _row_sums(i, dd, n)
+        out -= _row_sums(j, dd, n)
+        return out
+
+    return _make(hidden @ v2 + b2.data,
+                 [(rows, pull_rows), (w_sum, lambda g: x.T @ da(g)),
+                  (w_gap, lambda g: gap.T @ dz(g)), (b1, lambda g: _unbroadcast(dz(g), s1)),
+                  (w2, lambda g: hidden.T @ g), (b2, lambda g: _unbroadcast(g, s2))])
 
 
 def concat_rows(parts: Sequence["Tensor"]) -> Tensor:

@@ -13,6 +13,13 @@ A batch stacks its molecules' tables (every padded atom row, then every
 molecule's pairs) and gathers all their entries at once through the
 molecules' index matrices, offset to their rows of the stacked table. One
 molecule is a batch of one.
+
+The pair net is one tape node, `autodiff.pair_net`, over the batch's atom
+rows and its pairs' row indices. Since (t_i + t_j) @ W_sum = A[i] + A[j]
+with A = rows @ W_sum, the sum term's product runs once per atom row, not
+once per pair, and a batch has many more pairs than rows. The node keeps
+only the pair differences and hidden activations for its backward, in place
+of the dozen (P, d) and (P, hidden) arrays that a recorded chain holds.
 """
 
 from __future__ import annotations
@@ -87,9 +94,9 @@ class PairNet:
     w2: Tensor     # hidden x 3
     b2: Tensor     # 1 x 3
 
-    def __call__(self, ti: Tensor, tj: Tensor) -> Tensor:
-        hidden = ad.tanh((ti + tj) @ self.w_sum + ad.abs_(ti - tj) @ self.w_gap + self.b1)
-        return hidden @ self.w2 + self.b2
+    def __call__(self, rows: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
+        """(P, 3) block values of the pairs (rows[i[p]], rows[j[p]]): one tape node."""
+        return ad.pair_net(rows, i, j, self.w_sum, self.w_gap, self.b1, self.w2, self.b2)
 
 
 @dataclass
@@ -157,8 +164,7 @@ def predict_hamiltonian(emb: Tensor, plan: HeadPlan, params: HeadParams) -> Tens
     rows = ad.reshape(emb, (-1, emb.shape[-1]))
     parts = [params.diag(rows)]
     if plan.pairs_i.size:  # a lone atom leaves the pair net off the tape, so its gradient stays None
-        parts.append(params.pair(ad.gather_rows(rows, plan.pairs_i),
-                                 ad.gather_rows(rows, plan.pairs_j)))
+        parts.append(params.pair(rows, plan.pairs_i, plan.pairs_j))
     table = ad.reshape(ad.concat_rows(parts), (-1, 1))
     return ad.reshape(ad.gather_rows(table, plan.index), plan.index.shape)
 

@@ -75,10 +75,10 @@ def _embed_attempt(xmols: list[ExpandedMol], seeds: list[int],
     for xmol, seed in zip(xmols, seeds):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, attempt])))
         starts.append((_initial_sphere(rng, xmol.n_atoms), xmol.bonds))
-    coords, unbonded, floor = _spring_stack(starts)
+    coords, cap, floor = _spring_stack(starts)
     eye = np.eye(coords.shape[1])
     for _ in range(_DESCENT_STEPS if coords.shape[1] > 1 else 0):  # one atom: no pair, no force
-        coords -= _DESCENT_RATE * _spring_gradient(coords, unbonded, floor, eye)
+        coords -= _DESCENT_RATE * _spring_gradient(coords, cap, floor, eye)
     out = []
     for (start, _), placed in zip(starts, coords):
         n = len(start)
@@ -106,48 +106,52 @@ def _pairwise(coords: np.ndarray) -> np.ndarray:
 
 
 def _spring_masks(n: int, bonds) -> tuple[np.ndarray, np.ndarray]:
-    """(unbonded, floor): a pair's target length is max(d * unbonded, floor).
+    """(cap, floor): a pair's stretch d - target is min(d - floor, cap).
 
-    That is BOND_TARGET for a bond, max(d, REPULSION_FLOOR) for a non-bonded
-    pair (no force beyond the floor) and d on the diagonal (no self-force).
+    cap is +inf for a bond and 0 elsewhere. So the target is BOND_TARGET for
+    a bond, max(d, REPULSION_FLOOR) for a non-bonded pair (no force beyond
+    the floor) and d on the diagonal (no self-force).
     """
     bonded = np.zeros((n, n), dtype=bool)
     for i, j in bonds:
         bonded[i, j] = bonded[j, i] = True
     free = ~bonded
     np.fill_diagonal(free, False)
-    return (~bonded).astype(np.float64), BOND_TARGET * bonded + REPULSION_FLOOR * free
+    return np.where(bonded, np.inf, 0.0), BOND_TARGET * bonded + REPULSION_FLOOR * free
 
 
 def _spring_stack(molecules) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coords, unbonded, floor) stacks (B, N, .) of (coords, bonds) pairs, N the largest size.
+    """(coords, cap, floor) stacks (B, N, .) of (coords, bonds) pairs, N the largest size.
 
     A padding atom sits on its own point _PAD_SPACING apart from every other
-    atom, with unbonded 1 and floor 0 to every atom: its target length is d
-    itself, so it exerts and feels exactly zero force and never moves.
+    atom, with cap 0 and floor 0 to every atom: its stretch min(d, 0) is 0,
+    so it exerts and feels exactly zero force and never moves.
     """
     size = max(len(c) for c, _ in molecules)
     pad = np.zeros((size, 3))
     pad[:, 0] = _PAD_SPACING * np.arange(1, size + 1)
     coords = np.repeat(pad[None], len(molecules), axis=0)
-    unbonded = np.ones((len(molecules), size, size))
+    cap = np.zeros((len(molecules), size, size))
     floor = np.zeros((len(molecules), size, size))
     for b, (c, bonds) in enumerate(molecules):
         n = len(c)
         coords[b, :n] = c
-        unbonded[b, :n, :n], floor[b, :n, :n] = _spring_masks(n, bonds)
-    return coords, unbonded, floor
+        cap[b, :n, :n], floor[b, :n, :n] = _spring_masks(n, bonds)
+    return coords, cap, floor
 
 
-def _spring_gradient(coords: np.ndarray, unbonded: np.ndarray, floor: np.ndarray,
+def _spring_gradient(coords: np.ndarray, cap: np.ndarray, floor: np.ndarray,
                      eye: np.ndarray) -> np.ndarray:
     """Gradient of sum_{i<j} (d_ij - target_ij)^2 for each molecule of a (B, N, 3) stack.
 
     Per molecule it is sum_j w_ij (x_i - x_j) with w_ij = 2 (d_ij - target_ij) / d_ij,
     i.e. rowsum(w) x - w @ x = L @ x for the Laplacian L = diag(rowsum(w)) - w.
     It is formed in place as M @ (-2 x) with M = -L / 2 (m_ij = (d_ij - target_ij) / d_ij
-    off the diagonal); scaling by -2 is exact, so this is bitwise L @ x. `eye`
-    is the (N, N) identity.
+    off the diagonal); scaling by -2 is exact, so this is bitwise L @ x. The
+    stretch d_ij - target_ij is min(d_ij - floor_ij, cap_ij) (`_spring_masks`):
+    a subtract and a minimum, exact against d - max(d * u, floor) with u = 0 on
+    a bond and 1 elsewhere, since rounding is monotone. `eye` is the (N, N)
+    identity.
     """
     scaled = -2.0 * coords
     sq = (coords * coords).sum(axis=-1)
@@ -157,9 +161,8 @@ def _spring_gradient(coords: np.ndarray, unbonded: np.ndarray, floor: np.ndarray
     # clamps rounding below 0 and puts 1 on the diagonal, so d_ii = 1 divides safely
     np.maximum(dist, eye, out=dist)
     np.sqrt(dist, out=dist)
-    m = dist * unbonded
-    np.maximum(m, floor, out=m)
-    np.subtract(dist, m, out=m)
+    m = dist - floor
+    np.minimum(m, cap, out=m)
     m /= dist
     size = coords.shape[1]
     np.negative(m.sum(axis=-1), out=m.reshape(len(m), size * size)[:, ::size + 1])

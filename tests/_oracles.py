@@ -9,7 +9,8 @@ dense plane matrix per angle, a geometry encoder that tiles and pools pair
 messages with dense n^2 x n matrices and one that runs its filter on every
 ordered pair and records each message step (`encode_geometry_ordered`, the
 bit-identity reference), a Hamiltonian value index built
-entry by entry, and both training losses run one molecule at a time
+entry by entry, the head's pair net recorded op by op (`pair_net_recorded`),
+and both training losses run one molecule at a time
 (`pretrain_loss_per_molecule`, `finetune_loss_per_molecule`), with the
 model's forward arithmetic written out on unpadded rank-2 rows. `GroupAdam`
 is the optimizer as it was before the parameters became one vector: a dict
@@ -489,14 +490,25 @@ def pretrain_loss_per_molecule(model, lv, molecules, lambda1):
     return total_d + contrast, d_terms, contrast
 
 
+def pair_net_recorded(rows, i, j, p):
+    """`hamhead.PairNet` as a chain of recorded ops: two gathers, the sum and
+    |difference| features, each through its own (P, d) @ (d, hidden) product."""
+    from molham import autodiff as ad
+
+    ti, tj = ad.gather_rows(rows, i), ad.gather_rows(rows, j)
+    hidden = ad.tanh((ti + tj) @ p.w_sum + ad.abs_(ti - tj) @ p.w_gap + p.b1)
+    return hidden @ p.w2 + p.b2
+
+
 def hamiltonian_per_molecule(emb, lay, params):
-    """One molecule's matrix through the entry-by-entry value index."""
+    """One molecule's matrix through the entry-by-entry value index and the
+    recorded pair-net chain."""
     from molham import autodiff as ad
 
     rows = [_mlp(emb, params.diag)]
     if lay.n_atoms > 1:
         i, j = np.triu_indices(lay.n_atoms, 1)
-        rows.append(params.pair(ad.gather_rows(emb, i), ad.gather_rows(emb, j)))
+        rows.append(pair_net_recorded(emb, i, j, params.pair))
     index = value_index_loops(lay)
     table = ad.reshape(ad.concat_rows(rows), (-1, 1))
     return ad.reshape(ad.gather_rows(table, index), index.shape)

@@ -193,6 +193,22 @@ _NO_PAIRS = dict(src=np.zeros(0), dst=np.zeros(0), pair=np.zeros(0), ends=np.zer
                  gate=np.zeros((0, 1)))
 
 
+# Pair lists of three atoms for pair_net: j unsorted, and i repeated (with i > j)
+_PAIRS_J_UNSORTED = (np.array([0, 0, 1]), np.array([2, 1, 2]))
+_PAIRS_I_REPEATED = (np.array([1, 1, 0]), np.array([2, 0, 2]))
+# pair_net operands on three 4-wide rows, hidden width 3, four outputs
+_NET = dict(rows=_C34, w_sum=_C43, w_gap=np.cos(np.arange(12.0)).reshape(4, 3),
+            b1=np.sin(np.arange(3.0)).reshape(1, 3), w2=np.sin(np.arange(12.0)).reshape(3, 4),
+            b2=np.cos(np.arange(4.0)).reshape(1, 4))
+
+
+def _pair_net(pairs, **given):
+    """sum(pair_net(...) * C34[:P]), with `given` in place of the default operands."""
+    ops = {**_NET, **given}
+    return ad.sum_(ad.pair_net(ops["rows"], *pairs, ops["w_sum"], ops["w_gap"], ops["b1"],
+                               ops["w2"], ops["b2"]) * constant(_C34[:len(pairs[0])]))
+
+
 def _messages(g, f, pairs):
     return ad.pair_messages(g, f, pairs["gate"], pairs["src"], pairs["dst"], pairs["pair"],
                             pairs["ends"])
@@ -245,6 +261,16 @@ PRIMITIVES = {
                                            * constant(_C34)),
     "pair_messages_no_pairs": lambda x: ad.sum_(_messages(x, constant(np.zeros((0, 4))), _NO_PAIRS)
                                                 * constant(_C34)),
+    # x as the atom rows, under both pair lists, then as each weight in turn
+    "pair_net_rows": lambda x: _pair_net(_PAIRS_J_UNSORTED, rows=x),
+    "pair_net_rows_i_repeated": lambda x: _pair_net(_PAIRS_I_REPEATED, rows=x),
+    "pair_net_w_sum": lambda x: _pair_net(_PAIRS_I_REPEATED, w_sum=ad.transpose(x)),
+    "pair_net_w_gap": lambda x: _pair_net(_PAIRS_J_UNSORTED, w_gap=ad.transpose(x)),
+    "pair_net_b1": lambda x: _pair_net(_PAIRS_J_UNSORTED,
+                                       b1=ad.transpose(ad.sum_(x, axis=1, keepdims=True))),
+    "pair_net_w2": lambda x: _pair_net(_PAIRS_I_REPEATED, w2=x),
+    "pair_net_b2": lambda x: _pair_net(_PAIRS_J_UNSORTED, b2=ad.sum_(x, axis=0, keepdims=True)),
+    "pair_net_no_pairs": lambda x: _pair_net((np.zeros(0), np.zeros(0)), rows=x),
 }
 _C44 = RNG.standard_normal((4, 4))
 

@@ -147,8 +147,8 @@ DIGESTS = {
     "train": "cb4be440867454d5da588e9a7fca37a6d37a4725b52fdeaaecbe2cf10c2f057d",
     "test": "26423b61c116c99b0c1c64e12d95e7588657efdaa5aa95f7528091ef8a0de4ad",
     "pre": "552835d04c50842508ec77423693b10efcfd051f8247dea7ed467f2c9e25cd18",
-    "ft": "b0516d564f67ceff776db381274f642a313907d8295f1cac08cd50345083dc92",
-    "metrics": "d2ea851faf30adf25db546d6c1040dcc0bbee77461fd88886858a2fd0d0d3d96",
+    "ft": "fd357275c1e4a5b7fade2299e6f6e5a13ca2225fc873d2352dac6f171dbec02b",
+    "metrics": "acb13eb774a01078c9a8ec7d1d623ef6a6597ae24f8994984081e220f3cb6faa",
 }
 
 

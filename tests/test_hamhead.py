@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import value_index_loops
+from _oracles import hamiltonian_per_molecule, value_index_loops
 from molham import autodiff as ad
 from molham import hamhead
 from molham.atomic import read_framed, write_framed
@@ -195,6 +195,51 @@ class TestPredict:
         with pytest.raises(TypeError):
             predict_hamiltonian(constant(np.zeros((1, 2, CFG.width))), lay,
                                 head.head(head.leaves(None)))
+
+
+class TestPairNet:
+    """The pair net's one `autodiff.pair_net` node against the recorded chain
+    of `tests/_oracles.py` (`pair_net_recorded`). A packed fine-tuning batch
+    with masked branches is compared in `tests/test_packing.py`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 23, 47, 74])
+    def test_matches_recorded_chain(self, head, n):
+        rng = np.random.default_rng(100 + n)
+        lay = layout(tuple(("C", "H", "O", "H", "N", "F")[k % 6] for k in range(n)))
+        emb = rng.standard_normal((n, CFG.width))
+        weights = constant(rng.standard_normal((lay.n_orb, lay.n_orb)))
+        results = []
+        for matrix in (_matrix, hamiltonian_per_molecule):
+            tape = Tape()
+            lv = head.leaves(tape)
+            x = tape.leaf(emb)
+            h = matrix(x, lay, head.head(lv))
+            tape.backward(ad.sum_(h * weights))
+            results.append([h.data, x.grad] + [lv[k].grad for k in sorted(lv)
+                                               if k.startswith("head.")])
+        assert (results[0][-1] is None) == (n == 1)  # a lone atom runs no pair net
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None
+                continue
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_swapping_pair_ends_is_bit_identical(self, head):
+        rows = constant(np.random.default_rng(8).standard_normal((30, CFG.width)))
+        i, j = np.triu_indices(30, 1)
+        pair = head.head(head.leaves(None)).pair
+        assert pair(rows, i, j).data.tobytes() == pair(rows, j, i).data.tobytes()
+
+    def test_records_one_tape_node(self, head):
+        # a lone atom runs no pair net, and any number of pairs adds one node
+        added = []
+        for elements in (("C",), ("C", "O"), ("C", "O", "H", "H", "N", "S")):
+            tape = Tape()
+            params = head.head(head.leaves(tape))
+            before = len(tape)
+            _matrix(np.ones((len(elements), CFG.width)), layout(elements), params)
+            added.append(len(tape) - before)
+        assert added[1] == added[2] == added[0] + 1
 
 
 class TestFusion:

@@ -199,8 +199,8 @@ def _spring_energy(coords, bonded):
 
 def _stack_gradient(molecules):
     """_spring_gradient of the padded stack of (coords, bonds) pairs."""
-    coords, unbonded, floor = _spring_stack(molecules)
-    return _spring_gradient(coords, unbonded, floor, np.eye(coords.shape[1]))
+    coords, cap, floor = _spring_stack(molecules)
+    return _spring_gradient(coords, cap, floor, np.eye(coords.shape[1]))
 
 
 class TestSpringGradient:
