@@ -21,11 +21,11 @@ the structured primitives take a leading batch axis:
 - `segment_sum` adds rows into segments by an integer index; its backward
   is a gather. `gather_rows` is its mirror: a gather whose backward adds
   rows into segments.
-- `pair_messages` forms message-passing sums over ordered atom pairs in one
-  node, reading one filter row per unordered pair; its backward scatters
-  the row gradient over the senders and adds each filter row's two
-  directions.
-- `pair_net` runs the head's pair network over index pairs of atom rows in
+- `pair_messages` forms message-passing sums in one node over a list of
+  unordered atom pairs, sending each pair's message both ways with one
+  filter row; its backward scatters the row gradient by the same receiver
+  index and adds each filter row's two directions.
+- `pair_net` runs the head's pair network over the same kind of pair list in
   one node; its backward adds the pair gradients onto the rows by a stable
   sort and `np.add.reduceat`.
 - Elementwise ops broadcast as numpy does, and reductions take any axis.
@@ -419,41 +419,44 @@ def segment_sum(a, seg: Array, n: int) -> Tensor:
     return _make(_scatter_rows(seg, a.data, n), [(a, lambda g: g[seg])])
 
 
-def pair_messages(g, f, gate: Array, src: Array, dst: Array, pair: Array,
-                  ends: Array) -> Tensor:
-    """msg[i] = sum over ordered pairs p with dst[p] == i of
-    (g[src[p]] * f[pair[p]]) * gate[p], one row per row of g.
+def pair_messages(g, f, gate: Array, i: Array, j: Array) -> Tensor:
+    """msg[k] = sum of (g[sender] * f[q]) * gate[q] over the messages pairs q send
+    to row k: every unordered pair (i[q], j[q]) sends one message each way.
 
-    `f` holds one row per unordered pair, and `ends` (Q, 2) the two ordered
-    pairs of each: every unordered pair has both directions. Only the two
-    operands' data, `gate` and the indices are kept for the backward pass.
+    The 2Q messages run from `there = (i, j)` to `here = (j, i)`. For i-major
+    pairs with i < j, row k receives from the pairs (a, k) before the pairs
+    (k, b), so its sum adds in ascending sender order. By the symmetry of the
+    message set the backward scatters onto `here` too. Only the operands'
+    data, `gate` and the indices are kept for the backward pass.
     """
     g, f = constant(g), constant(f)
-    gate, src, dst, pair, ends = (np.asarray(gate, dtype=np.float64),
-                                  *(np.asarray(a, dtype=np.intp) for a in (src, dst, pair, ends)))
+    gate = np.asarray(gate, dtype=np.float64)
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if (g.ndim != 2 or f.ndim != 2 or f.data.shape[1] != g.data.shape[1]
-            or not src.shape == dst.shape == pair.shape == gate.shape[:1]
-            or ends.shape != (f.data.shape[0], 2)):
-        raise ShapeMismatch(f"pair_messages got rows {g.data.shape} and filters {f.data.shape} "
-                            f"for {src.shape} pairs and {ends.shape} ends")
+            or i.ndim != 1 or i.shape != j.shape or f.data.shape[0] != i.size
+            or gate.shape != (i.size, 1)):
+        raise ShapeMismatch(f"pair_messages got rows {g.data.shape}, filters {f.data.shape} "
+                            f"and gates {gate.shape} for {i.shape} and {j.shape} pair ends")
     x, w, n = g.data, f.data, g.data.shape[0]
+    there = np.stack((i, j))
+    here = there[::-1]  # (j, i) as a view, so a record holds one (2, Q) index
 
     def gathered(a: Array, rows: Array, *factors: Array) -> Array:
-        """a[rows] times each factor in turn, in one (P, d) buffer."""
+        """a[rows] times each factor in turn, in one (2, Q, d) buffer."""
         out = np.take(a, rows, axis=0)
         for b in factors:
             out *= b
         return out
 
     def pull_g(gm: Array) -> Array:
-        return _scatter_rows(src, gathered(gm, dst, gate, np.take(w, pair, axis=0)), n)
+        return _scatter_rows(here, gathered(gm, there, gate, w), n)
 
     def pull_f(gm: Array) -> Array:
-        t = gathered(gm, dst, gate, np.take(x, src, axis=0))
-        return np.take(t, ends[:, 0], axis=0) + np.take(t, ends[:, 1], axis=0)
+        t = gathered(gm, there, gate, np.take(x, here, axis=0))
+        return t[0] + t[1]
 
-    out = gathered(x, src, np.take(w, pair, axis=0), gate)
-    return _make(_scatter_rows(dst, out, n), [(g, pull_g), (f, pull_f)])
+    return _make(_scatter_rows(here, gathered(x, there, w, gate), n),
+                 [(g, pull_g), (f, pull_f)])
 
 
 def _row_sums(idx: Array, rows: Array, n: int) -> Array:

@@ -4,7 +4,7 @@ Subcommands: gen-data, pretrain, finetune, predict, eval, screen, bench,
 selftest. gen-data, pretrain and finetune can also read options from a JSON
 config file (--config), with explicit flags taking precedence. Every run
 writes a run-manifest JSON with the fully resolved configuration, seed,
-version, and input hashes next to its outputs.
+version, input hashes and numpy and BLAS thread settings next to its outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error.
 """
@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .alignment import LOSS_FORMS
@@ -59,6 +62,9 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, inputs: dict[st
         "version": __version__,
         "config": resolved,
         "inputs": inputs,
+        # trained bytes hold only at a fixed BLAS thread count
+        "environment": {"numpy": np.__version__, **{k: os.environ.get(k) for k in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
     }
     atomic_write_text(out_dir / "run-manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 

@@ -135,18 +135,24 @@ def test_segment_sum_values_and_errors():
 
 def test_pair_messages_values_and_errors():
     g, f = RNG.standard_normal((3, 4)), RNG.standard_normal((3, 4))
-    p = {k: np.asarray(v) for k, v in _ALL_PAIRS.items()}
+    i, j, gate = (np.asarray(_ALL_PAIRS[k]) for k in ("i", "j", "gate"))
+    # both directions, receiver-major: the chain the node replaces, in its sum order
+    order = np.lexsort((np.concatenate((i, j)), np.concatenate((j, i))))
+    src, dst = np.concatenate((i, j))[order], np.concatenate((j, i))[order]
+    pair = np.concatenate((np.arange(3), np.arange(3)))[order]
     out = _messages(constant(g), constant(f), _ALL_PAIRS).data
-    recorded = ad.segment_sum(ad.gather_rows(constant(g), p["src"]) * constant(f[p["pair"]])
-                              * constant(p["gate"]), p["dst"], 3).data
+    recorded = ad.segment_sum(ad.gather_rows(constant(g), src) * constant(f[pair])
+                              * constant(gate[pair]), dst, 3).data
     assert out.tobytes() == recorded.tobytes()
     assert np.array_equal(_messages(constant(g), constant(f[:0]), _NO_PAIRS).data, np.zeros((3, 4)))
-    with pytest.raises(ShapeMismatch):  # a filter row short of the unordered pairs
+    with pytest.raises(ShapeMismatch):  # a filter row short of the pairs
         _messages(constant(g), constant(f[:2]), _ALL_PAIRS)
     with pytest.raises(ShapeMismatch):  # filter rows of another width
         _messages(constant(g), constant(f[:, :3]), _ALL_PAIRS)
-    with pytest.raises(ShapeMismatch):  # one gate short of the ordered pairs
-        _messages(constant(g), constant(f), {**_ALL_PAIRS, "gate": p["gate"][:5]})
+    with pytest.raises(ShapeMismatch):  # one gate short of the pairs
+        _messages(constant(g), constant(f), {**_ALL_PAIRS, "gate": gate[:2]})
+    with pytest.raises(ShapeMismatch):  # one gate per pair, but not as a column
+        _messages(constant(g), constant(f), {**_ALL_PAIRS, "gate": gate[:, 0]})
 
 
 def test_gather_and_concat():
@@ -183,14 +189,13 @@ _B243 = np.sin(np.arange(24.0)).reshape(2, 4, 3)
 _A253 = np.cos(np.arange(30.0)).reshape(2, 5, 3)
 _C24 = np.sin(np.arange(8.0)).reshape(2, 4)
 _SEG = np.array([2, 0, 2], dtype=np.intp)  # three rows into four segments, two left empty
-# Ordered pairs of three atoms, receiver-major: all three unordered pairs, then only
-# {0, 1} and {0, 2} (atom 0 in every pair, atoms 1 and 2 only with it), then none.
-_ALL_PAIRS = dict(src=[1, 2, 0, 2, 0, 1], dst=[0, 0, 1, 1, 2, 2], pair=[0, 1, 0, 2, 1, 2],
-                  ends=[[0, 2], [1, 4], [3, 5]], gate=[[0.9], [0.4], [0.9], [0.7], [0.4], [0.7]])
-_HUB_PAIRS = dict(src=[1, 2, 0, 0], dst=[0, 0, 1, 2], pair=[0, 1, 0, 1], ends=[[0, 2], [1, 3]],
-                  gate=[[0.8], [0.3], [0.8], [0.3]])
-_NO_PAIRS = dict(src=np.zeros(0), dst=np.zeros(0), pair=np.zeros(0), ends=np.zeros((0, 2)),
-                 gate=np.zeros((0, 1)))
+# Unordered pairs of three atoms, i < j and i-major: all three pairs, then only
+# (0, 1) and (0, 2) (atom 0 in every pair, atoms 1 and 2 only with it), then none,
+# then a list in no order (j unsorted, i repeated, one pair with i > j)
+_ALL_PAIRS = dict(i=[0, 0, 1], j=[1, 2, 2], gate=[[0.9], [0.4], [0.7]])
+_HUB_PAIRS = dict(i=[0, 0], j=[1, 2], gate=[[0.8], [0.3]])
+_NO_PAIRS = dict(i=np.zeros(0), j=np.zeros(0), gate=np.zeros((0, 1)))
+_UNSORTED_PAIRS = dict(i=[1, 0, 1], j=[2, 2, 0], gate=[[0.6], [0.2], [0.5]])
 
 
 # Pair lists of three atoms for pair_net: j unsorted, and i repeated (with i > j)
@@ -210,8 +215,7 @@ def _pair_net(pairs, **given):
 
 
 def _messages(g, f, pairs):
-    return ad.pair_messages(g, f, pairs["gate"], pairs["src"], pairs["dst"], pairs["pair"],
-                            pairs["ends"])
+    return ad.pair_messages(g, f, pairs["gate"], pairs["i"], pairs["j"])
 
 
 PRIMITIVES = {
@@ -260,6 +264,8 @@ PRIMITIVES = {
     "pair_messages_hub": lambda x: ad.sum_(_messages(x, constant(_C34[:2]), _HUB_PAIRS)
                                            * constant(_C34)),
     "pair_messages_no_pairs": lambda x: ad.sum_(_messages(x, constant(np.zeros((0, 4))), _NO_PAIRS)
+                                                * constant(_C34)),
+    "pair_messages_unsorted": lambda x: ad.sum_(_messages(x, constant(_C34[::-1]), _UNSORTED_PAIRS)
                                                 * constant(_C34)),
     # x as the atom rows, under both pair lists, then as each weight in turn
     "pair_net_rows": lambda x: _pair_net(_PAIRS_J_UNSORTED, rows=x),

@@ -313,6 +313,19 @@ class TestTrainEvalScreenBench:
         assert inputs == {str(ckpt): hashlib.sha256(ckpt.read_bytes()).hexdigest(),
                           str(test_path): hashlib.sha256(test_path.read_bytes()).hexdigest()}
 
+    def test_manifest_records_the_thread_environment(self, tmp_path, pipeline, monkeypatch):
+        data, ckpt = pipeline
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 0
+        env = json.loads((out / "run-manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["OMP_NUM_THREADS"] == "3" and env["MKL_NUM_THREADS"] is None
+        assert set(env) == {"numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"}
+
     def test_predict_writes_matrix(self, tmp_path, pipeline):
         _, ckpt = pipeline
         out = tmp_path / "pred"

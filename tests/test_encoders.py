@@ -267,23 +267,28 @@ class TestPairMessages:
         elems, coords = _random_molecules(np.random.default_rng(2), [1, 7, 30, 2])
         batch = geom_batch(elems, coords, 5.0, 4)
         ref = geom_batch_ordered(elems, coords, 5.0, 4)
-        assert np.array_equal(batch.src, ref.src) and np.array_equal(batch.dst, ref.dst)
-        assert batch.gate.tobytes() == ref.gate.tobytes()
-        assert batch.rbf[batch.pair].tobytes() == ref.rbf.tobytes()
-        q = batch.rbf.shape[0]
-        assert 2 * q == batch.src.size and batch.ends.shape == (q, 2)
-        first, second = batch.ends.T
-        assert np.array_equal(batch.pair[first], np.arange(q))
-        assert np.array_equal(batch.pair[second], np.arange(q))
-        assert np.array_equal(batch.src[first], batch.dst[second])
-        assert np.array_equal(batch.dst[first], batch.src[second])
+        q = batch.i.size
+        assert batch.j.shape == (q,) and batch.gate.shape == (q, 1) and batch.rbf.shape == (q, 4)
+        assert np.all(batch.i < batch.j)
+        assert np.array_equal(np.lexsort((batch.j, batch.i)), np.arange(q))  # i-major
+        # the pairs are the reference's ordered pairs (dst, src) with dst < src, in its order
+        lower = ref.dst < ref.src
+        assert np.array_equal(batch.i, ref.dst[lower]) and np.array_equal(batch.j, ref.src[lower])
+        assert batch.gate.tobytes() == ref.gate[lower].tobytes()
+        assert batch.rbf.tobytes() == ref.rbf[lower].tobytes()
+        # and its other rows are the same pairs reversed
+        upper = np.lexsort((ref.dst[~lower], ref.src[~lower]))
+        assert np.array_equal(ref.src[~lower][upper], batch.i)
+        assert np.array_equal(ref.dst[~lower][upper], batch.j)
+        assert ref.gate[~lower][upper].tobytes() == batch.gate.tobytes()
+        assert 2 * q == ref.src.size
 
     @pytest.mark.parametrize("edge", range(len(_EDGE_BATCHES)))
     def test_edge_batches(self, model, edge):
         elems, coords = _EDGE_BATCHES[edge]
         params = model.geom_encoder(model.leaves(None))
         batch = geom_batch([np.asarray(e) for e in elems], coords, params.cutoff, params.n_rbf)
-        assert batch.rbf.shape[0] == 0 and batch.ends.shape == (0, 2)
+        assert batch.rbf.shape[0] == 0 and batch.i.size == 0
         rows = encode_geometry(batch, params).data
         for b, (e, xyz) in enumerate(zip(elems, coords)):
             solo = [_geometry_one([VOCAB_ELEMENTS[k]], xyz[a:a + 1], params).data[0]
