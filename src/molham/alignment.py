@@ -1,10 +1,9 @@
 """Fragment-level multimodal alignment.
 
-The token side of each fragment is pooled with cross-attention conditioned
-on the geometric side, and a pairwise sigmoid contrastive objective pulls
-matching fragment vectors together. The default objective is the
-log-sigmoid form; the printed sigmoid form is available behind a flag for
-comparison runs.
+Each fragment's token-conditioned vector pools its geometric rows with
+cross-attention: the token rows supply the queries, and the geometric rows
+the keys and the values. A pairwise sigmoid contrastive objective, in its
+log-sigmoid form, pulls matching fragment vectors together.
 
 A batch pools every fragment at once on the padded (B, n, d) rows: an
 additive key bias keeps each row's attention inside its own fragment, and a
@@ -22,8 +21,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, constant
 from .errors import EmptyBatch, IndexOutOfRange, ShapeMismatch
 from .nn import pairwise_cosine
-
-LOSS_FORMS = ("log_sigmoid", "literal")
 
 
 @dataclass
@@ -84,16 +81,13 @@ def contextual_pool(t_frag: Tensor, v_frag: Tensor, params: AlignmentParams,
     return constant(plan.pool) @ mixed
 
 
-def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor,
-                     form: str = "log_sigmoid") -> Tensor:
+def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor) -> Tensor:
     """Pairwise sigmoid contrastive loss over pooled fragment vectors.
 
     Row i of each input is one fragment; the (i, j) pair is positive iff
     i == j. Negatives therefore span all other fragments in the batch, both
     within and across molecules.
     """
-    if form not in LOSS_FORMS:
-        raise ValueError(f"unknown loss form {form!r}; expected one of {LOSS_FORMS}")
     if v_vecs.shape[0] == 0:
         raise EmptyBatch("contrastive loss needs at least one fragment pair")
     if v_vecs.shape != t_vecs.shape:
@@ -102,9 +96,7 @@ def contrastive_loss(v_vecs: Tensor, t_vecs: Tensor, tau: Tensor,
     cosines = pairwise_cosine(v_vecs, t_vecs, "pooled fragment")
     labels = constant(2.0 * np.eye(n) - 1.0)
     z = labels * cosines / tau
-    if form == "log_sigmoid":
-        return ad.mean(ad.softplus(-z))  # -log sigmoid(z), finite for any z
-    return ad.mean(-ad.sigmoid(-z))  # the printed sigmoid form, kept verbatim
+    return ad.mean(ad.softplus(-z))  # -log sigmoid(z), finite for any z
 
 
 def molecule_fragment_vectors(t_star: Tensor, v: Tensor, plan: FragmentPlan,

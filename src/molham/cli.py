@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import LOSS_FORMS
 from .atomic import atomic_write_text
 from .basis import electron_count
 from .corpus import build_corpus, corpus_sha256
@@ -119,8 +118,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One flag per config field, typed by its default."""
     for key, kind in _TRAIN_KINDS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key,
-                       type=_bool_flag if kind is bool else kind,
-                       choices=LOSS_FORMS if key == "loss_form" else None)
+                       type=_bool_flag if kind is bool else kind)
 
 
 def _bool_flag(text: str) -> bool:

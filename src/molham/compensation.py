@@ -46,7 +46,8 @@ def disentangle(v: Tensor, t: Tensor, params: DisentangleParams,
     """Split v into (token-relevant, token-irrelevant) parts via attention.
 
     For a single-atom molecule the attention matrix is [[1]], which forces the
-    token-irrelevant part to be exactly zero.
+    token-irrelevant part to be exactly zero. The rows of I - beta sum to zero,
+    so an output bias of the v- MLP would cancel; the model gives it none.
     """
     beta = attention_matrix(v, t, params, pad)
     eye = constant(np.eye(v.shape[-2]))

@@ -45,7 +45,6 @@ class ModelConfig:
     n_shear: int = 4
     head_hidden: int = 64
     compensation: bool = True
-    loss_form: str = "log_sigmoid"
 
     def __post_init__(self):
         # `not` around each bound so that a NaN fails it too
@@ -57,8 +56,6 @@ class ModelConfig:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.width % 2 != 0:
             raise ValueError("embedding width must be even for the positional table")
-        if self.loss_form not in al.LOSS_FORMS:
-            raise ValueError(f"loss form must be one of {al.LOSS_FORMS}")
 
 
 _GENERATOR_HEADS = ("angles", "scales", "shear_p", "shear_w", "shift", "amp", "freq", "phase")
@@ -155,7 +152,8 @@ class Model:
         for mlp in ("u", "t", "vplus", "vminus"):
             for layer in ("1", "2"):
                 groups[f"comp.{mlp}.w{layer}"] = (d, d), d
-                groups[f"comp.{mlp}.b{layer}"] = (1, d), 0
+                if (mlp, layer) != ("vminus", "2"):  # rows of I - beta sum to zero: no bias
+                    groups[f"comp.{mlp}.b{layer}"] = (1, d), 0
         groups["gen.hidden.w"] = (d, d), d
         groups["gen.hidden.b"] = (1, d), 0
         for head in _GENERATOR_HEADS:
@@ -231,7 +229,9 @@ class Model:
         def mlp(name: str) -> Mlp:
             return Mlp(lv[f"comp.{name}.w1"], lv[f"comp.{name}.b1"],
                        lv[f"comp.{name}.w2"], lv[f"comp.{name}.b2"])
-        return comp.DisentangleParams(mlp("u"), mlp("t"), mlp("vplus"), mlp("vminus"))
+        v_minus = Mlp(lv["comp.vminus.w1"], lv["comp.vminus.b1"], lv["comp.vminus.w2"],
+                      constant(np.zeros((1, self.config.width))))  # no output bias, see `layout`
+        return comp.DisentangleParams(mlp("u"), mlp("t"), mlp("vplus"), v_minus)
 
     def generator(self, lv: dict[str, Tensor]) -> comp.ParamGenerator:
         heads = {name: (lv[f"gen.{name}.w"], lv[f"gen.{name}.b"]) for name in _GENERATOR_HEADS}
@@ -277,7 +277,7 @@ class Model:
         plan = al.fragment_plan([s.fragment_of for s in structs],
                                 [s.n_fragments for s in structs], pad.shape[1])
         v_vecs, t_vecs = al.molecule_fragment_vectors(t_star, v, plan, self.aligner(lv))
-        contrast = al.contrastive_loss(v_vecs, t_vecs, self.aligner(lv).tau, self.config.loss_form)
+        contrast = al.contrastive_loss(v_vecs, t_vecs, self.aligner(lv).tau)
         return ad.mean(d_terms) + contrast, d_terms, contrast
 
     def predict_entries(self, lv: dict[str, Tensor], seqs: Sequence[TokenInput],

@@ -23,7 +23,7 @@ from .model import Model, ModelConfig, MolStructure, mol_structure
 from .smiles import expand_hydrogens, fragment, parse, tokenize
 from .spectral import mae_blocks, mae_energies, orbital_similarity, orbitals
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CKPT_MAGIC = b"MHCK0001"
 
 # Adam's moment decay rates and denominator guard, fixed for every stage

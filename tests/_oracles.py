@@ -486,7 +486,7 @@ def pretrain_loss_per_molecule(model, lv, molecules, lambda1):
         total_d = total_d + term
     total_d = total_d * (1.0 / len(d_terms))
     contrast = contrastive_loss(ad.concat_rows(v_all), ad.concat_rows(t_all),
-                                model.aligner(lv).tau, model.config.loss_form)
+                                model.aligner(lv).tau)
     return total_d + contrast, d_terms, contrast
 
 

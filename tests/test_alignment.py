@@ -103,12 +103,12 @@ class TestContrastive:
     def test_log_sigmoid_at_zero_cosine(self):
         v = constant(np.array([[1.0, 0.0]]))
         t = constant(np.array([[0.0, 1.0]]))
-        loss = contrastive_loss(v, t, constant(np.array([[0.7]])), "log_sigmoid")
+        loss = contrastive_loss(v, t, constant(np.array([[0.7]])))
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_log_sigmoid_saturates_to_zero(self):
         v = constant(np.array([[1.0, 0.0]]))
-        loss = contrastive_loss(v, v, constant(np.array([[1e-3]])), "log_sigmoid")
+        loss = contrastive_loss(v, v, constant(np.array([[1e-3]])))
         assert loss.item() < 1e-12
 
     def test_log_sigmoid_finite_at_small_tau_with_anti_aligned_pairs(self):
@@ -118,16 +118,10 @@ class TestContrastive:
         t = constant(-np.eye(2))  # positives at cosine -1, negatives at 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss = contrastive_loss(v, t, ad.exp(log_tau), "log_sigmoid")
+            loss = contrastive_loss(v, t, ad.exp(log_tau))
             tape.backward(loss)
         assert loss.item() == pytest.approx((2000.0 + 2.0 * np.log(2.0)) / 4.0, rel=1e-12)
         assert np.all(np.isfinite(log_tau.grad))
-
-    def test_literal_form_printed_value(self):
-        v = constant(np.array([[2.0, 0.0]]))
-        t = constant(np.array([[3.0, 0.0]]))  # cosine exactly 1
-        loss = contrastive_loss(v, t, constant(np.array([[1.0]])), "literal")
-        assert loss.item() == pytest.approx(-1.0 / (1.0 + np.e), abs=1e-12)
 
     def test_scale_invariance(self):
         v = RNG.standard_normal((4, D))
@@ -166,11 +160,6 @@ class TestContrastive:
         with pytest.raises(EmptyBatch):
             contrastive_loss(constant(np.zeros((0, D))), constant(np.zeros((0, D))),
                              constant(np.array([[1.0]])))
-
-    def test_unknown_form(self):
-        v = constant(np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            contrastive_loss(v, v, constant(np.array([[1.0]])), "nope")
 
 
 class TestPretrainLossComposition:

@@ -111,9 +111,10 @@ class TestConfigFlags:
         names = {f.name for f in fields(ModelConfig) + fields(TrainConfig)} - {"stage"}
         assert set(flags) == names
         assert all(flags[k] == ["--" + k.replace("_", "-")] for k in names)
-        # Adam's settings are constants, not flags
-        assert main([command, "--data", str(tmp_path), "--out", str(tmp_path / "run"),
-                     "--beta1", "0.5"]) == 1
+        # Adam's settings are constants, and the contrastive loss has one form
+        for removed in (["--beta1", "0.5"], ["--loss-form", "literal"]):
+            assert main([command, "--data", str(tmp_path), "--out", str(tmp_path / "run")]
+                        + removed) == 1
         assert not (tmp_path / "run").exists()
 
 
@@ -491,6 +492,15 @@ class TestCorruptInputs:
 
 
 class TestOlderCheckpoint:
+    def test_format_one_checkpoint_is_refused(self, tmp_path, pipeline, capsys):
+        """Format 1 still had the `loss_form` setting and the v- output bias."""
+        _, ckpt = pipeline
+        old = _edited_checkpoint(ckpt, tmp_path / "old.mh", lambda m: (
+            m.update(format_version=1), m["model_config"].update(loss_form="log_sigmoid")))
+        err = _exits_two(capsys, ["predict", "--checkpoint", str(old), "--smiles", "CCO",
+                                  "--out", str(tmp_path / "p")], tmp_path / "p")
+        assert "checkpoint format 1 != 2" in err
+
     def test_adam_keys_in_train_config_still_load(self, tmp_path, pipeline):
         """Checkpoints from before the Adam settings became constants carry
         beta1, beta2 and adam_eps in their train_config."""
@@ -525,11 +535,9 @@ class TestInitCheckpoint:
         data, _ = pipeline
         pre = tmp_path / "pre"
         assert main(["pretrain", "--data", str(data), "--out", str(pre), "--epochs", "1",
-                     "--seed", "1", "--loss-form", "literal", "--compensation", "false"]
-                    + MODEL_FLAGS) == 0
+                     "--seed", "1", "--compensation", "false"] + MODEL_FLAGS) == 0
         init, _, _ = load_checkpoint(pre / "checkpoint.mh")
-        assert (init.config.loss_form, init.config.compensation, init.config.width) == (
-            "literal", False, 8)
+        assert (init.config.compensation, init.config.width) == (False, 8)
         run = tmp_path / "ft"
         assert main(["finetune", "--data", str(data), "--out", str(run), "--epochs", "1",
                      "--seed", "1", "--init", str(pre / "checkpoint.mh")]) == 0

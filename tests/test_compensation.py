@@ -126,6 +126,19 @@ class TestDisentangle:
         assert np.allclose(v_plus.data[0], beta @ mlp(v, dis.v_plus), atol=1e-12)
         assert np.allclose(v_minus.data[0], (np.eye(4) - beta) @ mlp(v, dis.v_minus), atol=1e-12)
 
+    def test_v_minus_output_bias_would_cancel(self, model):
+        """The layout has no v- output bias, because the rows of I - beta sum
+        to zero: a bias would leave v- as it is, padding rows included."""
+        assert "comp.vminus.b2" not in Model.layout(ModelConfig())
+        v = constant(RNG.standard_normal((2, 5, D)))
+        t = constant(RNG.standard_normal((2, 5, D)))
+        dis, pad = _dis(model), padding([5, 3])
+        assert np.all(dis.v_minus.b2.data == 0.0)
+        _, base = disentangle(v, t, dis, pad)
+        dis.v_minus.b2 = constant(RNG.standard_normal((1, D)))
+        _, biased = disentangle(v, t, dis, pad)
+        assert np.allclose(biased.data, base.data, rtol=0.0, atol=1e-12)
+
 
 class TestRotation:
     def test_zero_angles_identity(self):

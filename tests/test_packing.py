@@ -84,13 +84,7 @@ def _run(model, loss_fn, frozen=()):
 
 def _assert_same_gradients(got, want):
     """Each gradient agrees to TOL relative to its largest entry, a scale that
-    never drops below 1e-6 of the largest gradient entry of the model.
-
-    The v- output bias is the exception. The rows of I - beta annihilate it,
-    so its gradient is zero in exact arithmetic and both sides hold only
-    rounding noise (about 1e-18); comparing the two noises with each other
-    would test nothing. Each must instead be at most 1e-15 of the largest
-    gradient entry."""
+    never drops below 1e-6 of the largest gradient entry of the model."""
     assert got.keys() == want.keys()
     top = max(np.max(np.abs(g)) for g in want.values() if g is not None)
     live = 0
@@ -99,10 +93,7 @@ def _assert_same_gradients(got, want):
             assert got[name] is None, name
             continue
         live += 1
-        if name == "comp.vminus.b2":
-            assert max(np.max(np.abs(got[name])), np.max(np.abs(want[name]))) <= 1e-15 * top, name
-        else:
-            assert _close(got[name], want[name], 1e-6 * top), name
+        assert _close(got[name], want[name], 1e-6 * top), name
     assert live
 
 

@@ -450,14 +450,15 @@ class TestCheckpoints:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bytes_pinned(self, tmp_path):
-        # computed with the first, hand-framed checkpoint writer: the bytes must not change
+        # format 2: the manifest lost `loss_form` and the blob lost comp.vminus.b2's
+        # 8 zeros; every other byte of the blob is the format-1 writer's
         rng = np.random.default_rng(5)
         rng.standard_normal(3)
         path, again = tmp_path / "a.mh", tmp_path / "b.mh"
         save_checkpoint(path, Model.init(SMALL_CFG, seed=1),
                         TrainConfig("finetune", epochs=2, seed=3), rng.bit_generator.state)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "bccab4b28a7dc2e8101ba85c8bf1af22b69d9528069edc3a3adf086e5e39ee6b")
+            "89fdce99053925a2633fb2cc64886057bc026c6ac7bb2faae7667e21834ff053")
         loaded, train_cfg, rng_state = load_checkpoint(path)
         save_checkpoint(again, loaded, TrainConfig(**train_cfg), rng_state)
         assert again.read_bytes() == path.read_bytes()
